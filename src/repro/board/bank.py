@@ -271,6 +271,8 @@ class BoardBank:
     """
 
     enable_vector_path = True
+    # Entries the lane-term cache holds before it is dropped and rebuilt.
+    lane_cache_limit = 256
 
     def __init__(self, boards, telemetry=None, track_violations=False):
         if telemetry is None:
@@ -939,7 +941,7 @@ class BoardBank:
                 bool((leak_arr >= 0.0).all()),
                 [None],  # cached no-trip temperature bound
             )
-            if len(self._lane_cache) > 256:
+            if len(self._lane_cache) > self.lane_cache_limit:
                 self._lane_cache.clear()
             self._lane_cache[lane_key] = lanes
         return lanes
@@ -1241,13 +1243,16 @@ class BoardBank:
                 target = t_e if target is None else np.maximum(target, t_e)
             return target
 
+        # Keyed on id() of the lane terms, so the holder keeps the terms
+        # alive: once the lane cache drops them, their ids cannot be
+        # recycled into a key that finds this (then stale) bound.
         fkey = (key_boards, self._plan_gen,
                 tuple(id(t) for t in terms_by_op))
         holder = self._fused_ub.get(fkey)
         if holder is None:
             if len(self._fused_ub) > 256:
                 self._fused_ub.clear()
-            holder = self._fused_ub[fkey] = [None]
+            holder = self._fused_ub[fkey] = [None, terms_by_op]
         quiet = False
         ub = holder[0]
         if ub is not None and bool((T0 <= ub).all()):

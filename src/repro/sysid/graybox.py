@@ -57,10 +57,9 @@ class GrayBoxModel:
 
     def simulate(self, u_sequence, y0=None):
         u_sequence = np.atleast_2d(np.asarray(u_sequence, dtype=float))
-        steps = u_sequence.shape[0]
-        ys = np.zeros((steps, self.n_outputs))
+        ys = np.zeros((len(u_sequence), self.n_outputs))
         state = np.zeros(self.n_outputs) if y0 is None else np.asarray(y0[0], float).copy()
-        for t in range(steps):
+        for t in range(len(u_sequence)):
             ys[t] = state
             drive = self.gain @ u_sequence[t]
             state = self.poles * state + (1.0 - self.poles) * drive
@@ -80,51 +79,54 @@ def center_per_run(data: ExperimentData, boundaries):
                           data.label + ":centered")
 
 
+def _lag(x, a, init, boundaries):
+    """Yield ``(t, s)``: ``s = a s + (1 - a) x[t]`` after each ``t`` with a
+    successor in its run, from ``init[lo]``; ``a`` broadcasts over lanes."""
+    edges = sorted(boundaries) + [len(x)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        s = init[lo]
+        for t in range(lo, hi - 1):
+            s = a * s + (1.0 - a) * x[t]
+            yield t, s
+
+
 def _fit_gain_given_poles(u, y, poles, boundaries, ridge):
     """OLS for G0 rows with inputs pre-filtered through each output's lag."""
-    n_y = y.shape[1]
-    n_u = u.shape[1]
-    gain = np.zeros((n_y, n_u))
-    edges = sorted(boundaries) + [u.shape[0]]
-    for i in range(n_y):
-        a = poles[i]
-        rows_u = []
-        rows_y = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            filt = np.zeros(n_u)
-            for t in range(lo, hi):
-                filt = a * filt + (1.0 - a) * u[t]
-                if t + 1 < hi:
-                    rows_u.append(filt.copy())
-                    rows_y.append(y[t + 1, i])
-        Phi = np.asarray(rows_u)
-        target = np.asarray(rows_y)
-        gram = Phi.T @ Phi + ridge * np.eye(n_u)
-        gain[i] = np.linalg.solve(gram, Phi.T @ target)
+    lag = list(_lag(u, np.asarray(poles, float)[:, None], np.zeros(len(u)),
+                    boundaries))
+    if not lag:
+        raise ValueError("gray-box fit needs a run of two or more samples")
+    steps, filt = map(np.array, zip(*lag))  # filt: (steps, outputs, inputs)
+    gain = np.zeros((y.shape[1], u.shape[1]))
+    for i in range(y.shape[1]):
+        Phi = np.ascontiguousarray(filt[:, i])
+        gram = Phi.T @ Phi + ridge * np.eye(u.shape[1])
+        gain[i] = np.linalg.solve(gram, Phi.T @ y[steps + 1, i])
     return gain
 
 
 def _fit_poles_given_gain(u, y, gain, boundaries, pole_grid):
-    """Grid search per output for the best lag pole."""
-    n_y = y.shape[1]
-    poles = np.zeros(n_y)
-    edges = sorted(boundaries) + [u.shape[0]]
-    drives = u @ gain.T  # (T, n_y)
-    for i in range(n_y):
-        best_err = np.inf
-        best_a = 0.0
-        for a in pole_grid:
-            err = 0.0
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                state = y[lo, i]
-                for t in range(lo, hi - 1):
-                    state = a * state + (1.0 - a) * drives[t, i]
-                    err += (y[t + 1, i] - state) ** 2
-            if err < best_err:
-                best_err = err
-                best_a = a
-        poles[i] = best_a
-    return poles
+    """Grid search per output for the best lag pole (first strict minimum)."""
+    grid = np.asarray(pole_grid, dtype=float)
+    drives = u @ gain.T
+    err = np.zeros((len(grid), y.shape[1]))  # summed over time in order
+    for t, s in _lag(drives, grid[:, None], y, boundaries):
+        r = y[t + 1] - s
+        err += r * r
+    # r * r is within an ulp of a scalar loop's r ** 2 (libm pow): re-sum
+    # with ** 2 any output whose distinct poles that bound cannot order.
+    tol = err * (len(u) + 4) * 2.0**-51 + len(u) * 2.0**-1070
+    best, cols = np.argmin(err, axis=0), np.arange(err.shape[1])
+    near = (err <= (err + tol)[best, cols] + tol) & (
+        grid.view(np.int64)[:, None] != grid.view(np.int64)[best])
+    for i in np.flatnonzero(near.any(0) | ~np.isfinite(err + tol).all(0)):
+        lag = _lag(drives[:, i], grid, y[:, i], boundaries)
+        r = np.reshape([y[t + 1, i] - s for t, s in lag], (-1, len(grid)))
+        sq = np.reshape([v**2 for v in r.flat], r.shape)
+        err[:, i] = sum(sq, np.zeros(len(grid)))
+    err[np.isnan(err)] = np.inf  # a NaN error never wins
+    best = np.argmin(err, axis=0)
+    return np.where(err[best, cols] < np.inf, grid[best], 0.0)
 
 
 def fit_graybox(
@@ -139,12 +141,10 @@ def fit_graybox(
     boundaries = list(boundaries or [0])
     if center:
         data = center_per_run(data, boundaries)
-    u = data.inputs
-    y = data.outputs
+    u, y = data.inputs, data.outputs
     if pole_grid is None:
         pole_grid = np.concatenate([[0.0], np.linspace(0.05, 0.97, 24)])
     poles = np.full(y.shape[1], 0.3)
-    gain = None
     for _ in range(iterations):
         gain = _fit_gain_given_poles(u, y, poles, boundaries, ridge)
         poles = _fit_poles_given_gain(u, y, gain, boundaries, pole_grid)

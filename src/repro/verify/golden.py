@@ -8,9 +8,21 @@ tolerances, so any behavioral drift (a model change, a solver change, an
 accidental semantics change in the fastpath) shows up as a reviewable
 diff instead of silently shifting every downstream figure.
 
-The canonical matrix uses the heuristic schemes only: they need no
-synthesized artifacts, so the goldens exercise the full board physics and
-control loop while staying fast and independent of scipy solver details.
+The canonical matrix holds heuristic cells, which need no synthesized
+artifacts, and SSV cells (``yukta-hwssv-osheur``/``yukta-hwssv-osssv``),
+whose controllers come out of gray-box identification and mu-synthesis,
+so an SSV cell pins the design flow as well as the closed loop.  Every
+cell replays against the design context built from ``GOLDEN_DESIGN``,
+whatever context the caller holds, so ``repro verify --quick`` and the
+test suite check the same synthesized controllers.
+
+Tolerance: every cell, synthesized or not, uses the same rtol 1e-9 /
+atol 1e-12.  Identification and synthesis are deterministic for a given
+NumPy/LAPACK build, so on one platform an SSV cell replays bit-identical.
+A solver change that moves a synthesized gain even in its last bits can
+flip a quantized DVFS or placement decision, which no finite tolerance
+absorbs; such drift is reported, reviewed and re-minted like any other
+behavior change.
 
 Regenerate after an *intentional* behavior change with::
 
@@ -30,6 +42,7 @@ import numpy as np
 from .oracles import ulp_distance
 
 __all__ = [
+    "GOLDEN_DESIGN",
     "GOLDEN_DIR",
     "GOLDEN_MATRIX",
     "GOLDEN_SIGNALS",
@@ -37,6 +50,7 @@ __all__ = [
     "capture_trace",
     "capture_traces_batched",
     "compare_traces",
+    "golden_context",
     "golden_path",
     "load_golden",
     "write_golden",
@@ -58,7 +72,15 @@ GOLDEN_MATRIX = (
     ("coordinated-heuristic", "blackscholes"),
     ("coordinated-heuristic", "mcf"),
     ("decoupled-heuristic", "blackscholes"),
+    ("yukta-hwssv-osheur", "blackscholes"),
+    ("yukta-hwssv-osheur", "mcf"),
+    ("yukta-hwssv-osssv", "blackscholes"),
+    ("yukta-hwssv-osssv", "mcf"),
 )
+
+# The characterization campaign the SSV cells' controllers are designed
+# from (the test suite's shared design context).
+GOLDEN_DESIGN = {"samples_per_program": 120, "seed": 99}
 
 # Which BoardTrace signals are pinned, sub-sampled every ``stride`` steps.
 GOLDEN_SIGNALS = (
@@ -90,6 +112,25 @@ class TraceMismatch:
 def golden_path(scheme, workload, golden_dir=None):
     root = Path(golden_dir) if golden_dir is not None else GOLDEN_DIR
     return root / f"{scheme}__{workload}.json"
+
+
+def golden_context(context):
+    """The design context golden cells replay against.
+
+    ``context`` itself when it was built from :data:`GOLDEN_DESIGN` with
+    no design overrides, else a context built from that campaign for the
+    same spec (heuristic cells read only the spec).
+    """
+    from ..cache import fingerprint
+    from ..experiments.schemes import DesignContext
+
+    fp = fingerprint("characterization", context.spec,
+                     GOLDEN_DESIGN["samples_per_program"],
+                     GOLDEN_DESIGN["seed"])
+    if context.char_fingerprint == fp and not any(context.overrides.values()):
+        return context
+    return DesignContext.create(spec=context.spec, cache=context.cache,
+                                **GOLDEN_DESIGN)
 
 
 def _package_trace(metrics, scheme, workload, context, seed, max_time,
@@ -230,6 +271,7 @@ def load_golden(scheme, workload, golden_dir=None):
 
 def regen_goldens(context, golden_dir=None, matrix=None, log=None):
     """Re-mint every golden trace in the canonical matrix."""
+    context = golden_context(context)
     paths = []
     for scheme, workload in (matrix or GOLDEN_MATRIX):
         trace = capture_trace(scheme, workload, context)
@@ -250,6 +292,7 @@ def verify_goldens(context, golden_dir=None, matrix=None, rtol=_DEFAULT_RTOL,
     serial runner — the goldens pin both paths to the same behavior.
     """
     matrix = list(matrix or GOLDEN_MATRIX)
+    context = golden_context(context)
     results = {}
     goldens = {}
     groups = {}  # (seed, max_time, stride) -> [(scheme, workload)]

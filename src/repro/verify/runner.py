@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .golden import (
     GOLDEN_DIR,
+    golden_context,
     regen_goldens,
     regen_rack_goldens,
     verify_goldens,
@@ -214,6 +215,7 @@ def run_verify(quick=True, regen_golden=False, golden_dir=None, samples=None,
         _log("verify: " + oracle.render().splitlines()[0])
 
     # --- pillar 3: golden traces ----------------------------------------
+    context = golden_context(context)
     if regen_golden:
         _log("verify: regenerating golden traces...")
         report.regenerated = regen_goldens(context, golden_dir, log=_log)

@@ -217,6 +217,29 @@ class TestRackRuntime:
         assert rb.trace.budget_total == rs.trace.budget_total
         assert rb.bank_counters and not rs.bank_counters
 
+    def test_bank_matches_scalar_across_lane_cache_turnover(self,
+                                                            monkeypatch):
+        # A tiny lane-cache limit drops the cached lane terms every few
+        # periods, so fresh terms can land on recycled ids; the fused
+        # kernel's no-trip bounds keyed on those ids must not go stale.
+        from repro.board.bank import BoardBank
+        from repro.workloads.library import program_names
+
+        monkeypatch.setattr(BoardBank, "lane_cache_limit", 2)
+        jobs = tuple(
+            JobSpec(name=f"j{i}", workload=f"{name}@0.06",
+                    arrival=0.0 if i < 7 else 2.0 * i, sla=20.0)
+            for i, name in enumerate(program_names("evaluation"))
+        )
+        spec = heterogeneous_rack_spec(n_boards=8, jobs=jobs)
+        rb = Rack(spec, use_bank=True, seed=11).run(max_time=40.0)
+        rs = Rack(spec, use_bank=False, seed=11).run(max_time=40.0)
+        assert rb.bank_counters["fused_blocks"] > 0
+        assert rb.energy == rs.energy
+        assert rb.board_time == rs.board_time
+        assert (rb.jobs_completed, rb.sla_misses) == (rs.jobs_completed,
+                                                      rs.sla_misses)
+
     def test_offline_fault_requeues_and_recovers(self):
         jobs = _stream(2, workload="mcf@0.1", spacing=1.0, sla=200.0)
         faults = (RackBoardFault(board=1, start=6.0, duration=10.0,

@@ -1,7 +1,10 @@
 """Tests for the system-identification substrate."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lti import StateSpace
 from repro.sysid import (
@@ -13,6 +16,7 @@ from repro.sysid import (
     fit_percent,
     fit_subspace,
     final_prediction_error,
+    graybox,
     merge_experiments,
     multilevel_random,
     prbs,
@@ -171,6 +175,183 @@ class TestGraybox:
         sys_ = model.to_statespace()
         assert sys_.n_states == toy_data.n_outputs
         assert np.allclose(sys_.A, np.diag(np.diag(sys_.A)))
+
+
+# Scalar-loop reference implementations of the gray-box fitters.  The
+# vectorised fitters in repro.sysid.graybox must reproduce them bit for bit:
+# same accumulation order over t and runs, same first-strict-minimum rule
+# over the pole grid, same NaN behaviour.
+def _ref_fit_gain_given_poles(u, y, poles, boundaries, ridge):
+    n_y = y.shape[1]
+    n_u = u.shape[1]
+    gain = np.zeros((n_y, n_u))
+    edges = sorted(boundaries) + [u.shape[0]]
+    for i in range(n_y):
+        a = poles[i]
+        rows_u = []
+        rows_y = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            filt = np.zeros(n_u)
+            for t in range(lo, hi):
+                filt = a * filt + (1.0 - a) * u[t]
+                if t + 1 < hi:
+                    rows_u.append(filt.copy())
+                    rows_y.append(y[t + 1, i])
+        Phi = np.asarray(rows_u)
+        target = np.asarray(rows_y)
+        gram = Phi.T @ Phi + ridge * np.eye(n_u)
+        gain[i] = np.linalg.solve(gram, Phi.T @ target)
+    return gain
+
+
+def _ref_fit_poles_given_gain(u, y, gain, boundaries, pole_grid):
+    n_y = y.shape[1]
+    poles = np.zeros(n_y)
+    edges = sorted(boundaries) + [u.shape[0]]
+    drives = u @ gain.T  # (T, n_y)
+    for i in range(n_y):
+        best_err = np.inf
+        best_a = 0.0
+        for a in pole_grid:
+            err = 0.0
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                state = y[lo, i]
+                for t in range(lo, hi - 1):
+                    state = a * state + (1.0 - a) * drives[t, i]
+                    err += (y[t + 1, i] - state) ** 2
+            if err < best_err:
+                best_err = err
+                best_a = a
+        poles[i] = best_a
+    return poles
+
+
+def _outcome(fn, *args, **kwargs):
+    """``("ok", result)`` or ``("raised", exception type)``."""
+    with np.errstate(all="ignore"):
+        try:
+            return "ok", fn(*args, **kwargs)
+        except ValueError as exc:  # np.linalg.LinAlgError included
+            return "raised", type(exc)
+
+
+def _ref_fit_graybox(data, **kwargs):
+    with mock.patch.multiple(
+        graybox,
+        _fit_gain_given_poles=_ref_fit_gain_given_poles,
+        _fit_poles_given_gain=_ref_fit_poles_given_gain,
+    ):
+        return _outcome(fit_graybox, data, **kwargs)
+
+
+def _assert_same_model(ref, new):
+    assert ref[0] == new[0], (ref, new)
+    if ref[0] == "raised":
+        assert ref[1] is new[1]
+        return
+    for field in ("gain", "poles", "residual_rms"):
+        a, b = getattr(ref[1], field), getattr(new[1], field)
+        assert np.array_equal(a, b, equal_nan=True), field
+
+
+_SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300, 1e-300)
+
+
+@st.composite
+def _graybox_problems(draw):
+    """Small identification problems with awkward runs, grids and data."""
+    T = draw(st.integers(2, 40))
+    n_u = draw(st.integers(1, 3))
+    n_y = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    u = scale * rng.normal(size=(T, n_u))
+    y = scale * rng.normal(size=(T, n_y))
+    for _ in range(draw(st.integers(0, 3))):  # NaN/inf/huge entries
+        target = u if draw(st.booleans()) else y
+        row = draw(st.integers(0, T - 1))
+        col = draw(st.integers(0, target.shape[1] - 1))
+        target[row, col] = draw(st.sampled_from(_SPECIALS))
+    # Run starts from gaps of 0 (a duplicate: an empty run), 1 and 2
+    # samples, shuffled: runs of length 0, 1, 2 and longer.  A first start
+    # past 0 leaves the leading samples out of every fit.
+    gaps = draw(st.lists(st.integers(0, 6), max_size=6))
+    first = draw(st.integers(0, 2))
+    starts = [b for b in np.cumsum([first] + gaps).tolist() if b < T]
+    boundaries = draw(st.permutations(starts))
+    grid = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9, 0.97]),
+                 min_size=1, max_size=8),
+        st.lists(st.floats(0.0, 0.99), min_size=1, max_size=8),
+    ))
+    return ExperimentData(u, y, dt=0.5), boundaries, grid
+
+
+class TestGrayboxExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=_graybox_problems(), center=st.booleans(),
+           iterations=st.integers(0, 3))
+    def test_fit_graybox_matches_scalar_loops(self, problem, center,
+                                              iterations):
+        data, boundaries, grid = problem
+        kwargs = dict(boundaries=boundaries, pole_grid=grid, center=center,
+                      iterations=iterations)
+        _assert_same_model(_ref_fit_graybox(data, **kwargs),
+                           _outcome(fit_graybox, data, **kwargs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=_graybox_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_helpers_match_scalar_loops(self, problem, seed):
+        data, boundaries, grid = problem
+        u, y = data.inputs, data.outputs
+        rng = np.random.default_rng(seed)
+        grid = grid or [0.0, 0.3, 0.3, 0.9]
+        gain = rng.normal(size=(y.shape[1], u.shape[1]))
+        ref = _outcome(_ref_fit_poles_given_gain, u, y, gain, boundaries,
+                       grid)
+        new = _outcome(graybox._fit_poles_given_gain, u, y, gain,
+                       boundaries, grid)
+        assert ref[0] == new[0] == "ok"
+        assert np.array_equal(ref[1], new[1], equal_nan=True)
+        poles = rng.choice(grid, size=y.shape[1])
+        ref = _outcome(_ref_fit_gain_given_poles, u, y, poles, boundaries,
+                       1e-6)
+        new = _outcome(graybox._fit_gain_given_poles, u, y, poles,
+                       boundaries, 1e-6)
+        assert ref[0] == new[0]
+        if ref[0] == "raised":
+            # No run of two samples (or a singular system): both refuse.
+            assert ref[1] is new[1]
+        else:
+            assert np.array_equal(ref[1], new[1], equal_nan=True)
+
+    def test_tie_takes_first_grid_point(self):
+        # Constant outputs and zero drive: every pole fits exactly, so the
+        # first grid point wins, duplicates included.
+        u = np.zeros((12, 1))
+        y = np.ones((12, 2))
+        gain = np.zeros((2, 1))
+        for grid in ([0.5, 0.3, 0.5], [0.9, 0.9, 0.0]):
+            poles = graybox._fit_poles_given_gain(u, y, gain, [0], grid)
+            assert np.array_equal(poles, [grid[0]] * 2)
+            assert np.array_equal(
+                poles, _ref_fit_poles_given_gain(u, y, gain, [0], grid))
+
+    def test_nan_errors_never_win(self):
+        u = np.ones((10, 1))
+        y = np.zeros((10, 1))
+        gain = np.ones((1, 1))
+        for grid in ([np.nan, 0.5], [np.nan]):
+            ref = _ref_fit_poles_given_gain(u, y, gain, [0], grid)
+            new = graybox._fit_poles_given_gain(u, y, gain, [0], grid)
+            assert np.array_equal(ref, new)
+        assert new[0] == 0.0  # all-NaN grid: no pole is ever chosen
+
+    def test_merged_runs_match_scalar_loops(self, toy_data):
+        merged, bounds = merge_experiments([toy_data, toy_data])
+        _assert_same_model(_ref_fit_graybox(merged, boundaries=bounds),
+                           _outcome(fit_graybox, merged, boundaries=bounds))
 
 
 class TestValidation:
