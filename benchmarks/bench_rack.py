@@ -28,6 +28,7 @@ ledger.
 
 import gc
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -140,6 +141,7 @@ def run_benchmarks(quick=False, verbose=True):
     return {
         "bench": "rack",
         "quick": bool(quick),
+        "cpu_count": os.cpu_count(),
         "elapsed_s": time.perf_counter() - t0,
         "throughput": {
             "cells": cells,

@@ -21,9 +21,9 @@ instead of ``B`` Python interpreter passes:
   generator is rewound to the exact number of draws consumed, so RNG
   streams match scalar stepping;
 * the emergency-firmware threshold state machine runs as masked array
-  updates — with a window-level contraction bound that proves, up
-  front, that no lane can trip this window, collapsing the machine to
-  one vector op per tick in the common case;
+  updates — with a fixed-point temperature bound that proves, up front,
+  that no lane can trip, collapsing the machine to one vector op per
+  tick in the common case;
 * application crediting runs as per-slot scatter-adds over a flat cell
   array (threads' barrier budgets, apps' shared pools, completed
   instructions) for as long as a conservatively computed horizon
@@ -36,17 +36,18 @@ operating point (same spec object, effective frequencies, core counts,
 and per-core phase characteristics) reuse one window plan's math
 across lanes *and* across control periods.
 
-On top of the per-period kernel, :meth:`BoardBank.run_schedule_bank`
-*fuses* whole DVFS schedules: it validates and snaps up to
-``block_periods`` upcoming frequency commands at once, plans every lane
-for every distinct operating point in the block, proves one no-trip
-temperature bound and one credit horizon for the whole block, and then
-advances all lanes ``K x period_steps`` ticks in a single resident
-pass — board state is gathered and scattered once per block instead of
-once per period, and no per-board Python actuation code runs between
-fused periods.  Blocks that cannot be proven quiet fall back to the
-exact per-period path one period at a time and retry fusing from the
-next period.
+One kernel does all vectorized stepping: it advances a lane set through
+a list of segments (stretches of ticks under fixed plans), gathering
+board state once, stepping, and writing it back once.
+:meth:`BoardBank.run_period_bank` hands it one segment per window.
+:meth:`BoardBank.run_schedule_bank` *fuses* whole DVFS schedules: it
+validates and snaps up to ``block_periods`` upcoming frequency commands
+at once, plans every lane for every distinct operating point in the
+block, proves one no-trip temperature bound and one credit horizon for
+the whole block, and hands the kernel one segment per period — so no
+per-board Python actuation code runs between fused periods.  Blocks
+that cannot be proven quiet fall back to the exact per-period path one
+period at a time and retry fusing from the next period.
 
 Exactness contract
 ------------------
@@ -256,21 +257,57 @@ class _CreditSchedule:
         self.scattered = True
 
 
+class _Segment:
+    """A stretch of lockstep ticks under one set of per-lane plans.
+
+    ``freqs`` is the ``(big, little)`` frequency pair recorded on every
+    lane's trace, or ``None`` to record each board's own setting.
+    """
+
+    __slots__ = ("plans", "terms", "schedule", "guards", "ticks", "freqs")
+
+    def __init__(self, plans, terms, schedule, guards, ticks, freqs):
+        self.plans = plans
+        self.terms = terms
+        self.schedule = schedule
+        self.guards = guards
+        self.ticks = ticks
+        self.freqs = freqs
+
+
+def _any_throttled(em):
+    """Is any lane's emergency firmware currently throttling?"""
+    for e in em:
+        state = e.state
+        if (
+            state.thermal_throttled
+            or state.power_throttled[BIG]
+            or state.power_throttled[LITTLE]
+        ):
+            return True
+    return False
+
+
 class BoardBank:
     """Advance ``B`` independent boards in vectorized lockstep.
+
+    Every vectorized tick runs in one lane×tick kernel
+    (:meth:`_run_vector_window`) that advances a lane set through a list
+    of *segments* — stretches of ticks under fixed per-lane plans.
+    :meth:`run_period_bank` passes one segment per window, with the
+    emergency state machine, Python crediting past the credit horizon and
+    membership guards live; :meth:`run_schedule_bank` passes the ``K``
+    period segments of a block it has proven quiet.  One fixed-point
+    no-trip bound (:meth:`_no_trip_bound`, one cache) serves both.
 
     ``track_violations`` additionally accumulates per-board seconds with
     the *true* die temperature above ``spec.temp_limit`` and big-cluster
     instantaneous power above ``spec.power_limit_big`` (what the
     resilience experiment's per-tick clocks measure), on both the
-    vectorized and the scalar-fallback paths.
-
-    ``enable_vector_path`` (class attribute, overridable per instance)
-    forces everything through the per-board scalar/fastpath when False —
-    used by benchmarks and differential tests.
+    vectorized and the scalar-fallback paths.  A board with
+    ``enable_fast_path = False`` always takes the scalar path.
     """
 
-    enable_vector_path = True
     # Entries the lane-term cache holds before it is dropped and rebuilt.
     lane_cache_limit = 256
 
@@ -295,7 +332,7 @@ class BoardBank:
         self.power_violation_time = np.zeros(n)
         self._tick_hooks = {}
         self._plan_memo = {}
-        # Plan/schedule reuse state (see _plan_for and _run_vector_window):
+        # Plan/schedule reuse state (see _plan_for and _credit_schedule_for):
         # _replan_cache holds each board's last WindowPlan plus the change
         # counters it is conditioned on; _board_gen ticks whenever a
         # board's thread/app identity may have changed (full replans);
@@ -319,11 +356,11 @@ class BoardBank:
         # board's _placement_epoch, so an unchanged epoch proves the
         # stall-peel pre-pass has nothing to drain and can be skipped.
         self._stall_free = [None] * n
-        # Fused-kernel state: validated/snapped schedule entries keyed by
-        # raw command pair, and whole-block no-trip temperature bounds
-        # keyed by the block's operating-point set.
+        # Validated/snapped schedule entries keyed by raw command pair,
+        # and proven no-trip temperature bounds keyed by lane set and
+        # operating-point set (see _no_trip_bound).
         self._snap_cache = {}
-        self._fused_ub = {}
+        self._ub_cache = {}
         self._build_constants()
         # Introspection counters (mirrored into telemetry when enabled).
         self.vector_ticks = 0  # board-ticks executed by the vector kernel
@@ -381,8 +418,8 @@ class BoardBank:
         c["noise_rms"] = np.array(
             [b.temp_sensor.noise_rms for b in boards]
         )
-        # The window-level no-trip bound (see _run_vector_window) relies on
-        # the thermal/power fixed point being monotone in temperature.
+        # _no_trip_bound relies on the thermal/power fixed point being
+        # monotone in temperature.
         c["monotone"] = bool(
             (c["resistance"] >= 0).all()
             and (c["lweight"] >= 0).all()
@@ -469,11 +506,7 @@ class BoardBank:
             board = self.boards[i]
             if board.done:
                 continue
-            if (
-                i in self._tick_hooks
-                or not self.enable_vector_path
-                or not board.enable_fast_path
-            ):
+            if i in self._tick_hooks or not board.enable_fast_path:
                 executed[i] = self._run_scalar(i, n_steps)
             else:
                 pending.append(i)
@@ -571,7 +604,10 @@ class BoardBank:
                     pending = retry
                     continue
                 window = min(remaining[i] for i in pending)
-            ran = self._run_vector_window(pending, plans, window)
+            ran = self._run_vector_window(
+                pending, [self._segment(tuple(pending), pending, plans,
+                                        window)]
+            )
             survivors = []
             for i in pending:
                 executed[i] += ran
@@ -882,7 +918,7 @@ class BoardBank:
         return ran
 
     # ------------------------------------------------------------------
-    # The vectorized lockstep kernel
+    # Per-window inputs: constants, plan terms, credits, no-trip bound
     # ------------------------------------------------------------------
     def _slices(self, key_boards, boards):
         """Model constants and per-lane objects, sliced to one lane set."""
@@ -939,7 +975,6 @@ class BoardBank:
                 np.array([[p.instructions for p in pb],
                           [p.instructions for p in pl]]),
                 bool((leak_arr >= 0.0).all()),
-                [None],  # cached no-trip temperature bound
             )
             if len(self._lane_cache) > self.lane_cache_limit:
                 self._lane_cache.clear()
@@ -947,7 +982,12 @@ class BoardBank:
         return lanes
 
     def _credit_schedule_for(self, key_boards, indices, plans):
-        """A (cached) :class:`_CreditSchedule` for one window's plans."""
+        """A cached, freshly refreshed credit schedule plus membership guards.
+
+        Keyed by the identity of each board's credit amounts plus its
+        membership generation; verified against the live works objects
+        (held by the cached schedule) so id() reuse cannot alias.
+        """
         works_list = [plans[i].works for i in indices]
         board_gen = self._board_gen
         sched_key = (key_boards, self._plan_gen,
@@ -958,6 +998,7 @@ class BoardBank:
             cached is not None
             and all(a is b for a, b in zip(cached[0].plan_ident, works_list))
         ):
+            cached[0].refresh()
             return cached
         schedule = _CreditSchedule(indices, plans)
         schedule.plan_ident = works_list
@@ -966,6 +1007,92 @@ class BoardBank:
             self._sched_cache.clear()
         self._sched_cache[sched_key] = (schedule, guards)
         return schedule, guards
+
+    def _segment(self, key_boards, indices, plans, ticks, freqs=None):
+        """A :class:`_Segment` of ``ticks`` ticks under one set of plans."""
+        schedule, guards = self._credit_schedule_for(key_boards, indices,
+                                                     plans)
+        return _Segment(plans, self._lane_terms(key_boards, indices, plans),
+                        schedule, guards, ticks, freqs)
+
+    def _no_trip_bound(self, key_boards, S, terms_list, T):
+        """A temperature ceiling proving no lane can trip, or ``None``.
+
+        ``terms_list`` holds the lane terms of every operating point the
+        lanes may run under, in any order and mix.  Power is monotone
+        nondecreasing in temperature (spec constants and leakage terms
+        checked), so iterating ``X <- max(X, target(X))`` over the
+        elementwise max of every op's RC target yields an ``X`` with
+        ``target_e(X) <= X`` for every op, which by induction bounds the
+        temperature trajectory through any op sequence starting at or
+        below it.  If ``X`` and every op's power at ``X`` clear the trip
+        thresholds (with an absolute margin crushing per-tick rounding),
+        the emergency firmware provably stays inert.
+
+        A proven bound is cached per lane set and op set: it stays a
+        valid ceiling for any later start at or below it, which skips the
+        iteration entirely.  The key uses id() of the lane terms, so the
+        cache entry keeps the terms alive — once the lane cache drops
+        them, their ids cannot be recycled into a key that finds this
+        (then stale) bound.
+        """
+        if not self._const["monotone"] or not all(t[7] for t in terms_list):
+            return None
+        key = (key_boards, self._plan_gen, tuple(map(id, terms_list)))
+        cached = self._ub_cache.get(key)
+        if cached is not None and bool((T <= cached[0]).all()):
+            return cached[0]
+        ambient = S["ambient"]
+        resistance = S["resistance"]
+        lweight = S["lweight"]
+
+        def powers(X):
+            out = []
+            for _, _, dyn_m, leak_m, ltc_m, idle_m, _, _ in terms_list:
+                factor = 1.0 + ltc_m * (X - _REFERENCE_TEMP)
+                out.append(dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m)
+            return out
+
+        def target(p_list):
+            out = None
+            for p_m in p_list:
+                t_e = ambient + resistance * (p_m[0] + lweight * p_m[1])
+                out = t_e if out is None else np.maximum(out, t_e)
+            return out
+
+        X = T
+        for _ in range(6):
+            p_list = powers(X)
+            t_max = target(p_list)
+            if (t_max <= X).all():
+                break
+            X = np.maximum(X, t_max)
+        else:
+            # X was raised on the last pass, so re-verify there first.  If
+            # float arithmetic still hasn't closed (the gap contracts
+            # geometrically but float equality can take a dozen passes),
+            # any X with target(X) <= X bounds the trajectory by the same
+            # induction: pad past the fixed point and verify once.
+            p_list = powers(X)
+            t_max = target(p_list)
+            if not (t_max <= X).all():
+                gap = float((t_max - X).max())
+                if not gap < 1e-3:
+                    return None  # no contraction
+                X = X + 2.0 * gap + 1e-9
+                p_list = powers(X)
+                if not (target(p_list) <= X).all():
+                    return None
+        if not (
+            (X < S["temp_trip"] - 1e-9).all()
+            and all((p_m < S["thresh"] - 1e-9).all()
+                    and (p_m < S["limit"] - 1e-9).all() for p_m in p_list)
+        ):
+            return None
+        if len(self._ub_cache) > 256:
+            self._ub_cache.clear()
+        self._ub_cache[key] = (X, terms_list)
+        return X
 
     # ------------------------------------------------------------------
     # Fused multi-period kernel
@@ -1098,8 +1225,6 @@ class BoardBank:
         """
         boards = self.boards
         spec0 = boards[indices[0]].spec
-        if not self.enable_vector_path or not self._const["monotone"]:
-            return 0
         for i in indices:
             board = boards[i]
             if (
@@ -1111,15 +1236,8 @@ class BoardBank:
                 return 0
         key_boards = tuple(indices)
         S = self._slices(key_boards, [boards[i] for i in indices])
-        em = S["em"]
-        for e in em:
-            state = e.state
-            if (
-                state.thermal_throttled
-                or state.power_throttled[BIG]
-                or state.power_throttled[LITTLE]
-            ):
-                return 0
+        if _any_throttled(S["em"]):
+            return 0
 
         # --- resolve + dedup the block's schedule entries ---------------
         entries = []
@@ -1128,8 +1246,7 @@ class BoardBank:
             if ent is None:
                 break  # non-finite command: exact path owns carry-forward
             entries.append(ent)
-        K = len(entries)
-        if K == 0:
+        if not entries:
             return 0
         op_index = {}
         ops = []
@@ -1141,164 +1258,21 @@ class BoardBank:
                 ops.append(okey)
             op_of.append(op_index[okey])
 
-        # --- probe: window plans per lane per distinct operating point --
-        # Planning needs each board *at* the operating point, so the probe
-        # writes the snapped frequencies (epoch semantics preserved) and
-        # restores the final state afterwards.  Plans come from the tier
-        # caches — after the first block a steady schedule costs one dict
-        # hit per lane per distinct op.
         f_initial = [
             (boards[i].clusters[BIG].frequency,
              boards[i].clusters[LITTLE].frequency)
             for i in indices
         ]
-        plans_by_op = []
-        ok = True
-        for fb, fl in ops:
-            plans = {}
-            for i in indices:
-                self._set_frequency_raw(boards[i], fb, fl)
-                plan = self._plan_for(i)
-                if plan is None:
-                    ok = False  # stall draining / membership refusal
-                    break
-                plans[i] = plan
-            if not ok:
-                break
-            plans_by_op.append(plans)
-        if not ok:
-            for i, (fb, fl) in zip(indices, f_initial):
-                self._set_frequency_raw(boards[i], fb, fl)
-            return 0
-
-        # --- credit horizon across the whole block ----------------------
-        # One _CreditSchedule per op; the cell lists are structurally
-        # identical (same threads, same placement — only the per-tick
-        # amounts differ with frequency), so they can share one live value
-        # array and the most conservative horizon bounds the whole block.
-        schedules = []
-        for e, (fb, fl) in enumerate(ops):
-            sched, _ = self._credit_schedule_for(
-                key_boards, indices, plans_by_op[e]
-            )
-            schedules.append(sched)
-        base = schedules[0]
-        base.refresh()
-        safe = base.safe_ticks(K * period_steps)
-        cells0 = base.cells
-        for sched in schedules[1:]:
-            if len(sched.cells) != len(cells0) or any(
-                a is not b
-                for (_, a), (_, b) in zip(sched.cells, cells0)
-            ):
-                # Structure diverged (shouldn't happen for pure DVFS
-                # moves); stay exact via the per-period path.
-                for i, (fb, fl) in zip(indices, f_initial):
-                    self._set_frequency_raw(boards[i], fb, fl)
-                return 0
-            sched.refresh()
-            safe = min(safe, sched.safe_ticks(K * period_steps))
-            sched.vals = base.vals  # shared live values
-            sched.scattered = False
-        k_fused = min(K, safe // period_steps if period_steps else 0)
-        if k_fused == 0:
-            for i, (fb, fl) in zip(indices, f_initial):
-                self._set_frequency_raw(boards[i], fb, fl)
-            return 0
-
-        # --- whole-block no-trip bound (see _run_vector_window) ---------
-        # The fixed point runs over the elementwise max of every op's
-        # power map: power is monotone nondecreasing in temperature for
-        # every op (leak_ok), so a common Tub with target_e(Tub) <= Tub
-        # for all ops bounds the trajectory through any op sequence.
-        terms_by_op = [
-            self._lane_terms(key_boards, indices, plans_by_op[e])
-            for e in range(len(ops))
-        ]
-        if not all(t[7] for t in terms_by_op):  # leak_ok per op
-            for i, (fb, fl) in zip(indices, f_initial):
-                self._set_frequency_raw(boards[i], fb, fl)
-            return 0
-        ambient = S["ambient"]
-        resistance = S["resistance"]
-        lweight = S["lweight"]
-        thresh_m = S["thresh"]
-        limit_m = S["limit"]
-        temp_trip = S["temp_trip"]
-        T0 = np.array([t.temperature for t in S["thermals"]])
-
-        def power_ub(Tub):
-            p_ubs = []
-            for t in terms_by_op:
-                dyn_m, leak_m, ltc_m, idle_m = t[2], t[3], t[4], t[5]
-                factor = 1.0 + ltc_m * (Tub - _REFERENCE_TEMP)
-                p_ubs.append(dyn_m + leak_m * np.maximum(factor, 0.2)
-                             + idle_m)
-            return p_ubs
-
-        def target_of(p_ubs):
-            target = None
-            for p_ub in p_ubs:
-                t_e = ambient + resistance * (p_ub[0] + lweight * p_ub[1])
-                target = t_e if target is None else np.maximum(target, t_e)
-            return target
-
-        # Keyed on id() of the lane terms, so the holder keeps the terms
-        # alive: once the lane cache drops them, their ids cannot be
-        # recycled into a key that finds this (then stale) bound.
-        fkey = (key_boards, self._plan_gen,
-                tuple(id(t) for t in terms_by_op))
-        holder = self._fused_ub.get(fkey)
-        if holder is None:
-            if len(self._fused_ub) > 256:
-                self._fused_ub.clear()
-            holder = self._fused_ub[fkey] = [None, terms_by_op]
-        quiet = False
-        ub = holder[0]
-        if ub is not None and bool((T0 <= ub).all()):
-            quiet = True
-        else:
-            Tub = T0
-            p_ubs = None
-            for _ in range(6):
-                p_ubs = power_ub(Tub)
-                target = target_of(p_ubs)
-                if (target <= Tub).all():
-                    break
-                Tub = np.maximum(Tub, target)
-            else:
-                # Tub was raised to max(Tub, target) on the last pass, so
-                # first re-verify the bound at the raised candidate; if
-                # float arithmetic still hasn't closed, pad past the fixed
-                # point (any X with target(X) <= X bounds the trajectory
-                # by the same induction) and verify once.
-                p_ubs = power_ub(Tub)
-                target = target_of(p_ubs)
-                if not (target <= Tub).all():
-                    gap = float((target - Tub).max())
-                    if gap < 1e-3:
-                        Tub = Tub + 2.0 * gap + 1e-9
-                        p_ubs = power_ub(Tub)
-                        target = target_of(p_ubs)
-                        if not (target <= Tub).all():
-                            p_ubs = None
-                    else:
-                        p_ubs = None
-            if (
-                p_ubs is not None
-                and (Tub < temp_trip - 1e-9).all()
-                and all((p_ub < thresh_m - 1e-9).all() for p_ub in p_ubs)
-                and all((p_ub < limit_m - 1e-9).all() for p_ub in p_ubs)
-            ):
-                quiet = True
-                holder[0] = Tub
-        if not quiet:
+        segments = self._probe_block(indices, key_boards, S, ops, op_of,
+                                     period_steps)
+        if not segments:
             for i, (fb, fl) in zip(indices, f_initial):
                 self._set_frequency_raw(boards[i], fb, fl)
             return 0
 
         # --- commit: leave each board at the last fused period's op -----
-        fb_last, fl_last = ops[op_of[k_fused - 1]]
+        k_fused = len(segments)
+        fb_last, fl_last = segments[-1].freqs
         for i in indices:
             self._set_frequency_raw(boards[i], fb_last, fl_last)
         # Rejected-command bookkeeping, exactly one increment per clamped
@@ -1315,196 +1289,82 @@ class BoardBank:
                         rej_b + rej_l
                     )
 
-        self._run_fused_block(
-            indices, S, op_of[:k_fused], ops, plans_by_op, terms_by_op,
-            schedules, period_steps,
-        )
-        ticks = k_fused * period_steps
+        ticks = self._run_vector_window(indices, segments, quiet=True)
+        self.fused_blocks += 1
+        self.fused_ticks += ticks * len(indices)
         for i in indices:
             executed[i] += ticks
         return k_fused
 
-    def _run_fused_block(self, indices, S, op_of, ops, plans_by_op,
-                         terms_by_op, schedules, period_steps):
-        """Advance all lanes ``len(op_of)`` periods in one resident pass.
+    def _probe_block(self, indices, key_boards, S, ops, op_of, period_steps):
+        """Plan a block at every operating point and prove it quiet.
 
-        Preconditions (established by :meth:`_run_fused_schedule`): every
-        lane is planned for every distinct operating point, the whole
-        block is proven emergency-quiet (the per-tick firmware machine
-        collapses to the under-limit clocks, exactly like the per-period
-        quiet path), and the credit horizon covers every tick.  Board
-        state is gathered once, stepped ``periods x period_steps`` ticks
-        with per-period rebinding of the plan-constant matrices, and
-        scattered once — the per-tick float sequence is identical to
-        :meth:`_run_vector_window`'s proven-quiet path, so the result is
-        bit-identical to per-period stepping.
+        Returns the block's per-period segments, cut to the credit
+        horizon, or ``[]`` when any lane refuses a plan or the block
+        cannot be proven emergency-quiet.  Planning needs each board *at*
+        the operating point, so probing writes the snapped frequencies
+        (epoch semantics preserved); the caller restores or commits them.
+        Plans come from the tier caches — after the first block a steady
+        schedule costs one dict hit per lane per distinct op.
         """
-        boards = [self.boards[i] for i in indices]
-        B = len(boards)
-        dt = self._dt
-        K = len(op_of)
-        total = K * period_steps
-        ix = S["ix"]
-        static = S["static"]
-        ambient = S["ambient"]
-        resistance = S["resistance"]
-        lweight = S["lweight"]
-        alpha = S["alpha"]
-        sdt_m = S["sdt"]
-        speriod_m = S["speriod"]
-        noise_rms = S["noise_rms"]
+        boards = self.boards
+        plans_by_op = []
+        for fb, fl in ops:
+            plans = {}
+            for i in indices:
+                self._set_frequency_raw(boards[i], fb, fl)
+                plan = self._plan_for(i)
+                if plan is None:
+                    return []  # stall draining / membership refusal
+                plans[i] = plan
+            plans_by_op.append(plans)
+        # Segments only after every op is planned: a full re-plan bumps the
+        # board's generation, which keys the credit-schedule cache.
+        by_op = [self._segment(key_boards, indices, plans, period_steps, op)
+                 for plans, op in zip(plans_by_op, ops)]
 
-        sens_b = S["sens_b"]
-        sens_l = S["sens_l"]
-        thermals = S["thermals"]
-        em = S["em"]
-        g = np.array([
-            [t.temperature for t in thermals],
-            [b.energy for b in boards],
-            [s._accumulated for s in sens_b],
-            [s._accumulated for s in sens_l],
-            [s._latched for s in sens_b],
-            [s._latched for s in sens_l],
-            [c.total_giga for c in S["pc_b"]],
-            [c.total_giga for c in S["pc_l"]],
-            [s._elapsed for s in sens_b],
-            [s._elapsed for s in sens_l],
-            [b.time for b in boards],
-            [e._under_power_time[BIG] for e in em],
-            [e._under_power_time[LITTLE] for e in em],
-        ])
-        T = g[0]
-        energy = g[1]
-        acc_m = g[2:4]
-        latch_m = g[4:6]
-        itotal_m = g[6:8]
-        elap_m = g[8:10]
-        time_arr = g[10]
-        under_m = g[11:13]
-        inc = np.empty((7, B))
-        inc[2:4] = sdt_m
-        inc[4:7] = dt
+        # One credit schedule per op; the cell lists are structurally
+        # identical (same threads, same placement — only the per-tick
+        # amounts differ with frequency), so they share one live value
+        # array and the most conservative horizon bounds the whole block.
+        total = len(op_of) * period_steps
+        base = by_op[0].schedule
+        safe = base.safe_ticks(total)
+        for seg in by_op[1:]:
+            sched = seg.schedule
+            if len(sched.cells) != len(base.cells) or any(
+                a is not b
+                for (_, a), (_, b) in zip(sched.cells, base.cells)
+            ):
+                return []  # structure diverged: stay exact per period
+            safe = min(safe, sched.safe_ticks(total))
+            sched.vals = base.vals
+        k_fused = min(len(op_of), safe // period_steps)
+        if k_fused == 0:
+            return []
+        T0 = np.array([t.temperature for t in S["thermals"]])
+        if self._no_trip_bound(key_boards, S, [seg.terms for seg in by_op],
+                               T0) is None:
+            return []
+        return [by_op[e] for e in op_of[:k_fused]]
 
-        # Per-board RNG noise for the whole block (block draw == the
-        # scalar path's sequential draws; the block always completes, so
-        # no rewind is ever needed).
-        noise = np.zeros((B, total))
-        for k, board in enumerate(boards):
-            if noise_rms[k] > 0:
-                noise[k] = board.temp_sensor._rng.normal(
-                    scale=noise_rms[k], size=total
-                )
+    # ------------------------------------------------------------------
+    # The lane×tick kernel
+    # ------------------------------------------------------------------
+    def _run_vector_window(self, indices, segments, quiet=None):
+        """Advance every lane through ``segments`` in vectorized lockstep.
 
-        track = self.track_violations
-        temp_limit = S["temp_limit"] if track else None
-        limit_m = S["limit"]
-        tv = self.temp_violation_time
-        pv = self.power_violation_time
-        any_record = any(b.trace is not None for b in boards)
-        no_emergency = np.zeros(B, dtype=bool) if any_record else None
+        Each :class:`_Segment` is a stretch of ticks under fixed plans.
+        The per-period path passes one; the fused path passes one per
+        period of a block it has already proven emergency-quiet
+        (``quiet=True``) and inside the credit horizon, with every
+        segment's schedule sharing one live cell array.  Board state is
+        gathered into the lane matrix once, stepped tick by tick with the
+        plan-constant matrices rebound per segment, and written back once;
+        traces are flushed once per segment.  ``quiet=None`` proves (or
+        fails to prove) the no-trip bound here.
 
-        p_m = None
-        for q in range(K):
-            e = op_of[q]
-            terms = terms_by_op[e]
-            dyn_m, leak_m, ltc_m, idle_m, instr_m = terms[2:7]
-            inc[0:2] = instr_m
-            sched = schedules[e]
-            if any_record:
-                hist = {name: [] for name in ("power", "temperature",
-                                              "time")}
-            for _ in range(period_steps):
-                factor = 1.0 + ltc_m * (T - _REFERENCE_TEMP)
-                p_m = dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
-                sched.tick()
-                p_b = p_m[0]
-                p_l = p_m[1]
-                target = ambient + resistance * (p_b + lweight * p_l)
-                T = T + alpha * (target - T)
-                energy += (p_b + p_l + static) * dt
-                acc_m += p_m * sdt_m
-                g[6:13] += inc
-                latching = elap_m + 1e-12 >= speriod_m
-                if latching.any():
-                    latch_m = np.where(latching, acc_m / elap_m, latch_m)
-                    acc_m[latching] = 0.0
-                    elap_m[latching] = 0.0
-                if track:
-                    hot = T > temp_limit
-                    if hot.any():
-                        tv[ix[hot]] += dt
-                    loud = p_b > limit_m[0]
-                    if loud.any():
-                        pv[ix[loud]] += dt
-                if any_record:
-                    hist["power"].append(p_m)
-                    hist["temperature"].append(T)
-                    hist["time"].append(time_arr.copy())
-            if any_record:
-                # Per-period trace flush: the recorded frequencies are the
-                # op's snapped values (quiet block: no emergency caps).
-                fb, fl = ops[e]
-                hist["freq_big"] = [np.full(B, fb)] * period_steps
-                hist["freq_little"] = [np.full(B, fl)] * period_steps
-                hist["emergency"] = [no_emergency] * period_steps
-                for k, board in enumerate(boards):
-                    if board.trace is not None:
-                        self._extend_trace(board, k, hist, period_steps,
-                                           plans_by_op[e][indices[k]])
-
-        schedules[0].scatter()
-        last_temp = T + noise[:, total - 1]
-
-        T_out = T.tolist()
-        energy_out = energy.tolist()
-        time_out = time_arr.tolist()
-        acc_out = acc_m.tolist()
-        elap_out = elap_m.tolist()
-        latch_out = latch_m.tolist()
-        itotal_out = itotal_m.tolist()
-        last_out = last_temp.tolist()
-        under_out = under_m.tolist()
-        pb_out = p_m[0].tolist()
-        pl_out = p_m[1].tolist()
-        last_plans = plans_by_op[op_of[-1]]
-        for k, board in enumerate(boards):
-            thermals[k].temperature = T_out[k]
-            board.energy = energy_out[k]
-            board.time = time_out[k]
-            sensor = sens_b[k]
-            sensor._accumulated = acc_out[0][k]
-            sensor._elapsed = elap_out[0][k]
-            sensor._latched = latch_out[0][k]
-            sensor = sens_l[k]
-            sensor._accumulated = acc_out[1][k]
-            sensor._elapsed = elap_out[1][k]
-            sensor._latched = latch_out[1][k]
-            S["pc_b"][k].total_giga = itotal_out[0][k]
-            S["pc_l"][k].total_giga = itotal_out[1][k]
-            board.temp_sensor._last = last_out[k]
-            e = em[k]
-            e._under_power_time[BIG] = under_out[0][k]
-            e._under_power_time[LITTLE] = under_out[1][k]
-            # Scalar stepping zeroes the over-threshold timers on every
-            # under-threshold tick, and every quiet-block tick is under
-            # threshold; throttle flags, trip counts, and hold clocks
-            # provably did not move.
-            e._over_power_time[BIG] = 0.0
-            e._over_power_time[LITTLE] = 0.0
-            board._instant_power = {BIG: pb_out[k], LITTLE: pl_out[k]}
-            board._instant_bips = last_plans[indices[k]].bips
-        self.windows += 1
-        self.fused_blocks += 1
-        self.fused_ticks += total * B
-        self.vector_ticks += total * B
-        if self.telemetry is not None:
-            self.telemetry.bank_windows.inc()
-            self.telemetry.bank_board_ticks.inc(total * B)
-
-    def _run_vector_window(self, indices, plans, max_ticks):
-        """Advance every planned board ``<= max_ticks`` ticks in lockstep.
-
-        Returns the number of ticks executed (shared across boards: the
+        Returns the number of ticks executed (shared across lanes: the
         window ends for everyone at the first board event, after the
         offending tick — exactly where scalar stepping would re-plan).
         """
@@ -1530,49 +1390,11 @@ class BoardBank:
         speriod_m = S["speriod"]
         noise_rms = S["noise_rms"]
 
-        # --- step-invariant plan terms, clusters stacked on axis 0 ------
-        lanes = self._lane_terms(key_boards, indices, plans)
-        _, _, dyn_m, leak_m, ltc_m, idle_m, instr_m, leak_ok, ub_holder = lanes
-        window_credits = [plans[i].credits for i in indices]
-
-        # --- credit schedule + membership guards (structure cached) -----
-        # Keyed by the identity of each board's credit amounts plus its
-        # membership generation; verified against the live works objects
-        # (held by the cached schedule) so id() reuse cannot alias.
-        works_list = [plans[i].works for i in indices]
-        board_gen = self._board_gen
-        sched_key = (key_boards, self._plan_gen,
-                     tuple((i, id(w), board_gen[i])
-                           for i, w in zip(indices, works_list)))
-        cached_sched = self._sched_cache.get(sched_key)
-        if (
-            cached_sched is not None
-            and all(a is b for a, b in
-                    zip(cached_sched[0].plan_ident, works_list))
-        ):
-            schedule, guards = cached_sched
-            schedule.refresh()
-        elif max_ticks >= 4:
-            schedule = _CreditSchedule(indices, plans)
-            schedule.plan_ident = works_list
-            guards = [_MembershipGuard(plans[i]) for i in indices]
-            if len(self._sched_cache) > 256:
-                self._sched_cache.clear()
-            self._sched_cache[sched_key] = (schedule, guards)
-        else:
-            # Tiny remainder window (e.g. the one-tick tail left when a
-            # stall peel de-syncs a lane from the rest of the period):
-            # building a credit schedule costs more than it could save, so
-            # credit in Python from tick zero — the exact path anyway.
-            schedule = None
-            guards = [_MembershipGuard(plans[i]) for i in indices]
-        n_vec = 0 if schedule is None else schedule.safe_ticks(max_ticks)
-
         # --- mutable board state, copied into lanes ---------------------
         # One array build for all the float lanes.  Rows 6..12 (retired
         # instructions, sensor-elapsed, time, under-limit clocks) advance
-        # by a per-window constant each tick, laid out contiguously so the
-        # tick loop bumps them with a single fused in-place add; those
+        # by a per-segment constant each tick, laid out contiguously so
+        # the tick loop bumps them with a single fused in-place add; those
         # stay views of ``g`` for the whole window.  The rest may rebind.
         sens_b = S["sens_b"]
         sens_l = S["sens_l"]
@@ -1602,91 +1424,17 @@ class BoardBank:
         time_arr = g[10]
         under_m = g[11:13]
         inc = np.empty((7, B))
-        inc[0:2] = instr_m
         inc[2:4] = sdt_m
         inc[4:7] = dt
 
-        # --- window-level no-trip bound ---------------------------------
-        # Power is monotone nondecreasing in temperature (leak_temp_coeff
-        # >= 0, checked), so iterating Tub <- max(Tub, target(Tub)) yields
-        # a fixed-point upper bound on the whole window's temperature
-        # trajectory.  If that bound clears every trip threshold (with an
-        # absolute margin crushing per-tick rounding), no lane can change
-        # emergency state this window: the per-tick machine collapses to
-        # the under-limit timer accumulation.  A successful bound is cached
-        # on the lane entry: it stays a valid ceiling for any later window
-        # of the same lanes that starts at or below it (same monotone
-        # induction), which skips the fixed-point iteration entirely.
-        em_fast = False
-        if self._const["monotone"] and leak_ok:
-            states = [e.state for e in em]
-            if (
-                not any(s.thermal_throttled for s in states)
-                and not any(s.power_throttled[BIG] or s.power_throttled[LITTLE]
-                            for s in states)
-            ):
-                ub = ub_holder[0]
-                if ub is not None and bool((T <= ub).all()):
-                    em_fast = True
-                else:
-                    Tub = T
-                    p_ub = None
-                    for _ in range(6):
-                        factor = 1.0 + ltc_m * (Tub - _REFERENCE_TEMP)
-                        p_ub = (dyn_m + leak_m * np.maximum(factor, 0.2)
-                                + idle_m)
-                        target = ambient + resistance * (
-                            p_ub[0] + lweight * p_ub[1]
-                        )
-                        if (target <= Tub).all():
-                            break
-                        Tub = np.maximum(Tub, target)
-                    else:
-                        # Tub was raised to max(Tub, target) on the last
-                        # pass, so re-verify the bound at the raised
-                        # candidate first.  If float arithmetic still
-                        # hasn't closed (the gap contracts geometrically
-                        # but float equality can take a dozen iterations),
-                        # any X with target(X) <= X bounds the trajectory
-                        # by the same induction: pad the candidate past
-                        # the fixed point and verify the bound once.
-                        factor = 1.0 + ltc_m * (Tub - _REFERENCE_TEMP)
-                        p_ub = (dyn_m + leak_m * np.maximum(factor, 0.2)
-                                + idle_m)
-                        target = ambient + resistance * (
-                            p_ub[0] + lweight * p_ub[1]
-                        )
-                        if not (target <= Tub).all():
-                            gap = float((target - Tub).max())
-                            if gap < 1e-3:
-                                Tub = Tub + 2.0 * gap + 1e-9
-                                factor = 1.0 + ltc_m * (
-                                    Tub - _REFERENCE_TEMP
-                                )
-                                p_ub = (dyn_m
-                                        + leak_m * np.maximum(factor, 0.2)
-                                        + idle_m)
-                                target = ambient + resistance * (
-                                    p_ub[0] + lweight * p_ub[1]
-                                )
-                                if not (target <= Tub).all():
-                                    p_ub = None  # no contraction: exact
-                            else:
-                                p_ub = None  # no contraction: exact
-                    if (
-                        p_ub is not None
-                        and (Tub < temp_trip - 1e-9).all()
-                        and (p_ub < thresh_m - 1e-9).all()
-                        and (p_ub < limit_m - 1e-9).all()
-                    ):
-                        em_fast = True
-                        ub_holder[0] = Tub
-
-        # Emergency-firmware state machine lanes.  The proven-quiet fast
-        # path only moves the under-limit clocks (already rows of ``g``),
-        # so it skips gathering (and later writing back) the rest of the
-        # machine entirely.
-        if not em_fast:
+        # A proven no-trip bound collapses the per-tick firmware machine
+        # to the under-limit clocks (already rows of ``g``), so the quiet
+        # path skips gathering (and later writing back) the rest of it.
+        if quiet is None:
+            quiet = not _any_throttled(em) and self._no_trip_bound(
+                key_boards, S, [seg.terms for seg in segments], T
+            ) is not None
+        if not quiet:
             th = np.array(
                 [e.state.thermal_throttled for e in em], dtype=bool
             )
@@ -1712,6 +1460,7 @@ class BoardBank:
             has_trip_cb = any(e.on_trip is not None for e in em)
 
         # --- per-board RNG noise blocks ---------------------------------
+        max_ticks = sum(seg.ticks for seg in segments)
         noise = np.zeros((B, max_ticks))
         rng_states = [None] * B
         for k, board in enumerate(boards):
@@ -1725,168 +1474,195 @@ class BoardBank:
         tv = self.temp_violation_time
         pv = self.power_violation_time
         any_record = any(b.trace is not None for b in boards)
-        hist = {name: [] for name in (
-            "power", "temperature", "time",
-            "freq_big", "freq_little", "emergency",
-        )} if any_record else None
         if any_record:
-            freq_b = np.array([b.clusters[BIG].frequency for b in boards])
-            freq_l = np.array([b.clusters[LITTLE].frequency for b in boards])
             pcap_m = S["pcap"]
             no_emergency = np.zeros(B, dtype=bool)
 
         ticks = 0
         emergency_changed = None
-        any_active = None  # stays None on the proven-quiet fast path
-        while ticks < max_ticks:
-            # Exact replay of cluster_power().total per lane: dynamic and
-            # idle are window constants, leakage tracks the hot spot.
-            # (Unpowered clusters have all-zero plan terms, so the same
-            # expression reproduces their exact 0.0 W.)
-            factor = 1.0 + ltc_m * (T - _REFERENCE_TEMP)
-            p_m = dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
-            p_b = p_m[0]
-            p_l = p_m[1]
-            # Application crediting (scalar stepping credits with the
-            # tick-start time plus dt; the vectorized schedule replays the
-            # same subtractions/additions while its safe horizon holds).
-            if ticks < n_vec:
-                schedule.tick()
-            else:
-                if schedule is not None and not schedule.scattered:
-                    schedule.scatter()
-                now = time_arr + dt
-                for k in range(B):
-                    t_now = float(now[k])
-                    for app, thread, done in window_credits[k]:
-                        app.execute(thread, done, t_now)
-            # Thermal RC fixed point, energy, sensors, counters.
-            target = ambient + resistance * (p_b + lweight * p_l)
-            T = T + alpha * (target - T)
-            energy += (p_b + p_l + static) * dt
-            acc_m += p_m * sdt_m
-            # Fused constant-rate clocks: retired instructions and sensor
-            # elapsed always; plus time and the under-limit clocks on the
-            # proven-quiet fast path (no trip callback can observe time
-            # mid-tick there, and power <= limit holds lane-wide).
-            if em_fast:
-                g[6:13] += inc
-            else:
-                g[6:10] += inc[0:4]
-            latching = elap_m + 1e-12 >= speriod_m
-            if latching.any():
-                latch_m = np.where(latching, acc_m / elap_m, latch_m)
-                acc_m[latching] = 0.0
-                elap_m[latching] = 0.0
-            # Emergency firmware state machine (fast path: provably inert).
-            if not em_fast:
-                trip_th = (~th) & (T >= temp_trip)
-                clear_th = th & (T <= temp_clear)
-                new_th = (th | trip_th) & ~clear_th
-                is_over = p_m > thresh_m
-                over_m = np.where(is_over, over_m + dt, 0.0)
-                under_m = np.where(
-                    is_over, 0.0,
-                    np.where(p_m <= limit_m, under_m + dt, under_m),
-                )
-                hold_m = np.where(pth_m, hold_m + dt, hold_m)
-                trip_p = (~pth_m) & (over_m >= trip_delay)
-                clear_p = (
-                    pth_m & (hold_m >= min_hold) & (under_m >= clear_delay)
-                )
-                hold_m = np.where(trip_p, 0.0, hold_m)
-                new_pth = (pth_m | trip_p) & ~clear_p
-                trip_count += trip_th
-                trip_count += trip_p[0]
-                trip_count += trip_p[1]
-                if has_trip_cb and (trip_th.any() or trip_p.any()):
-                    fired = trip_th | trip_p[0] | trip_p[1]
-                    for k in np.nonzero(fired)[0]:
-                        if em[k].on_trip is not None:
-                            boards[k].time = float(time_arr[k])
-                            if trip_th[k]:
-                                em[k].on_trip("thermal")
-                            if trip_p[0][k]:
-                                em[k].on_trip(f"power-{BIG}")
-                            if trip_p[1][k]:
-                                em[k].on_trip(f"power-{LITTLE}")
-                emergency_changed = (
-                    (new_th != th) | (new_pth[0] != pth_m[0])
-                    | (new_pth[1] != pth_m[1])
-                )
-                th = new_th
-                pth_m = new_pth
-                any_active = th | pth_m[0] | pth_m[1]
-                if any_active.any():
-                    throttle_time = np.where(
-                        any_active, throttle_time + dt, throttle_time
-                    )
-                time_arr = time_arr + dt
-            ticks += 1
-            if track:
-                hot = T > temp_limit
-                if hot.any():
-                    tv[ix[hot]] += dt
-                loud = p_b > limit_m[0]
-                if loud.any():
-                    pv[ix[loud]] += dt
-            if hist is not None:
-                # Effective (emergency-capped) frequencies, post-update —
-                # exactly what Board._record reads at the end of a tick.
-                if any_active is None:
-                    hist["freq_big"].append(freq_b)
-                    hist["freq_little"].append(freq_l)
-                    hist["emergency"].append(no_emergency)
+        any_active = None  # stays None on the proven-quiet path
+        stop = False
+        for seg in segments:
+            _, _, dyn_m, leak_m, ltc_m, idle_m, instr_m, _ = seg.terms
+            inc[0:2] = instr_m
+            schedule = seg.schedule
+            n_vec = schedule.safe_ticks(seg.ticks)
+            credits = None
+            if any_record:
+                hist = {name: [] for name in (
+                    "power", "temperature", "time",
+                    "freq_big", "freq_little", "emergency",
+                )}
+                if seg.freqs is None:
+                    freq_b = np.array([b.clusters[BIG].frequency
+                                       for b in boards])
+                    freq_l = np.array([b.clusters[LITTLE].frequency
+                                       for b in boards])
                 else:
-                    cap = np.where(th, throttle_freq, np.inf)
-                    cap = np.where(pth_m[0], np.minimum(cap, pcap_m[0]), cap)
-                    hist["freq_big"].append(
-                        np.where(np.isinf(cap), freq_b,
-                                 np.minimum(freq_b, cap))
+                    freq_b = np.full(B, seg.freqs[0])
+                    freq_l = np.full(B, seg.freqs[1])
+            t = 0
+            while t < seg.ticks:
+                # Exact replay of cluster_power().total per lane: dynamic
+                # and idle are segment constants, leakage tracks the hot
+                # spot.  (Unpowered clusters have all-zero plan terms, so
+                # the same expression reproduces their exact 0.0 W.)
+                factor = 1.0 + ltc_m * (T - _REFERENCE_TEMP)
+                p_m = dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
+                p_b = p_m[0]
+                p_l = p_m[1]
+                # Application crediting (scalar stepping credits with the
+                # tick-start time plus dt; the vectorized schedule replays
+                # the same subtractions/additions while its horizon holds).
+                if t < n_vec:
+                    schedule.tick()
+                else:
+                    if credits is None:
+                        schedule.scatter()
+                        credits = [seg.plans[i].credits for i in indices]
+                    now = time_arr + dt
+                    for k in range(B):
+                        t_now = float(now[k])
+                        for app, thread, done in credits[k]:
+                            app.execute(thread, done, t_now)
+                # Thermal RC fixed point, energy, sensors, counters.
+                target = ambient + resistance * (p_b + lweight * p_l)
+                T = T + alpha * (target - T)
+                energy += (p_b + p_l + static) * dt
+                acc_m += p_m * sdt_m
+                # Fused constant-rate clocks: retired instructions and
+                # sensor elapsed always; plus time and the under-limit
+                # clocks on the proven-quiet path (no trip callback can
+                # observe time mid-tick there, and power <= limit holds
+                # lane-wide).
+                if quiet:
+                    g[6:13] += inc
+                else:
+                    g[6:10] += inc[0:4]
+                latching = elap_m + 1e-12 >= speriod_m
+                if latching.any():
+                    latch_m = np.where(latching, acc_m / elap_m, latch_m)
+                    acc_m[latching] = 0.0
+                    elap_m[latching] = 0.0
+                # Emergency firmware state machine (quiet: provably inert).
+                if not quiet:
+                    trip_th = (~th) & (T >= temp_trip)
+                    clear_th = th & (T <= temp_clear)
+                    new_th = (th | trip_th) & ~clear_th
+                    is_over = p_m > thresh_m
+                    over_m = np.where(is_over, over_m + dt, 0.0)
+                    under_m = np.where(
+                        is_over, 0.0,
+                        np.where(p_m <= limit_m, under_m + dt, under_m),
                     )
-                    cap_l = np.where(pth_m[1], pcap_m[1], np.inf)
-                    hist["freq_little"].append(
-                        np.where(np.isinf(cap_l), freq_l,
-                                 np.minimum(freq_l, cap_l))
+                    hold_m = np.where(pth_m, hold_m + dt, hold_m)
+                    trip_p = (~pth_m) & (over_m >= trip_delay)
+                    clear_p = (
+                        pth_m & (hold_m >= min_hold)
+                        & (under_m >= clear_delay)
                     )
-                    hist["emergency"].append(any_active)
-                hist["power"].append(p_m)
-                hist["temperature"].append(T)
-                # On the fast path time_arr is a live view of g; snapshot.
-                hist["time"].append(
-                    time_arr.copy() if em_fast else time_arr
-                )
-            # Window-ending events: the offending tick is complete (exactly
-            # like scalar stepping), everyone re-plans from here.
-            stop = False
-            if not em_fast and emergency_changed.any():
-                count = int(emergency_changed.sum())
-                self.events["emergency"] += count
-                if self.telemetry is not None:
-                    self.telemetry.bank_events.labels(
-                        reason="emergency"
-                    ).inc(count)
-                stop = True
-            if ticks > n_vec:
-                # Membership can only change once python crediting runs:
-                # the vectorized schedule's horizon proves no budget hits
-                # its clamp or advance threshold before then.  Check every
-                # guard (not just the first) so each affected board's
-                # cached plan is retired.
-                for g_k, guard in enumerate(guards):
-                    if guard.changed():
-                        self._replan_cache.pop(indices[g_k], None)
-                        self.events["membership"] += 1
-                        if self.telemetry is not None:
-                            self.telemetry.bank_events.labels(
-                                reason="membership"
-                            ).inc()
-                        stop = True
+                    hold_m = np.where(trip_p, 0.0, hold_m)
+                    new_pth = (pth_m | trip_p) & ~clear_p
+                    trip_count += trip_th
+                    trip_count += trip_p[0]
+                    trip_count += trip_p[1]
+                    if has_trip_cb and (trip_th.any() or trip_p.any()):
+                        fired = trip_th | trip_p[0] | trip_p[1]
+                        for k in np.nonzero(fired)[0]:
+                            if em[k].on_trip is not None:
+                                boards[k].time = float(time_arr[k])
+                                if trip_th[k]:
+                                    em[k].on_trip("thermal")
+                                if trip_p[0][k]:
+                                    em[k].on_trip(f"power-{BIG}")
+                                if trip_p[1][k]:
+                                    em[k].on_trip(f"power-{LITTLE}")
+                    emergency_changed = (
+                        (new_th != th) | (new_pth[0] != pth_m[0])
+                        | (new_pth[1] != pth_m[1])
+                    )
+                    th = new_th
+                    pth_m = new_pth
+                    any_active = th | pth_m[0] | pth_m[1]
+                    if any_active.any():
+                        throttle_time = np.where(
+                            any_active, throttle_time + dt, throttle_time
+                        )
+                    time_arr = time_arr + dt
+                t += 1
+                if track:
+                    hot = T > temp_limit
+                    if hot.any():
+                        tv[ix[hot]] += dt
+                    loud = p_b > limit_m[0]
+                    if loud.any():
+                        pv[ix[loud]] += dt
+                if any_record:
+                    # Effective (emergency-capped) frequencies, post-update
+                    # — exactly what Board._record reads at tick end.
+                    if any_active is None:
+                        hist["freq_big"].append(freq_b)
+                        hist["freq_little"].append(freq_l)
+                        hist["emergency"].append(no_emergency)
+                    else:
+                        cap = np.where(th, throttle_freq, np.inf)
+                        cap = np.where(pth_m[0], np.minimum(cap, pcap_m[0]),
+                                       cap)
+                        hist["freq_big"].append(
+                            np.where(np.isinf(cap), freq_b,
+                                     np.minimum(freq_b, cap))
+                        )
+                        cap_l = np.where(pth_m[1], pcap_m[1], np.inf)
+                        hist["freq_little"].append(
+                            np.where(np.isinf(cap_l), freq_l,
+                                     np.minimum(freq_l, cap_l))
+                        )
+                        hist["emergency"].append(any_active)
+                    hist["power"].append(p_m)
+                    hist["temperature"].append(T)
+                    # On the quiet path time_arr is a live view of g.
+                    hist["time"].append(
+                        time_arr.copy() if quiet else time_arr
+                    )
+                # Window-ending events: the offending tick is complete
+                # (exactly like scalar stepping), everyone re-plans here.
+                if not quiet and emergency_changed.any():
+                    count = int(emergency_changed.sum())
+                    self.events["emergency"] += count
+                    if self.telemetry is not None:
+                        self.telemetry.bank_events.labels(
+                            reason="emergency"
+                        ).inc(count)
+                    stop = True
+                if t > n_vec:
+                    # Membership can only change once python crediting
+                    # runs: the schedule's horizon proves no budget hits
+                    # its clamp or advance threshold before then.  Check
+                    # every guard (not just the first) so each affected
+                    # board's cached plan is retired.
+                    for g_k, guard in enumerate(seg.guards):
+                        if guard.changed():
+                            self._replan_cache.pop(indices[g_k], None)
+                            self.events["membership"] += 1
+                            if self.telemetry is not None:
+                                self.telemetry.bank_events.labels(
+                                    reason="membership"
+                                ).inc()
+                            stop = True
+                if stop:
+                    break
+            ticks += t
+            if any_record:
+                for k, board in enumerate(boards):
+                    if board.trace is not None:
+                        self._extend_trace(board, k, hist, t,
+                                           seg.plans[indices[k]])
             if stop:
                 break
 
-        if schedule is not None:
-            schedule.scatter()
+        # Segments share one cell array (one schedule when there is only
+        # one segment), so the last one writes every cell back.
+        schedule.scatter()
         # The last sensed temperature: final true temperature plus the
         # final tick's noise draw (T is not rebound after its update, so
         # computing this once here matches the per-tick value exactly).
@@ -1902,7 +1678,7 @@ class BoardBank:
         itotal_out = itotal_m.tolist()
         last_out = last_temp.tolist()
         under_out = under_m.tolist()
-        if not em_fast:
+        if not quiet:
             th_out = th.tolist()
             pth_out = pth_m.tolist()
             tc_out = trip_count.tolist()
@@ -1935,11 +1711,11 @@ class BoardBank:
             e = em[k]
             e._under_power_time[BIG] = under_out[0][k]
             e._under_power_time[LITTLE] = under_out[1][k]
-            if em_fast:
+            if quiet:
                 # Scalar stepping zeroes the over-threshold timers on
-                # every under-threshold tick, and every fast-window tick
-                # is under threshold; throttle flags, trip counts, and
-                # hold clocks provably did not move.
+                # every under-threshold tick, and every quiet tick is
+                # under threshold; throttle flags, trip counts, and hold
+                # clocks provably did not move.
                 e._over_power_time[BIG] = 0.0
                 e._over_power_time[LITTLE] = 0.0
             else:
@@ -1954,9 +1730,7 @@ class BoardBank:
                 e._hold_time[BIG] = hold_out[0][k]
                 e._hold_time[LITTLE] = hold_out[1][k]
             board._instant_power = {BIG: pb_out[k], LITTLE: pl_out[k]}
-            board._instant_bips = plans[indices[k]].bips
-            if board.trace is not None:
-                self._extend_trace(board, k, hist, ticks, plans[indices[k]])
+            board._instant_bips = seg.plans[indices[k]].bips
         self.windows += 1
         self.vector_ticks += ticks * B
         if self.telemetry is not None:

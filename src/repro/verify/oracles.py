@@ -233,33 +233,51 @@ def oracle_fastpath(spec=None, workload="blackscholes", seed=3, periods=40,
 # Oracle 1b: the lockstep board bank vs per-board stepping
 # ---------------------------------------------------------------------------
 def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
-                                      "gamess"), seed0=3, periods=30,
-                schedule_seed=11):
+                                      "gamess", "blackscholes@0.005"),
+                seed0=3, periods=30, schedule_seed=11):
     """Replay one bank run against per-board ``run_period``; must be 0 ULP.
 
     Every board gets its own workload, seed, and actuation schedule; the
     bank advances them in vectorized lockstep while the reference boards
     advance one at a time through the scalar/fastpath machinery.  The
     first divergence is located by (board, step, signal) with its ULP
-    distance.
+    distance.  Workload names take an optional ``@<scale>`` suffix.
+
+    Two lanes exist for coverage.  The short default ``@0.005`` program
+    finishes within a few periods, which drives the window's Python
+    crediting past the credit horizon and its membership guards.  An
+    extra ``blmc`` mix lane starts above the thermal trip under a pinned
+    maximum-frequency command, which drives the emergency state
+    machine.  The oracle fails unless both kinds of window-ending event
+    actually fired.
     """
     from ..board import BIG, LITTLE, Board, BoardBank, default_xu3_spec
-    from ..workloads import make_application
+    from ..rack.rack import instantiate_job_workload
 
     spec = spec or default_xu3_spec()
     period_steps = spec.period_steps()
+    workloads = list(workloads) + ["blmc"]
     n = len(workloads)
     schedules = [
         _actuation_schedule(spec, periods, schedule_seed + 13 * k)
-        for k in range(n)
+        for k in range(n - 1)
     ]
+    schedules.append([{
+        "freq_big": spec.big.freq_range.high,
+        "freq_little": spec.little.freq_range.high,
+        "cores_big": spec.big.n_cores,
+        "cores_little": spec.little.n_cores,
+        "placement": (4.0, 2.0, 2.0),
+    }] * periods)
 
     def _make_boards():
-        return [
-            Board(make_application(w), spec=spec, seed=seed0 + k, record=True,
-                  telemetry=None)
+        boards = [
+            Board(instantiate_job_workload(w), spec=spec, seed=seed0 + k,
+                  record=True, telemetry=None)
             for k, w in enumerate(workloads)
         ]
+        boards[-1].thermal.temperature = spec.emergency_temp_trip + 5.0
+        return boards
 
     def _actuate(board, command):
         board.set_cluster_frequency(BIG, command["freq_big"])
@@ -309,6 +327,13 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
         for signal in sorted(trace_a):
             cmp.check_array(f"{loc}/{signal}", trace_a[signal],
                             trace_b[signal])
+    # Agreement without coverage proves nothing: a run that never ends a
+    # window early never exercises the emergency machine or the guards.
+    events = bank.events
+    cmp.check("coverage", "emergency_events_fired",
+              float(events["emergency"] > 0), 1.0)
+    cmp.check("coverage", "membership_events_fired",
+              float(events["membership"] > 0), 1.0)
     return cmp.result("bank-vs-scalar", details={
         "boards": n, "periods": periods,
         "counters": bank.counters(),

@@ -297,14 +297,37 @@ class TestBankFallback:
         bank.run_period_bank(spec.period_steps())
         assert bank.counters()["vector_ticks"] > before
 
-    def test_enable_vector_path_false_is_pure_fastpath(self):
+    def test_fast_path_off_board_takes_scalar_path(self):
+        """A board with ``enable_fast_path = False`` never enters the
+        vector kernel — per period or fused — and ends bit-identical to a
+        reference board stepped alone."""
         spec = default_xu3_spec()
-        board = Board(make_application("mcf"), spec=spec, seed=1, record=False)
+
+        def make():
+            return Board(make_application("mcf"), spec=spec, seed=1,
+                         record=True, telemetry=None)
+
+        board = make()
+        board.enable_fast_path = False
         bank = BoardBank([board], telemetry=None)
-        bank.enable_vector_path = False
-        bank.run_period_bank(spec.period_steps())
+        schedule = _actuation_schedule(spec, 6, 5)
+        for command in schedule[:3]:
+            _actuate(board, command)
+            bank.run_period_bank(spec.period_steps())
+        fb, fl = _cyclic_schedule(3)
+        bank.run_schedule_bank(fb, fl)
         assert bank.counters()["vector_ticks"] == 0
-        assert bank.counters()["scalar_ticks"] == spec.period_steps()
+        assert bank.counters()["scalar_ticks"] == 6 * spec.period_steps()
+
+        reference = make()
+        for command in schedule[:3]:
+            _actuate(reference, command)
+            reference.run_period(spec.period_steps())
+        for p in range(3):
+            reference.set_cluster_frequency(BIG, fb[p])
+            reference.set_cluster_frequency(LITTLE, fl[p])
+            reference.run_period(spec.period_steps())
+        _assert_boards_identical(board, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +486,141 @@ class TestFusedSchedule:
         assert executed[0] == 0 and executed[2] == 0
         assert executed[1] == 5 * spec.period_steps()
         assert boards[0].time == 0.0 and boards[2].time == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Pinned counters: the per-layer benchmark shares read these
+# ---------------------------------------------------------------------------
+class TestBankCounters:
+    """Exact ``counters()`` for two fixed runs, one per path.
+
+    The values pin how the bank splits the same work between vector,
+    fused and scalar stepping; the end-to-end benchmark's per-layer
+    ``fused_tick_frac``/``scalar_tick_frac`` shares read these counters.
+    """
+
+    def _boards(self, spec, workloads, seed0):
+        from repro.rack.rack import instantiate_job_workload
+
+        return [Board(instantiate_job_workload(w), spec=spec, seed=seed0 + k,
+                      record=True, telemetry=None)
+                for k, w in enumerate(workloads)]
+
+    def test_fused_schedule_counters(self):
+        spec = default_xu3_spec()
+        boards = self._boards(spec, ["blackscholes", "mcf", "blmc", "blst"],
+                              11)
+        bank = BoardBank(boards, telemetry=None)
+        fb = [0.8 + 0.1 * (p % 5) for p in range(40)]
+        fl = [0.5 + 0.05 * (p % 4) for p in range(40)]
+        fb[17] = float("nan")  # one exact per-period window
+        bank.run_schedule_bank(fb, fl, block_periods=8)
+        assert bank.counters() == {
+            "boards": 4, "vector_ticks": 1600, "scalar_ticks": 0,
+            "windows": 7, "fused_blocks": 6, "fused_ticks": 1560,
+            "events": {"emergency": 0, "membership": 0, "plan_refused": 0,
+                       "stall_peel": 0},
+        }
+
+    def test_per_period_counters(self):
+        """Core/placement churn, a lane that starts above the thermal
+        trip, and a lane whose short program finishes mid-run."""
+        spec = default_xu3_spec()
+        boards = self._boards(
+            spec, ["blackscholes", "mcf", "blmc", "blackscholes@0.005"], 21
+        )
+        boards[2].thermal.temperature = spec.emergency_temp_trip + 5.0
+        bank = BoardBank(boards, telemetry=None)
+        schedules = [_actuation_schedule(spec, 20, 40 + k) for k in range(4)]
+        schedules[2] = [{"freq_big": 2.0, "freq_little": 1.4,
+                         "cores_big": 4, "cores_little": 4,
+                         "placement": (4.0, 2.0, 2.0)}] * 20
+        for p in range(20):
+            live = [k for k in range(4) if not boards[k].done]
+            for k in live:
+                _actuate(boards[k], schedules[k][p])
+            bank.run_period_bank(spec.period_steps(), only=live)
+        assert bank.counters() == {
+            "boards": 4, "vector_ticks": 570, "scalar_ticks": 64,
+            "windows": 23, "fused_blocks": 0, "fused_ticks": 0,
+            "events": {"emergency": 1, "membership": 2, "plan_refused": 45,
+                       "stall_peel": 45},
+        }
+
+
+# ---------------------------------------------------------------------------
+# Property: the no-trip bound really bounds scalar stepping
+# ---------------------------------------------------------------------------
+class TestNoTripBound:
+    @given(spec=board_specs(), seed=st.integers(min_value=0, max_value=9999),
+           n_ops=st.integers(min_value=1, max_value=3),
+           heat=st.floats(min_value=0.0, max_value=45.0),
+           start=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_bound_holds_for_any_op_sequence(self, spec, seed, n_ops, heat,
+                                             start):
+        """Whenever ``_no_trip_bound`` returns a bound ``X`` for a set of
+        operating points: every op's RC target at ``X`` is at most ``X``,
+        and scalar ``Board.step`` through a random sequence of those ops,
+        starting at or below ``X``, neither exceeds ``X`` nor changes
+        emergency state."""
+        from repro.board.power import _REFERENCE_TEMP
+
+        rng = np.random.default_rng(seed)
+        rb = spec.cluster(BIG).freq_range
+        rl = spec.cluster(LITTLE).freq_range
+        ops = [(rb.snap(float(rng.uniform(rb.low, rb.high))),
+                rl.snap(float(rng.uniform(rl.low, rl.high))))
+               for _ in range(n_ops)]
+        T0 = spec.ambient_temp + heat
+
+        def make():
+            board = Board(make_mix("blmc"), spec=spec, seed=seed,
+                          record=False, telemetry=None)
+            board.thermal.temperature = T0
+            return board
+
+        bank = BoardBank([make()], telemetry=None)
+        board = bank.boards[0]
+        key = (0,)
+        S = bank._slices(key, [board])
+        terms = []
+        for fb, fl in ops:
+            bank._set_frequency_raw(board, fb, fl)
+            plan = bank._plan_for(0)
+            assert plan is not None
+            terms.append(bank._lane_terms(key, [0], {0: plan}))
+        ub = bank._no_trip_bound(key, S, terms, np.array([T0]))
+        if ub is None:
+            return
+        X = float(ub[0])
+        assert X >= T0
+        thermal = board.thermal
+        for _, _, dyn, leak, ltc, idle, _, _ in terms:
+            factor = np.maximum(1.0 + ltc[:, 0] * (X - _REFERENCE_TEMP), 0.2)
+            p = dyn[:, 0] + leak[:, 0] * factor + idle[:, 0]
+            target = thermal.ambient + thermal.resistance * (
+                p[0] + thermal.little_weight * p[1]
+            )
+            assert target <= X
+
+        scalar = make()
+        scalar.enable_fast_path = False
+        scalar.thermal.temperature = T0 + start * (X - T0)
+        phases = [app.phase_index for app in scalar.applications]
+        for _ in range(4):
+            fb, fl = ops[int(rng.integers(len(ops)))]
+            scalar.set_cluster_frequency(BIG, fb)
+            scalar.set_cluster_frequency(LITTLE, fl)
+            for _ in range(spec.period_steps()):
+                scalar.step()
+                if [app.phase_index for app in scalar.applications] != phases:
+                    return  # new phase, new plans: the bound no longer applies
+                assert scalar.thermal.temperature <= X
+                state = scalar.emergency.state
+                assert state.trip_count == 0
+                assert not state.thermal_throttled
+                assert not any(state.power_throttled.values())
 
 
 # ---------------------------------------------------------------------------
