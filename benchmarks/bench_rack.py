@@ -7,10 +7,12 @@ Two gates on the third layer:
   N in {1, 4, 8} boards, banked and scalar; both paths must clear an
   absolute floor and agree bit-exactly (the exactness contract,
   re-checked here because a perf regression that breaks it would
-  otherwise hide in the oracle's smaller scenario).  The banked/scalar
-  ratio is reported, not gated — at rack scale the fusion window is one
-  rack period and per-board budgets make commands diverge, so scalar
-  per-board stepping is legitimately competitive;
+  otherwise hide in the oracle's smaller scenario).  The banked rack
+  advances every busy board through one bank call per rack period, so
+  from N=4 up the banked/scalar ratio must stay at or above
+  ``BANK_SPEEDUP_FLOOR`` (``trajectory.py`` holds it).  N=1 is reported
+  only: a one-lane bank cannot amortize the vector window's fixed
+  gather/scatter cost;
 * **control overhead** — the rack layer's own work (declared sensing,
   cap distribution, budget governors, dispatch, trace bookkeeping) must
   cost < 5 % of plant stepping.  :class:`~repro.rack.rack.Rack` splits
@@ -35,6 +37,7 @@ from pathlib import Path
 
 OVERHEAD_LIMIT = 0.05  # rack-layer wall time as a fraction of stepping
 STEPS_PER_SEC_FLOOR = 2000.0  # very conservative absolute throughput floor
+BANK_SPEEDUP_FLOOR = 1.0  # banked/scalar steps/s, at N >= 4 boards
 BOARD_COUNTS = (1, 4, 8)
 ATTEMPTS = 3
 MAX_SIM_TIME = 24.0  # simulated seconds per measured campaign
@@ -146,6 +149,7 @@ def run_benchmarks(quick=False, verbose=True):
         "throughput": {
             "cells": cells,
             "floor_steps_per_sec": STEPS_PER_SEC_FLOOR,
+            "bank_speedup_floor": BANK_SPEEDUP_FLOOR,
             "bit_identical": all(c["bit_identical"] for c in cells),
         },
         "overhead": overhead,
@@ -168,11 +172,9 @@ def test_rack_control_overhead():
 def test_rack_throughput_and_exactness():
     """Both stepping paths clear the floor and stay bit-identical.
 
-    The banked/scalar ratio is reported, not gated: at rack scale the
-    fusion window is one rack period and per-board budgets make commands
-    diverge, so the scalar per-board fastpath is legitimately
-    competitive (the bank's 4x floor lives in ``bench_perf.py`` at
-    B=16 with a shared schedule).
+    The banked/scalar ratio is gated from N=4 up by ``trajectory.py``
+    on the full-size ``BENCH_rack.json``, not here: this reduced run is
+    too short to time it reliably on a shared host.
     """
     print()
     cells = measure_throughput(attempts=2, max_time=12.0)

@@ -101,6 +101,13 @@ def _floors_rack(rack):
             yield (f"rack: scalar throughput at n={cell['n_boards']} "
                    f"{cell['scalar_steps_per_sec']:.0f} steps/s < "
                    f"{floor:.0f}")
+    # One bank call per rack period must beat per-board scalar stepping
+    # once there are lanes to batch; N=1 is reported only.
+    speedup_floor = throughput.get("bank_speedup_floor", 1.0)
+    for cell in throughput["cells"]:
+        if cell["n_boards"] >= 4 and cell["bank_speedup"] < speedup_floor:
+            yield (f"rack: banked/scalar at n={cell['n_boards']} "
+                   f"{cell['bank_speedup']:.2f}x < {speedup_floor:g}x")
 
 
 def _floors_serve(serve):

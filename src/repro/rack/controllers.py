@@ -29,7 +29,7 @@ rack differential oracle (bank vs scalar boards) relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoardReading:
+class BoardReading(NamedTuple):
     """One board's declared sensor tuple, as read at a rack period edge."""
 
     power: float  # W; NaN when the board's power sensing dropped out
@@ -94,25 +93,27 @@ class _RackControllerBase:
         n = self.rack.n_boards
         self.budgets = [self.rack.power_cap / n] * n
 
-    def _floors(self, readings):
-        """Declared floors: offline boards release theirs entirely."""
-        floor = self.rack.budget_floor
-        return [floor if r.online else 0.0 for r in readings]
-
     def _demand_weights(self, readings):
-        """Demand share per board from the declared sensors only.
+        """Demand share per board (see :meth:`_demand`)."""
+        return self._demand(readings)[0]
 
-        Untrusted boards (offline, or power reading gone non-finite) get
-        zero weight — the fault surfaces as reallocation toward the
-        healthy boards.  With no signal at all, share evenly across the
-        trusted set.
+    def _demand(self, readings):
+        """Demand share per board and total trusted power, in one pass.
+
+        Only the declared sensors count.  Untrusted boards (offline, or
+        power reading gone non-finite) get zero weight — the fault
+        surfaces as reallocation toward the healthy boards.  With no
+        signal at all, share evenly across the trusted set.
         """
         weights = []
+        power_total = 0
         for r in readings:
             if not r.trusted:
                 weights.append(0.0)
                 continue
-            w = max(r.power, 0.0) + 0.25 * r.queue_depth
+            power = max(r.power, 0.0)
+            power_total += power
+            w = power + 0.25 * r.queue_depth
             if r.busy:
                 w += 0.25
             weights.append(w)
@@ -121,19 +122,21 @@ class _RackControllerBase:
             trusted = [1.0 if r.trusted else 0.0 for r in readings]
             total = sum(trusted)
             if total <= 0:
-                return [0.0] * len(readings)
-            return [t / total for t in trusted]
-        return [w / total for w in weights]
+                return [0.0] * len(readings), power_total
+            return [t / total for t in trusted], power_total
+        return [w / total for w in weights], power_total
 
     def _finish(self, budgets, readings, cap_eff):
         """Clamp to [floor, ceiling], project to the cap, count rejects."""
-        floors = self._floors(readings)
+        floor = self.rack.budget_floor
+        floors = []
         out = []
-        for b, floor, ceil, r in zip(budgets, floors, self.ceilings,
-                                     readings):
+        for b, ceil, r in zip(budgets, self.ceilings, readings):
             if not r.online:
+                floors.append(0.0)
                 out.append(0.0)
                 continue
+            floors.append(floor)
             if not r.trusted:
                 # Untrusted sensing: pin to the declared floor (the safe
                 # budget) until readings return finite.
@@ -143,10 +146,8 @@ class _RackControllerBase:
             if abs(clamped - b) > 1e-9:
                 self.rejected_budgets += 1
             out.append(clamped)
-        floors = [f if r.online else 0.0 for f, r in zip(floors, readings)]
-        out = _project_to_cap(out, floors, cap_eff)
-        self.budgets = out
-        return list(out)
+        self.budgets = _project_to_cap(out, floors, cap_eff)
+        return list(self.budgets)
 
 
 class HeuristicRackController(_RackControllerBase):
@@ -260,20 +261,32 @@ class SSVRackController(_RackControllerBase):
         super().__init__(rack)
 
     def step(self, readings, cap_eff):
-        weights = self._demand_weights(readings)
-        total_power = sum(
-            max(r.power, 0.0) for r in readings if r.trusted
-        )
+        # One pass: the integral correction plus constant-total reshape,
+        # then _finish's clamp, fused because this runs every rack period.
+        weights, total_power = self._demand(readings)
         error = cap_eff - total_power
-        budgets = list(self.budgets)
-        total_budget = sum(budgets)
-        for i, (r, w) in enumerate(zip(readings, weights)):
-            if not r.trusted:
+        total_budget = sum(self.budgets)
+        floor = self.rack.budget_floor
+        floors = []
+        out = []
+        for b, w, ceil, r in zip(self.budgets, weights, self.ceilings,
+                                 readings):
+            if not r.online:
+                floors.append(0.0)
+                out.append(0.0)
                 continue
-            integral = self.gain * w * error
-            reshape = self.shape_rate * (w * total_budget - budgets[i])
-            budgets[i] = budgets[i] + integral + reshape
-        return self._finish(budgets, readings, cap_eff)
+            floors.append(floor)
+            if w == 0.0 and not r.trusted:  # untrusted weight is 0.0
+                out.append(floor)
+                continue
+            b = b + self.gain * w * error + self.shape_rate * (
+                w * total_budget - b)
+            clamped = min(max(b, floor), ceil)
+            if abs(clamped - b) > 1e-9:
+                self.rejected_budgets += 1
+            out.append(clamped)
+        self.budgets = _project_to_cap(out, floors, cap_eff)
+        return list(self.budgets)
 
 
 class BudgetGovernor:
@@ -283,9 +296,10 @@ class BudgetGovernor:
     governor that holds a normalized performance level, raises it while
     measured power sits below the budget, lowers it when the budget is
     exceeded, and maps the level onto the board's quantized DVFS grids.
-    Evaluated once per rack period, its output is a *constant* frequency
-    pair for the whole period — which is exactly what lets the bank's
-    fused multi-period kernel do the heavy stepping.
+    Evaluated once per rack period, its output is a *constant*, already
+    snapped frequency pair for the whole period — which is what lets the
+    rack actuate each board once and step every busy board through the
+    whole period in one bank call.
     """
 
     def __init__(self, spec, gain=0.6, margin=0.97):

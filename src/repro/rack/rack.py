@@ -17,23 +17,27 @@ Control-loop shape (one rack period)
    enforced;
 6. budget governors: each board turns its budget into one DVFS pair;
 7. plant stepping: every busy board advances ``rack_period`` worth of
-   board control periods — through the :class:`~repro.board.bank.
-   BoardBank` fused-schedule kernel grouped by (spec, command), or
-   board-by-board on the scalar reference path (``use_bank=False``);
+   board control periods at its held command — in one
+   :class:`~repro.board.bank.BoardBank` call per tick count (each lane
+   actuated once), or board period by board period on the scalar
+   reference path (``use_bank=False``);
 8. job completion + SLA accounting, trace row, invariant checks.
 
 Exactness contract
 ------------------
 ``use_bank=True`` and ``use_bank=False`` produce bit-identical rack
-traces and board states: the bank's schedule kernel is bit-exact versus
-scalar stepping (PR 8 contract), every rack-layer computation is plain
-float arithmetic over identical readings, and dispatch order is
-deterministic.  The ``rack-bank-vs-scalar`` oracle in ``repro verify``
+traces and board states: re-commanding a held, already-snapped DVFS
+pair is a no-op, the bank's per-lane float sequence does not depend on
+window boundaries or lane grouping, every rack-layer computation is
+plain float arithmetic over identical readings, and dispatch order is
+deterministic.  Lanes with an actuator fault hook keep the per-period
+actuation.  The ``rack-bank-vs-scalar`` oracle in ``repro verify``
 holds this at 0 ULP.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -64,23 +68,27 @@ def instantiate_job_workload(workload):
     scales each phase's instruction budget — rack job streams want runs
     of tens of seconds, not the paper's full 120-250 s programs.
     """
+    return [Application(name, phases)
+            for name, phases in _job_phases(workload)]
+
+
+@functools.lru_cache(maxsize=256)
+def _job_phases(workload):
+    """``((app name, phases), ...)`` of one job workload, memoized.
+
+    Phases are frozen, so every job of a workload shares them.
+    """
     name, _, scale_text = workload.partition("@")
+    scale = float(scale_text) if scale_text else 1.0
+    if not (scale > 0):
+        raise ValueError(f"workload scale must be positive: {workload!r}")
     from ..experiments.runner import instantiate_workload
 
-    apps = instantiate_workload(name)
-    if scale_text:
-        scale = float(scale_text)
-        if not (scale > 0):
-            raise ValueError(f"workload scale must be positive: {workload!r}")
-        apps = [
-            Application(
-                app.name,
-                [replace(ph, instructions=ph.instructions * scale)
-                 for ph in app.phases],
-            )
-            for app in apps
-        ]
-    return apps
+    return tuple(
+        (app.name, tuple(replace(ph, instructions=ph.instructions * scale)
+                         for ph in app.phases))
+        for app in instantiate_workload(name)
+    )
 
 
 @dataclass
@@ -200,12 +208,13 @@ class Rack:
             spec.jobs, key=lambda j: (j.arrival, j.name)
         )]
         self.queue = []  # admitted, undispatched RackJobs (FIFO)
-        self._admitted = 0
+        self._admitted = 0  # also the cursor of the next arrival to admit
         self._job_on_board = [None] * spec.n_boards
         self._online = [True] * spec.n_boards
         self._sensor_reverters = {}
         self._last_energy = [0.0] * spec.n_boards
         self.inlet_temp = spec.cooling.supply_temp
+        self._inlet_alpha = min(spec.rack_period / spec.cooling.tau, 1.0)
         self.time = 0.0
         self.trace = RackTrace() if record else None
         self._last_budgets = list(self.controller.budgets)
@@ -262,16 +271,17 @@ class Rack:
     # Queue admission and dispatch
     # ------------------------------------------------------------------
     def _admit(self, now):
-        for job in self.jobs:
-            if job.state == "queued" and job.board is None \
-                    and job not in self.queue and job.dispatched_at is None \
-                    and job.requeues == 0 and job.spec.arrival <= now + 1e-9:
-                self.queue.append(job)
-                self._admitted += 1
+        # Jobs are sorted by arrival and each is admitted exactly once, so
+        # the admitted jobs are always a prefix of ``self.jobs``.
+        jobs = self.jobs
+        while (self._admitted < len(jobs)
+               and jobs[self._admitted].spec.arrival <= now + 1e-9):
+            self.queue.append(jobs[self._admitted])
+            self._admitted += 1
 
     def _dispatch(self, now):
-        if not self.queue:
-            return
+        if not self.queue or None not in self._job_on_board:
+            return  # nothing waiting, or no board without a job
         for i, board in enumerate(self.boards):
             if not self.queue:
                 break
@@ -294,7 +304,10 @@ class Rack:
         for i, job in enumerate(self._job_on_board):
             if job is None:
                 continue
-            if all(app.done for app in job.apps):
+            for app in job.apps:
+                if not app.done:
+                    break
+            else:
                 job.state = "completed"
                 job.completed_at = now_end
                 self._job_on_board[i] = None
@@ -303,33 +316,31 @@ class Rack:
     # Declared sensing and the cooling envelope
     # ------------------------------------------------------------------
     def _read(self):
+        """Declared readings per board, and their trusted power total."""
         readings = []
+        total = 0
         depth = len(self.queue)
-        for i, board in enumerate(self.boards):
-            if not self._online[i]:
-                readings.append(BoardReading(
-                    power=0.0, headroom=0.0, queue_depth=0, online=False,
-                ))
+        budgets = self.controller.budgets
+        for board, online, job, budget in zip(
+                self.boards, self._online, self._job_on_board, budgets):
+            if not online:
+                readings.append(BoardReading(0.0, 0.0, 0, False))
                 continue
-            power = (board.read_power(BIG) + board.read_power(LITTLE)
+            sensors = board.power_sensors
+            power = (sensors[BIG].read() + sensors[LITTLE].read()
                      + board.spec.board_static_power)
-            budget = self.controller.budgets[i]
-            headroom = budget - power if math.isfinite(power) else math.nan
-            readings.append(BoardReading(
-                power=power,
-                headroom=headroom,
-                queue_depth=depth,
-                online=True,
-                busy=self._job_on_board[i] is not None,
-            ))
-        return readings
+            if math.isfinite(power):
+                total += power
+                headroom = budget - power
+            else:
+                headroom = math.nan
+            readings.append(BoardReading(power, headroom, depth, True,
+                                         job is not None))
+        return readings, total
 
-    def _update_cooling(self, readings):
-        total = sum(r.power for r in readings if r.trusted)
-        cooling = self.spec.cooling
-        alpha = min(self.spec.rack_period / cooling.tau, 1.0)
-        target = cooling.steady_inlet(total)
-        self.inlet_temp = self.inlet_temp + alpha * (target - self.inlet_temp)
+    def _update_cooling(self, total):
+        target = self.spec.cooling.steady_inlet(total)
+        self.inlet_temp += self._inlet_alpha * (target - self.inlet_temp)
 
     def _effective_cap(self, cap):
         derated = cap * self.spec.cooling.derate_fraction(self.inlet_temp)
@@ -342,13 +353,14 @@ class Rack:
         """Advance every busy online board one rack period.
 
         ``commands`` maps board index -> (freq_big, freq_little), held
-        constant for the whole rack period.  Banked stepping groups lanes
-        by (spec identity, command, health) so each group rides the fused
-        schedule kernel; the scalar path replays the identical per-period
+        constant for the whole rack period.  Banked stepping actuates each
+        lane once and advances every lane with the same tick count in one
+        bank call; the scalar path replays the per-board-period
         actuate-then-step sequence board by board.
         """
-        lanes = [i for i, cmd in commands.items()
-                 if self._online[i] and not self.boards[i].done]
+        # Only online boards running a job get commands, and _complete
+        # retires a job the period it finishes: every lane has work left.
+        lanes = list(commands)
         if not lanes:
             return
         t0 = _time.perf_counter()
@@ -359,57 +371,41 @@ class Rack:
 
     def _advance_lanes(self, lanes, commands):
         if self.bank is None:
-            for i in lanes:
-                fb, fl = commands[i]
-                board = self.boards[i]
-                steps = board.spec.period_steps()
-                for _ in range(self.spec.board_periods(i)):
-                    board.set_cluster_frequency(BIG, fb)
-                    board.set_cluster_frequency(LITTLE, fl)
-                    board.run_period(steps)
-                    if board.done:
-                        break
+            self._step_each_period(lanes, commands)
             return
+        # Governor commands are snapped DVFS table values, so re-commanding
+        # one at every board period is a no-op: actuating once and stepping
+        # the whole rack period is exact.  An actuator fault hook can start
+        # or stop dropping writes mid-period, so a hooked lane keeps the
+        # per-board-period sequence.
         groups = {}
         for i in lanes:
             board = self.boards[i]
-            faulted = (
-                board.fault_hooks is not None
-                or board.temp_sensor.fault_hook is not None
-                or any(s.fault_hook is not None
-                       for s in board.power_sensors.values())
-            )
-            key = (id(board.spec), faulted and i)
-            groups.setdefault(key, []).append(i)
-        for _key, members in sorted(groups.items(),
-                                    key=lambda kv: kv[1][0]):
-            periods = self.spec.board_periods(members[0])
-            shared = {commands[i] for i in members}
-            if len(shared) == 1:
-                # Whole group on one command: the fused schedule kernel
-                # compiles the full rack period in one resident pass.
-                fb, fl = shared.pop()
-                self.bank.run_schedule_bank(
-                    [fb] * periods, [fl] * periods, only=members,
-                    block_periods=periods,
-                )
+            if board.fault_hooks is not None:
+                self._step_each_period([i], commands)
                 continue
-            # Divergent budgets: one actuate-then-step pass per board
-            # period, all lanes of the group advancing together.  Per-lane
-            # commands are per-lane board state, so the bank's per-period
-            # vector path still batches the group; the fused kernel can't
-            # (it broadcasts one command across the selection, and rack
-            # budgets are exactly what makes commands diverge).
-            steps = self.boards[members[0]].spec.period_steps()
-            active = members
-            for _ in range(periods):
-                for i in active:
-                    fb, fl = commands[i]
-                    self.boards[i].set_cluster_frequency(BIG, fb)
-                    self.boards[i].set_cluster_frequency(LITTLE, fl)
-                self.bank.run_period_bank(steps, only=active)
-                active = [i for i in active if not self.boards[i].done]
-                if not active:
+            fb, fl = commands[i]
+            board.set_cluster_frequency(BIG, fb)
+            board.set_cluster_frequency(LITTLE, fl)
+            ticks = self.spec.board_periods(i) * board.spec.period_steps()
+            groups.setdefault(ticks, []).append(i)
+        for ticks, members in groups.items():
+            self.bank.run_period_bank(ticks, only=members)
+
+    def _step_each_period(self, lanes, commands):
+        """The reference: actuate, then step, once per board period."""
+        for i in lanes:
+            fb, fl = commands[i]
+            board = self.boards[i]
+            steps = board.spec.period_steps()
+            for _ in range(self.spec.board_periods(i)):
+                board.set_cluster_frequency(BIG, fb)
+                board.set_cluster_frequency(LITTLE, fl)
+                if self.bank is None:
+                    board.run_period(steps)
+                else:
+                    self.bank.run_period_bank(steps, only=(i,))
+                if board.done:
                     break
 
     # ------------------------------------------------------------------
@@ -430,8 +426,6 @@ class Rack:
         periods = max(int(round(max_time / rp)), 1)
         monitor = active_monitor()
         last_arrival = max((j.spec.arrival for j in self.jobs), default=0.0)
-        completed_cum = 0
-        sla_cum = 0
         t_loop = _time.perf_counter()
         for p in range(periods):
             now = p * rp
@@ -443,17 +437,17 @@ class Rack:
             self._update_faults(now)
             self._admit(now)
             self._dispatch(now)
-            readings = self._read()
-            self._update_cooling(readings)
+            readings, power_total = self._read()
+            self._update_cooling(power_total)
             cap_eff = self._effective_cap(cap)
             budgets = self.controller.step(readings, cap_eff)
-            commands = {}
-            for i, board in enumerate(self.boards):
-                if not self._online[i] or self._job_on_board[i] is None:
-                    continue
-                commands[i] = self.governors[i].command(
-                    budgets[i], readings[i].power
-                )
+            # Busy readings are exactly the online boards running a job.
+            commands = {
+                i: governor.command(budgets[i], reading.power)
+                for i, (governor, reading) in enumerate(
+                    zip(self.governors, readings))
+                if reading.busy
+            }
             if monitor is not None:
                 running = sum(1 for j in self._job_on_board if j is not None)
                 done_jobs = sum(1 for j in self.jobs
@@ -469,28 +463,28 @@ class Rack:
                     running=running,
                     completed=done_jobs,
                 )
-            energy_before = [b.energy for b in self.boards]
+            if self.trace is not None:
+                energy_before = [b.energy for b in self.boards]
             self._advance(commands)
             now_end = now + rp
             self.time = now_end
             self._complete(now_end)
-            completed_cum = sum(1 for j in self.jobs
-                                if j.state == "completed")
-            sla_cum = sum(1 for j in self.jobs if j.missed_sla)
             if self.trace is not None:
+                completed_cum = sum(1 for j in self.jobs
+                                    if j.state == "completed")
+                sla_cum = sum(1 for j in self.jobs if j.missed_sla)
                 board_power = [
                     (b.energy - e0) / rp
                     for b, e0 in zip(self.boards, energy_before)
                 ]
                 churn = sum(abs(b - lb) for b, lb in
                             zip(budgets, self._last_budgets))
+                self._last_budgets = list(budgets)
                 self.trace.times.append(now)
                 self.trace.cap.append(cap)
                 self.trace.cap_eff.append(cap_eff)
                 self.trace.inlet.append(self.inlet_temp)
-                self.trace.power_declared.append(sum(
-                    r.power for r in readings if r.trusted
-                ))
+                self.trace.power_declared.append(power_total)
                 self.trace.power_true.append(sum(board_power))
                 self.trace.budget_total.append(sum(budgets))
                 self.trace.budgets.append(list(budgets))
@@ -503,7 +497,6 @@ class Rack:
                 self.trace.sla_misses.append(sla_cum)
                 self.trace.churn.append(churn)
                 self.trace.online.append(sum(self._online))
-            self._last_budgets = list(budgets)
             if (
                 self.jobs
                 and now_end >= last_arrival

@@ -78,24 +78,25 @@ class QuantizedRange:
         return float(min(max(value, self.low), self.high))
 
     def snap(self, value):
-        """Clamp then round to the nearest allowed level."""
-        return self._levels_list[self.snap_index(value)]
+        """Clamp then round to the nearest allowed level.
 
-    def snap_index(self, value):
-        """Index of the level that :meth:`snap` would return.
-
-        Equivalent to ``argmin(|levels - value|)`` (ties resolve to the
-        lower level, matching argmin's first-minimum rule) but via bisect
-        on the sorted levels — this sits on every actuation path.
+        Equivalent to ``levels[argmin(|levels - value|)]`` (ties resolve to
+        the lower level, matching argmin's first-minimum rule) but via
+        bisect on the sorted levels — this sits on every actuation path.
         """
-        value = self.clamp(value)
+        value = float(min(max(value, self.low), self.high))  # clamp()
         levels = self._levels_list
         i = bisect_left(levels, value)
         if i == 0:
-            return 0
+            return levels[0]
         if i == len(levels):
-            return len(levels) - 1
-        return i - 1 if value - levels[i - 1] <= levels[i] - value else i
+            return levels[-1]
+        below, above = levels[i - 1], levels[i]
+        return below if value - below <= above - value else above
+
+    def snap_index(self, value):
+        """Index of the (first) level equal to what :meth:`snap` returns."""
+        return bisect_left(self._levels_list, self.snap(value))
 
     def contains(self, value, tol=1e-9):
         """Whether ``value`` is (within tolerance) an allowed level."""

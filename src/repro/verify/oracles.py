@@ -870,8 +870,10 @@ def oracle_rack(seed=3, max_time=120.0, n_boards=4):
     stepping each board through scalar ``run_period``.  Every rack trace
     signal, every per-board budget row, and every board's physical end
     state must agree to the bit.  Non-vacuity: the banked run must have
-    actually fused (fused_ticks > 0), the rack must actually be
-    heterogeneous (≥ 2 distinct specs), and both faults must have fired.
+    stepped through the bank's vector kernel (vector_ticks > 0) in at most
+    one bank call per rack period per tick group, the rack must actually
+    be heterogeneous (≥ 2 distinct specs), and both faults must have
+    fired.
     """
     from ..board.specs import BIG, LITTLE
     from ..rack import (
@@ -897,10 +899,18 @@ def oracle_rack(seed=3, max_time=120.0, n_boards=4):
     spec = heterogeneous_rack_spec(n_boards=n_boards, jobs=jobs,
                                    faults=faults)
 
+    bank_calls = []
+
     def _run(use_bank):
         rack = Rack(spec, controller=SSVRackController(spec),
                     use_bank=use_bank, record=True, record_boards=True,
                     seed=seed, telemetry=None)
+        if rack.bank is not None:
+            for name in ("run_period_bank", "run_schedule_bank"):
+                def counted(*args, _call=getattr(rack.bank, name), **kw):
+                    bank_calls.append(1)
+                    return _call(*args, **kw)
+                setattr(rack.bank, name, counted)
         return rack, rack.run(max_time=max_time)
 
     rack_banked, banked = _run(True)
@@ -938,8 +948,12 @@ def oracle_rack(seed=3, max_time=120.0, n_boards=4):
 
     # Agreement without coverage proves nothing.
     counters = banked.bank_counters or {}
-    cmp.check("coverage", "fused_kernel_engaged",
-              float(counters.get("fused_ticks", 0) > 0), 1.0)
+    cmp.check("coverage", "vector_kernel_engaged",
+              float(counters.get("vector_ticks", 0) > 0), 1.0)
+    tick_groups = len({spec.board_periods(i) * b.period_steps()
+                       for i, b in enumerate(spec.boards)})
+    cmp.check("coverage", "one_bank_call_per_tick_group",
+              float(len(bank_calls) <= banked.periods * tick_groups), 1.0)
     distinct_specs = len({id(b) for b in spec.boards})
     cmp.check("coverage", "heterogeneous_rack",
               float(distinct_specs >= 2), 1.0)
@@ -951,6 +965,7 @@ def oracle_rack(seed=3, max_time=120.0, n_boards=4):
     return cmp.result("rack-bank-vs-scalar", details={
         "boards": n_boards, "jobs": len(jobs),
         "distinct_specs": distinct_specs,
+        "bank_calls": len(bank_calls),
         "counters": counters,
         "requeues": banked.requeues,
     })

@@ -220,8 +220,11 @@ class TestRackRuntime:
     def test_bank_matches_scalar_across_lane_cache_turnover(self,
                                                             monkeypatch):
         # A tiny lane-cache limit drops the cached lane terms every few
-        # periods, so fresh terms can land on recycled ids; the fused
-        # kernel's no-trip bounds keyed on those ids must not go stale.
+        # periods, so fresh terms can land on recycled ids; the vector
+        # window's no-trip bounds keyed on those ids must not go stale.
+        # The two-board rack on a 1 s period reuses one lane set with a
+        # new operating point nearly every window, which is where a stale
+        # bound would let a trip go unseen.
         from repro.board.bank import BoardBank
         from repro.workloads.library import program_names
 
@@ -231,14 +234,51 @@ class TestRackRuntime:
                     arrival=0.0 if i < 7 else 2.0 * i, sla=20.0)
             for i, name in enumerate(program_names("evaluation"))
         )
-        spec = heterogeneous_rack_spec(n_boards=8, jobs=jobs)
-        rb = Rack(spec, use_bank=True, seed=11).run(max_time=40.0)
-        rs = Rack(spec, use_bank=False, seed=11).run(max_time=40.0)
-        assert rb.bank_counters["fused_blocks"] > 0
-        assert rb.energy == rs.energy
+        for n_boards, rack_period in ((8, 2.0), (2, 1.0)):
+            spec = heterogeneous_rack_spec(n_boards=n_boards, jobs=jobs,
+                                           rack_period=rack_period)
+            rb = Rack(spec, use_bank=True, seed=11).run(max_time=40.0)
+            rs = Rack(spec, use_bank=False, seed=11).run(max_time=40.0)
+            assert rb.bank_counters["vector_ticks"] > 0
+            assert len({id(b) for b in spec.boards}) >= 2
+            assert rb.energy == rs.energy
+            assert rb.board_time == rs.board_time
+            assert (rb.jobs_completed, rb.sla_misses) == (
+                rs.jobs_completed, rs.sla_misses)
+
+    @pytest.mark.parametrize("cap", [2.5, 4.0, 6.0])
+    @pytest.mark.parametrize("lift", [2.7, 4.6, 6.3, 9.1])
+    def test_bank_matches_scalar_when_dvfs_block_lifts_mid_period(self, cap,
+                                                                  lift):
+        # An actuator fault hook can start accepting DVFS writes in the
+        # middle of a rack period; the banked rack must re-command at every
+        # board period there, exactly as the scalar path does.
+        class DvfsBlockedUntil:
+            def __init__(self, board):
+                self.board = board
+
+            def blocks_dvfs(self, cluster_name):
+                return self.board.time < lift
+
+            def blocks_hotplug(self, cluster_name):
+                return False
+
+            def blocks_placement(self):
+                return False
+
+        spec = default_rack_spec(n_boards=2, power_cap=cap,
+                                 jobs=_stream(3, spacing=1.0))
+        results = []
+        for use_bank in (True, False):
+            rack = Rack(spec, use_bank=use_bank, record=True, seed=7)
+            for board in rack.boards:
+                board.fault_hooks = DvfsBlockedUntil(board)
+            results.append(rack.run(max_time=16.0))
+        rb, rs = results
+        assert rb.board_energy == rs.board_energy
         assert rb.board_time == rs.board_time
-        assert (rb.jobs_completed, rb.sla_misses) == (rs.jobs_completed,
-                                                      rs.sla_misses)
+        assert rb.trace.power_true == rs.trace.power_true
+        assert rb.trace.budgets == rs.trace.budgets
 
     def test_offline_fault_requeues_and_recovers(self):
         jobs = _stream(2, workload="mcf@0.1", spacing=1.0, sla=200.0)
