@@ -24,6 +24,7 @@ Runs standalone (the CI chaos-smoke job) as well as manually:
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -119,7 +120,7 @@ def main(argv=None):
     floats = 2000 if args.quick else 20000
     tasks_n = 16 if args.quick else 48
 
-    results = {"quick": args.quick}
+    results = {"quick": args.quick, "cpu_count": os.cpu_count()}
 
     print(f"[1/2] checkpoint journal ({cells} cells, "
           f"{floats}-float payloads)...")

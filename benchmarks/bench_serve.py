@@ -26,6 +26,7 @@ Runs standalone (the CI serve-smoke job) as well as manually:
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -214,6 +215,7 @@ def main(argv=None):
 
     results = {
         "quick": args.quick,
+        "cpu_count": os.cpu_count(),
         "samples": samples,
         "seed": seed,
     }

@@ -86,7 +86,8 @@ def _add_context_args(parser):
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="S",
                         help="kill and retry any cell exceeding S seconds "
-                             "of wall-clock (needs --jobs > 1)")
+                             "of wall-clock (needs worker processes: "
+                             "--jobs > 1, or --jobs >= 1 for serve)")
     parser.add_argument("--max-retries", type=int, default=None, metavar="N",
                         help="retry a crashed/timed-out/raising cell up to "
                              "N times with exponential backoff (default 2 "
@@ -474,7 +475,6 @@ def _serve_forever(args, context):
     import signal
 
     from repro.cache import DesignCache
-    from repro.runtime import RetryPolicy
     from repro.serve import ExperimentServer
     from repro.telemetry import active_session
 
@@ -484,10 +484,6 @@ def _serve_forever(args, context):
         store = DesignCache(args.cache_dir)
     else:
         store = True  # resolved to <serve_dir>/results below
-
-    retry = None
-    if getattr(args, "max_retries", None) is not None:
-        retry = RetryPolicy(max_retries=max(int(args.max_retries), 0))
 
     async def _amain():
         serve_dir = args.serve_dir
@@ -502,7 +498,6 @@ def _serve_forever(args, context):
             cache=None if store is True else store,
             serve_dir=serve_dir,
             default_deadline=args.default_deadline,
-            retry=retry,
             telemetry=active_session(),
         )
         if store is True:

@@ -160,8 +160,8 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
     """
     from ..cache import MISS
     from ..runtime import CellFailure, CheckpointJournal, task_key
-    from ..runtime.executor import RetryPolicy, supervised_map
-    from ..runtime.policy import active_policy
+    from ..runtime.executor import supervised_map
+    from ..runtime.policy import ExecutionPolicy, active_policy
 
     tasks = list(tasks)
     for task in tasks:
@@ -287,14 +287,10 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
                         label=_task_label(tasks[i]))
 
     # --- supervised path --------------------------------------------------
-    retry = backoff
-    if retry is None and max_retries is not None:
-        retry = RetryPolicy(max_retries=int(max_retries))
+    retry = ExecutionPolicy(max_retries=max_retries,
+                            backoff=backoff).retry_policy()
     supervised = bool(
-        cell_timeout
-        or chaos is not None
-        or (retry is not None and retry.max_retries > 0)
-    )
+        cell_timeout or chaos is not None or retry.max_retries > 0)
     if supervised and todo:
         order = iter(todo)
 
@@ -308,7 +304,7 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
             [tasks[i] for i in todo], context, jobs=jobs,
             telemetry_dir=telemetry_dir, progress=_sub_progress,
             prime=prime, cell_timeout=cell_timeout,
-            retry=retry if retry is not None else RetryPolicy(max_retries=0),
+            retry=retry,
             chaos=chaos, on_error=on_error,
             labels=[_task_label(tasks[i]) for i in todo],
             keys=[keys[i] for i in todo] if keys else None,

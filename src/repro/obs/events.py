@@ -13,7 +13,8 @@ retry/failure health, for finished *and* in-flight campaigns.
 Design rules:
 
 * **single writer** — only the campaign parent process appends (workers
-  report through their pipes), so lines never interleave;
+  report through their pipes), and a lock serializes its threads (the
+  supervisor thread emits beside the caller), so lines never interleave;
 * **append-only, flushed per event** — a reader polling a live campaign
   sees every completed line; a killed run leaves at most one torn tail
   line, which :func:`read_events` skips with a count (same contract as
@@ -25,6 +26,7 @@ Design rules:
 from __future__ import annotations
 
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -44,6 +46,7 @@ class CampaignEvents:
     def __init__(self, path):
         self.path = Path(path)
         self._fh = None
+        self._lock = threading.Lock()
         self.emitted = 0
         self.failed = False  # a write failed; stop trying, keep running
 
@@ -53,24 +56,26 @@ class CampaignEvents:
             return
         record = {"event": event, "t": round(time.time(), 3)}
         record.update(fields)
-        try:
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = open(self.path, "a")
-            self._fh.write(json.dumps(record) + "\n")
-            self._fh.flush()
-        except (OSError, TypeError, ValueError):
-            self.failed = True
-            return
-        self.emitted += 1
+        with self._lock:
+            try:
+                if self._fh is None:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._fh = open(self.path, "a")
+                self._fh.write(json.dumps(record) + "\n")
+                self._fh.flush()
+            except (OSError, TypeError, ValueError):
+                self.failed = True
+                return
+            self.emitted += 1
 
     def close(self):
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
+        with self._lock:
+            if self._fh is not None:
+                try:
+                    self._fh.close()
+                except OSError:
+                    pass
+                self._fh = None
 
     def __enter__(self):
         return self

@@ -15,6 +15,7 @@ from .executor import (
     CellExecutionError,
     CellFailure,
     RetryPolicy,
+    SupervisedPool,
     supervised_map,
 )
 from .policy import (
@@ -33,6 +34,7 @@ __all__ = [
     "CellExecutionError",
     "CellFailure",
     "RetryPolicy",
+    "SupervisedPool",
     "supervised_map",
     "ExecutionPolicy",
     "activate_policy",

@@ -3,9 +3,10 @@
 Mirrors the telemetry session's ``activate``/``active_session`` pattern:
 the CLI parses ``--checkpoint-dir`` / ``--resume`` / ``--cell-timeout`` /
 ``--max-retries`` once, installs an :class:`ExecutionPolicy`, and every
-campaign entry point (scheme matrix, resilience sweep, figure sweeps)
-picks it up from :func:`active_policy` without threading four extra
-parameters through the whole call graph.  Explicit keyword arguments to
+campaign entry point (scheme matrix, resilience sweep, figure sweeps) and
+the control-plane service (``repro serve``) picks it up from
+:func:`active_policy` without threading four extra parameters through the
+whole call graph.  Explicit keyword arguments to
 :func:`~repro.experiments.engine.parallel_map` always win over the policy.
 """
 
@@ -51,6 +52,15 @@ class ExecutionPolicy:
             or self.chaos is not None
             or (self.max_retries not in (None, 0))
         )
+
+    def retry_policy(self):
+        """``backoff`` if set, else a :class:`~repro.runtime.RetryPolicy`
+        allowing ``max_retries`` retries (none when unset)."""
+        from .executor import RetryPolicy
+
+        if self.backoff is not None:
+            return self.backoff
+        return RetryPolicy(max_retries=int(self.max_retries or 0))
 
 
 def activate_policy(policy):

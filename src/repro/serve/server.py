@@ -1,8 +1,9 @@
 """The control-plane service: a concurrent experiment server.
 
 ``repro serve`` turns the batch harness into a long-lived service: clients
-POST experiment requests as JSON, the server schedules them onto a worker
-pool reusing the parallel engine's task machinery, and three mechanisms
+POST experiment requests as JSON, the server schedules them onto the
+campaign engine's supervised worker pool
+(:class:`~repro.runtime.executor.SupervisedPool`), and three mechanisms
 keep throughput scaling with load instead of degrading:
 
 1. **Request coalescing** — a request's identity is its
@@ -13,15 +14,17 @@ keep throughput scaling with load instead of degrading:
    answered from disk without touching a worker.
 2. **Cross-request bank batching** — bankable cells from *different*
    concurrent requests are packed into one
-   :func:`~repro.experiments.bank_runner.run_cells_banked` group, so the
-   service rides the fused :class:`~repro.board.bank.BoardBank` kernel's
-   B-sweep: throughput scales with how many requests are in flight, not
-   with per-request B.
+   :func:`~repro.experiments.bank_runner.run_cells_banked` group, which
+   steps all of them per control period through
+   :meth:`~repro.board.bank.BoardBank.run_period_bank`: throughput scales
+   with how many requests are in flight, not with per-request B.
 3. **Backpressure and admission** — a bounded queue rejects overflow with
    a structured 429 (``Retry-After`` included); per-request deadlines
    produce structured 504s that mirror
-   :class:`~repro.runtime.CellFailure` semantics; execution exceptions
-   are retried under a :class:`~repro.runtime.RetryPolicy` before
+   :class:`~repro.runtime.CellFailure` semantics.  Execution failures
+   (exceptions, killed workers, cells past ``--cell-timeout``) are retried
+   by the pool under the process-wide
+   :class:`~repro.runtime.ExecutionPolicy` (``--max-retries``) before
    becoming structured 500s.
 
 The HTTP layer is a deliberately small HTTP/1.1 implementation over
@@ -49,17 +52,19 @@ from __future__ import annotations
 
 import asyncio
 import json
-import pickle
 import tempfile
 import threading
 import time
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from ..cache import MISS, DesignCache
 from ..experiments.metrics import RunMetrics
 from ..obs.events import CampaignEvents, events_path
-from ..runtime.executor import CellFailure, RetryPolicy
+from ..runtime.executor import CellFailure, SupervisedPool
+from ..runtime.policy import ExecutionPolicy, active_policy
 from .protocol import (
     ProtocolError,
     ServeRequest,
@@ -86,20 +91,38 @@ class _Work:
         self.deadline = deadline  # absolute loop.time(), or None
 
 
+class _LoopRelay:
+    """Hands the pool's supervisor events to the server's event loop."""
+
+    def __init__(self, loop, handler):
+        self._loop = loop
+        self._handler = handler
+
+    def emit(self, event, **fields):
+        try:
+            self._loop.call_soon_threadsafe(
+                partial(self._handler, event, fields))
+        except RuntimeError:
+            pass  # the loop has closed: the server is gone
+
+
 class ExperimentServer:
     """Asyncio experiment server over one :class:`DesignContext`.
 
-    ``jobs=0`` (the default) executes cells on a single in-process worker
-    thread against the live context — no pickling, instant startup, ideal
-    for tests and the differential oracle.  ``jobs >= 1`` fans cells over
-    a ``ProcessPoolExecutor`` primed exactly like the parallel engine's
-    (same initializer, same worker task function), so results are
-    bit-identical in every mode.
+    Cells execute on a :class:`~repro.runtime.executor.SupervisedPool`.
+    ``jobs=0`` (the default) runs them on its single in-process thread
+    against the live context — no pickling, instant startup, ideal for
+    tests and the differential oracle.  ``jobs >= 1`` fans them over that
+    many supervised worker processes, primed like the engine's, so
+    results are bit-identical in every mode; a killed worker is replaced
+    and a cell past ``cell_timeout`` is killed.  Retries, ``cell_timeout``
+    and chaos come from the process-wide
+    :class:`~repro.runtime.ExecutionPolicy` at :meth:`start`.
     """
 
     def __init__(self, context, host="127.0.0.1", port=0, jobs=0, batch=1,
                  batch_wait=0.02, queue_limit=64, cache=None, serve_dir=None,
-                 default_deadline=None, retry=None, telemetry=None):
+                 default_deadline=None, telemetry=None):
         self.context = context
         self.host = host
         self.port = int(port)
@@ -108,7 +131,6 @@ class ExperimentServer:
         self.batch_wait = float(batch_wait)
         self.queue_limit = max(int(queue_limit), 1)
         self.default_deadline = default_deadline
-        self.retry = retry if retry is not None else RetryPolicy(max_retries=0)
         self.telemetry = telemetry
         self.store = DesignCache.resolve(cache)
         self.serve_dir = Path(serve_dir) if serve_dir is not None else \
@@ -144,7 +166,6 @@ class ExperimentServer:
         self._batcher = None
         self._dispatches = set()
         self._pool = None
-        self._pool_runner = None
         self._server = None
         self._loop = None
         self._stopping = None
@@ -158,7 +179,15 @@ class ExperimentServer:
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
         self._queue = asyncio.Queue(maxsize=self.queue_limit)
-        self._init_pool()
+        policy = active_policy() or ExecutionPolicy()
+        tel_dir = None
+        if self.telemetry is not None:
+            tel_dir = self.telemetry.out_dir
+        self._pool = SupervisedPool(
+            self.context, jobs=self.jobs, telemetry_dir=tel_dir,
+            cell_timeout=policy.cell_timeout, retry=policy.retry_policy(),
+            chaos=policy.chaos,
+            events=_LoopRelay(self._loop, self._pool_event))
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -167,43 +196,6 @@ class ExperimentServer:
         self._emit("campaign.begin", cells=0, resumed=0, jobs=self.jobs,
                    mode="serve", batch=self.batch, port=self.port)
         return self
-
-    def _init_pool(self):
-        from ..experiments import engine
-
-        if self.jobs <= 0:
-            # In-process worker thread: executes against the live context.
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve-worker")
-            context = self.context
-
-            def _run(task):
-                return engine.execute_task(context, task)
-
-            self._pool_runner = _run
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from ..experiments.schemes import prime_designs
-
-            # Prime every design before pickling, exactly like the engine's
-            # plain pool path, so workers never re-synthesize and stay
-            # bit-identical to the parent.
-            prime_designs(self.context, None)
-            blob = pickle.dumps(self.context,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            tel_dir = None
-            if self.telemetry is not None and \
-                    self.telemetry.out_dir is not None:
-                tel_dir = str(self.telemetry.out_dir)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=engine._init_worker,
-                initargs=(blob, tel_dir),
-            )
-            self._pool_runner = engine._run_cell
 
     @property
     def url(self):
@@ -218,7 +210,7 @@ class ExperimentServer:
         await self._stopping.wait()
 
     async def stop(self):
-        """Stop accepting, drain dispatches, shut the pool down."""
+        """Stop accepting, close the pool, drain dispatches."""
         self._stopping.set()
         if self._server is not None:
             self._server.close()
@@ -241,15 +233,17 @@ class ExperimentServer:
                 await self._batcher
             except asyncio.CancelledError:
                 pass
-        if self._dispatches:
-            await asyncio.gather(*self._dispatches, return_exceptions=True)
         # Timed-out-but-still-queued work gets a terminal answer.
         while self._queue is not None and not self._queue.empty():
             work = self._queue.get_nowait()
             self._finish_timeout(work, reason="server-stopped")
+        # Closing cancels unfinished executions (a hung worker is killed),
+        # so every dispatch below ends promptly.
         if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+            await asyncio.to_thread(self._pool.close)
             self._pool = None
+        if self._dispatches:
+            await asyncio.gather(*self._dispatches, return_exceptions=True)
         self._emit("campaign.end", cells=self.stats["executed"],
                    failed=self.stats["failures"])
         self._events.close()
@@ -268,6 +262,12 @@ class ExperimentServer:
                     queue.put_nowait(record)
                 except asyncio.QueueFull:
                     pass  # slow watcher: drop, never block the service
+
+    def _pool_event(self, event, fields):
+        """A pool decision (start, retry, timeout), relayed to the loop."""
+        if event == "cell.retried":
+            self._count("retries")
+        self._emit(event, **fields)
 
     def _count(self, outcome, amount=1):
         self.stats[outcome] += amount
@@ -362,33 +362,19 @@ class ExperimentServer:
         else:
             self._count("solo_cells")
             task = live[0].request.task()
-        for work in live:
-            self._emit("cell.started", label=work.request.label(),
-                       fingerprint=work.key[:16])
-
-        results = None
-        attempt = 0
-        while True:
-            try:
-                raw = await loop.run_in_executor(
-                    self._pool, self._pool_runner, task)
-                results = raw if banked else [raw]
-                break
-            except Exception as exc:  # noqa: BLE001 - worker failure
-                if attempt < self.retry.max_retries:
-                    self._count("retries")
-                    for work in live:
-                        self._emit("cell.retried", label=work.request.label(),
-                                   reason="exception", attempt=attempt + 1)
-                    await asyncio.sleep(self.retry.delay(0, attempt))
-                    attempt += 1
-                    continue
-                results = [CellFailure(
-                    index=i, label=w.request.label(), reason="exception",
-                    attempts=attempt + 1,
-                    error=f"{type(exc).__name__}: {exc}", key=w.key)
-                    for i, w in enumerate(live)]
-                break
+        label = f"bank[{len(live)}]" if banked else live[0].request.label()
+        try:
+            raw = await asyncio.wrap_future(
+                self._pool.submit(task, label=label))
+        except asyncio.CancelledError:  # stop() closed the pool
+            for work in live:
+                self._finish_timeout(work, reason="server-stopped")
+            raise
+        if isinstance(raw, CellFailure):
+            results = [replace(raw, index=i, label=w.request.label(),
+                               key=w.key) for i, w in enumerate(live)]
+        else:
+            results = raw if banked else [raw]
 
         for work, result in zip(live, results):
             wire = result_to_wire(result)

@@ -20,6 +20,9 @@ name, both values, and the ULP distance between them:
   store) vs direct in-process :func:`run_workload` calls.  Must be
   **bit-exact** — JSON's shortest-round-trip float repr preserves every
   bit.
+* :func:`oracle_serve_chaos` — the same burst on supervised worker
+  processes with one worker SIGKILLed mid-bank-batch and retried.  Must
+  be **bit-exact**.
 * :func:`oracle_lqg_reference` — the production LQG synthesis
   (:mod:`repro.lqg.synthesis`, scipy Riccati solvers) vs an independent
   textbook fixed-point Riccati recursion.  Agrees within a documented
@@ -44,6 +47,7 @@ __all__ = [
     "oracle_resume",
     "oracle_cache",
     "oracle_serve",
+    "oracle_serve_chaos",
     "oracle_lqg_reference",
 ]
 
@@ -642,10 +646,61 @@ def oracle_serve(context, schemes=None, workloads=None, seed=7,
     vacuously: it fails unless at least one response was answered without
     a fresh execution and at least one bank batch actually formed.
     """
+    result, stats, _events = _serve_burst(
+        "serve-vs-direct", context, schemes, workloads, seed, max_time,
+        batch, cache_dir, jobs=0)
+    sources = result.details["sources"]
+    non_fresh = sources.get("coalesced", 0) + sources.get("cache", 0)
+    if non_fresh == 0 or stats.get("bank_batches", 0) == 0:
+        result.agree = False  # coalescing / batching never engaged
+    return result
+
+
+def oracle_serve_chaos(context, schemes=None, workloads=None, seed=7,
+                       max_time=10.0, batch=3, cache_dir=None):
+    """:func:`oracle_serve`'s burst on two supervised worker processes,
+    with the first bank batch's worker SIGKILLed once (chaos) and
+    ``max_retries=1``; must still be **0 ULP**.
+
+    Fails unless the kill fired on a bank batch and that batch was
+    retried: a killed worker must cost one retry, never a wrong or
+    missing answer.
+    """
+    from ..runtime import (
+        ChaosPolicy,
+        ExecutionPolicy,
+        activate_policy,
+        active_policy,
+    )
+
+    saved = active_policy()
+    activate_policy(ExecutionPolicy(
+        max_retries=1, chaos=ChaosPolicy(kill_cells=(0,))))
+    try:
+        result, stats, events = _serve_burst(
+            "serve-chaos-vs-direct", context, schemes, workloads, seed,
+            max_time, batch, cache_dir, jobs=2)
+    finally:
+        activate_policy(saved)
+    kills = [e for e in events
+             if e["event"] == "cell.retried"
+             and e.get("reason") == "worker-died"
+             and str(e.get("label", "")).startswith("bank")]
+    result.details["bank_kills_retried"] = len(kills)
+    result.details["retries"] = stats.get("retries", 0)
+    if not kills or stats.get("retries", 0) < 1:
+        result.agree = False  # the scripted kill never hit a bank batch
+    return result
+
+
+def _serve_burst(name, context, schemes, workloads, seed, max_time, batch,
+                 cache_dir, jobs):
+    """Fire the serve oracles' burst; ``(result, /stats, events)``."""
     import tempfile
     import threading
 
     from ..experiments.runner import run_workload
+    from ..obs.events import read_events
     from ..serve import ServeClient, serve_background
     from ..serve.protocol import metrics_from_wire
 
@@ -666,7 +721,7 @@ def oracle_serve(context, schemes=None, workloads=None, seed=7,
         tmp = tempfile.TemporaryDirectory(prefix="repro-serve-oracle-")
         cache_dir = tmp.name
     try:
-        with serve_background(context, jobs=0, batch=batch,
+        with serve_background(context, jobs=jobs, batch=batch,
                               batch_wait=0.25, cache=cache_dir) as handle:
             # The burst: every cell once, plus the first cell duplicated —
             # its twin must coalesce onto the in-flight execution (or hit
@@ -695,6 +750,7 @@ def oracle_serve(context, schemes=None, workloads=None, seed=7,
                                    "workload": cells[0][1], "seed": seed,
                                    "max_time": max_time, "record": True})
                 stats = client.stats()
+            events, _skipped = read_events(handle.server.serve_dir)
 
         cmp = _Comparator(tolerance_ulp=0.0)
         sources = {}
@@ -722,16 +778,13 @@ def oracle_serve(context, schemes=None, workloads=None, seed=7,
                 cmp.check_array(f"{workload}/{scheme}/{signal}",
                                 a.trace[signal], b.trace[signal])
         serve_stats = stats if isinstance(stats, dict) else {}
-        result = cmp.result("serve-vs-direct", details={
+        result = cmp.result(name, details={
             "schemes": schemes, "workloads": workloads, "batch": batch,
-            "sources": sources,
+            "jobs": jobs, "sources": sources,
             "bank_batches": serve_stats.get("bank_batches", 0),
             "banked_cells": serve_stats.get("banked_cells", 0),
         })
-        non_fresh = sources.get("coalesced", 0) + sources.get("cache", 0)
-        if non_fresh == 0 or serve_stats.get("bank_batches", 0) == 0:
-            result.agree = False  # coalescing / batching never engaged
-        return result
+        return result, serve_stats, events
     finally:
         if tmp is not None:
             tmp.cleanup()

@@ -9,8 +9,9 @@ pillars and folds the outcomes into a :class:`VerifyReport`:
    violation fails the report.
 2. **Differential oracles** — fastpath vs scalar, parallel vs serial,
    interrupted+resumed vs uninterrupted, cached vs fresh synthesis, the
-   control-plane service (coalescing + bank batching + JSON wire) vs
-   direct execution (all bit-exact), and LQG vs the textbook Riccati
+   control-plane service (coalescing + bank batching + JSON wire, and
+   again with a worker SIGKILLed mid-bank-batch) vs direct execution (all
+   bit-exact), and LQG vs the textbook Riccati
    recursion (documented relative tolerance).
 3. **Golden traces** — the canonical matrix replayed against
    ``tests/golden/`` (or re-minted with ``regen_golden=True``).
@@ -43,6 +44,7 @@ from .oracles import (
     oracle_rack_resume,
     oracle_resume,
     oracle_serve,
+    oracle_serve_chaos,
 )
 
 __all__ = ["VerifyReport", "run_verify"]
@@ -193,6 +195,12 @@ def run_verify(quick=True, regen_golden=False, golden_dir=None, samples=None,
         report.oracles.append(
             oracle_serve(context, max_time=8.0 if quick else 20.0,
                          cache_dir=tmp)
+        )
+    _log("verify: oracle serve-chaos-vs-direct...")
+    with tempfile.TemporaryDirectory(prefix="repro-verify-serve-") as tmp:
+        report.oracles.append(
+            oracle_serve_chaos(context, max_time=8.0 if quick else 20.0,
+                               cache_dir=tmp)
         )
     _log("verify: oracle rack-bank-vs-scalar...")
     report.oracles.append(

@@ -24,6 +24,7 @@ from repro.runtime import (
     CheckpointJournal,
     ExecutionPolicy,
     RetryPolicy,
+    SupervisedPool,
     activate_policy,
     active_policy,
     corrupt_checkpoint_entry,
@@ -263,6 +264,12 @@ def _boom(context, x):
     raise RuntimeError(f"boom {x}")
 
 
+def _nap(context, started, seconds):
+    started.set()
+    time.sleep(seconds)
+    return seconds
+
+
 def _touch_and_square(context, marker_dir, x):
     with open(os.path.join(marker_dir, "runs.log"), "a") as fh:
         fh.write(f"{x}\n")
@@ -355,6 +362,61 @@ class TestSupervisedMap:
             supervised_map(tasks, design_context, jobs=1,
                            retry=RetryPolicy(max_retries=0),
                            on_error="raise")
+
+
+class TestSupervisedPool:
+    @pytest.mark.parametrize("jobs", [0, 3])
+    def test_racing_submitters_each_get_their_own_result(self,
+                                                         design_context,
+                                                         jobs):
+        """Threads race to submit (3 workers > 2 cores, tiny switch
+        interval): a lost update to the submission index would strand
+        a cell, so every future must resolve to its own task's result."""
+        import sys
+        import threading
+
+        futures = {}
+        lock = threading.Lock()
+
+        def _submit(pool, k):
+            for i in range(20):
+                x = 100 * k + i
+                future = pool.submit(("call", (_square, (x,), {})))
+                with lock:
+                    futures[x] = future
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SupervisedPool(design_context, jobs=jobs) as pool:
+                threads = [threading.Thread(target=_submit, args=(pool, k))
+                           for k in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                results = {x: f.result(timeout=60.0)
+                           for x, f in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {x: x * x for x in futures}
+        assert len(results) == 120
+
+    def test_close_cancels_queued_work_and_rejects_more(self,
+                                                        design_context):
+        import threading
+
+        started = threading.Event()
+        pool = SupervisedPool(design_context, jobs=0)
+        running = pool.submit(("call", (_nap, (started, 0.5), {})))
+        queued = pool.submit(("call", (_square, (3,), {})))
+        assert started.wait(5.0)
+        pool.close()
+        assert running.result(timeout=5.0) == 0.5
+        assert queued.cancelled()
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.submit(("call", (_square, (4,), {})))
 
 
 # ---------------------------------------------------------------------------
