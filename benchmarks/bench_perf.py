@@ -23,6 +23,9 @@ records them in ``BENCH_perf.json``:
    what the seed harness did (cold context, scalar stepping, serial); the
    *optimized* path is a warm cache + ``run_period`` + ``--jobs N``.  The
    quick CI mode shrinks the matrix but still asserts the stack wins.
+6. **Controller bank** — µs per lane-step of the hardware SSV design,
+   per-lane ``RuntimeController.step`` vs one ``step_stacked`` pass over
+   L = 1, 7 and 14 lanes, bit-identical.  Recorded, no floor.
 
 Runs standalone (the CI perf-smoke job) as well as manually:
 
@@ -346,6 +349,70 @@ def bench_cache(samples, seed, cache_dir):
     }, warm
 
 
+CONTROLLER_LANES = (1, 7, 14)
+
+
+def bench_controller_bank(context, lanes=CONTROLLER_LANES, periods=1000,
+                          reps=3):
+    """Per-lane ``RuntimeController.step`` vs one stacked pass per period.
+
+    ``L`` fresh copies of the hardware SSV design step ``periods`` times
+    on one seeded measurement stream, lane by lane and then through
+    ``step_stacked``; each keeps its best of ``reps`` timed runs (after
+    one untimed) and the two must agree bit for bit.  The bank stacks groups of ``STACK_MIN_LANES`` or
+    more, about where these two rates cross.
+    """
+    import numpy as np
+
+    from repro.core.controller import STACK_MIN_LANES, step_stacked
+
+    template = context.get_hw_design().controller
+    n_y, n_e = template.n_outputs, template.external_offsets.size
+    rng = np.random.default_rng(11)
+
+    def per_lane(ctrls, ys, es):
+        return [c.step(y, e) for c, y, e in zip(ctrls, ys, es)]
+
+    points = []
+    for n in lanes:
+        z = rng.normal(0.0, 0.3, (periods, n, n_y + n_e))
+        ys = template.output_offsets + template.output_scales * z[..., :n_y]
+        es = template.external_offsets + template.external_scales * z[..., n_y:]
+        best, outs = {}, {}
+        for mode, kernel in (("step", per_lane), ("stacked", step_stacked)):
+            # Rep 0 is untimed: the first tens of ms of this section ran
+            # up to 2x slow on a shared 2-core host.
+            for rep in range(reps + 1):
+                ctrls = [template.fresh_copy() for _ in range(n)]
+                gc.disable()
+                t0 = time.perf_counter()
+                try:
+                    out = [kernel(ctrls, list(ys[p]), list(es[p]))
+                           for p in range(periods)]
+                    elapsed = time.perf_counter() - t0
+                finally:
+                    gc.enable()
+                if rep:
+                    best[mode] = min(best.get(mode, elapsed), elapsed)
+                outs[mode] = out
+        assert outs["step"] == outs["stacked"], f"L={n}: stacked pass diverged"
+        step_us = 1e6 * best["step"] / (n * periods)
+        stacked_us = 1e6 * best["stacked"] / (n * periods)
+        points.append({
+            "lanes": n,
+            "step_us_per_lane_step": step_us,
+            "stacked_us_per_lane_step": stacked_us,
+            "speedup": step_us / stacked_us,
+        })
+    return {
+        "design": "hw",
+        "periods": periods,
+        "stack_min_lanes": STACK_MIN_LANES,
+        "cpu_count": os.cpu_count(),
+        "points": points,
+    }
+
+
 def bench_matrix(schemes, workloads, samples, seed, cache_dir, jobs):
     """Seed-style baseline vs the optimized stack on one matrix."""
     from repro.board import Board
@@ -453,11 +520,19 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory(prefix="bench-perf-cache-") as cache_dir:
         print("== design cache: cold vs warm context ==")
-        results["cache"], _ = bench_cache(samples, seed, cache_dir)
+        results["cache"], warm_ctx = bench_cache(samples, seed, cache_dir)
         print(f"  cold {results['cache']['cold_context_sec']:.2f}s, warm "
               f"{results['cache']['warm_context_sec']:.3f}s -> "
               f"{results['cache']['speedup']:.0f}x "
               f"({results['cache']['warm_hits']} cache hits)")
+
+        print("== controller bank: per-lane step vs stacked pass (hw SSV) ==")
+        results["controller_bank"] = bench_controller_bank(warm_ctx)
+        for pt in results["controller_bank"]["points"]:
+            print(f"  L={pt['lanes']:>2}: step "
+                  f"{pt['step_us_per_lane_step']:.1f} us/lane-step, stacked "
+                  f"{pt['stacked_us_per_lane_step']:.1f} us/lane-step -> "
+                  f"{pt['speedup']:.2f}x")
 
         print(f"== matrix: serial cold scalar vs jobs={jobs} warm fast ==")
         results["matrix"] = bench_matrix(schemes, workloads, samples, seed,

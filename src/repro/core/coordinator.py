@@ -11,7 +11,7 @@ knobs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,21 @@ from .optimizer import ExDOptimizer, exd_metric
 def _null_span(*args, **kwargs):
     return NULL_SPAN
 
-__all__ = ["MultilayerCoordinator", "ControlStepRecord"]
+__all__ = ["MultilayerCoordinator", "ControlStepRecord", "SensedPeriod"]
+
+
+@dataclass(slots=True)
+class SensedPeriod:
+    """What :meth:`MultilayerCoordinator.sense` hands the later phases."""
+
+    signals: dict
+    outputs_hw: np.ndarray
+    outputs_sw: np.ndarray
+    ext_for_hw: list
+    ext_for_sw: list
+    exd: float
+    override_active: bool
+    t_start: float
 
 
 @dataclass
@@ -109,7 +123,18 @@ class MultilayerCoordinator:
         counters are delta reads, so sampling twice would corrupt them)
         and to scrub non-finite sensor readings before they reach the
         controller state machines.
+
+        The period runs as three phases, :meth:`sense`,
+        :meth:`step_layers` and :meth:`finish`.  The banked runner calls
+        the same phases for many boards at once, with the layer steps of
+        same-design SSV controllers stacked in between.
         """
+        period = self.sense(board, period_steps, signals)
+        hw_u, sw_u = self.step_layers(board, period)
+        return self.finish(board, period, hw_u, sw_u)
+
+    def sense(self, board: Board, period_steps, signals=None):
+        """Phase 1: sense, optimize targets, wire the external signals."""
         tel = self.telemetry
         span = tel.span if tel is not None else _null_span
         t_start = time.perf_counter() if tel is not None else 0.0
@@ -170,36 +195,55 @@ class MultilayerCoordinator:
                 signals["freq_little"],
             ]
         )
+        return SensedPeriod(signals, outputs_hw, outputs_sw, ext_for_hw,
+                            ext_for_sw, exd, override_active, t_start)
 
-        # --- layer invocations ------------------------------------------
+    def step_layers(self, board: Board, period: SensedPeriod):
+        """Phase 2: step the hw layer, actuate it, then step the sw layer."""
+        tel = self.telemetry
+        span = tel.span if tel is not None else _null_span
         with span("hw.step"):
-            hw_u = self.hw_controller.step(outputs_hw, ext_for_hw)
+            hw_u = self.hw_controller.step(period.outputs_hw, period.ext_for_hw)
+        self.actuate_hw(board, hw_u)
+        sw_u = None
+        if self.sw_controller is not None:
+            with span("sw.step"):
+                self.observe_threads(board)
+                sw_u = self.sw_controller.step(period.outputs_sw,
+                                               period.ext_for_sw)
+        return hw_u, sw_u
+
+    def actuate_hw(self, board: Board, hw_u):
+        """Apply the hw layer's knobs (before the sw layer steps)."""
+        tel = self.telemetry
         n_big, n_little, f_big, f_little = hw_u
-        with span("actuate.hw"):
+        with (tel.span if tel is not None else _null_span)("actuate.hw"):
             board.set_active_cores(BIG, n_big)
             board.set_active_cores(LITTLE, n_little)
             board.set_cluster_frequency(BIG, f_big)
             board.set_cluster_frequency(LITTLE, f_little)
         self._last_hw_actuation = hw_u
 
-        sw_u = None
-        if self.sw_controller is not None:
-            with span("sw.step"):
-                if hasattr(self.sw_controller, "observe_thread_count"):
-                    self.sw_controller.observe_thread_count(
-                        board.runnable_thread_count()
-                    )
-                sw_u = self.sw_controller.step(outputs_sw, ext_for_sw)
+    def observe_threads(self, board: Board):
+        """Hand a thread-counting sw layer the post-hw-actuation count."""
+        if hasattr(self.sw_controller, "observe_thread_count"):
+            self.sw_controller.observe_thread_count(board.runnable_thread_count())
+
+    def finish(self, board: Board, period: SensedPeriod, hw_u, sw_u):
+        """Phase 3: actuate the sw layer, record, publish, check."""
+        tel = self.telemetry
+        if sw_u is not None:
             n_threads_big, tpc_big, tpc_little = sw_u
-            with span("actuate.sw"):
+            with (tel.span if tel is not None else _null_span)("actuate.sw"):
                 board.set_placement_knobs(n_threads_big, tpc_big, tpc_little)
             self._last_sw_actuation = sw_u
 
+        signals, exd = period.signals, period.exd
         self.records.append(
             ControlStepRecord(
                 time=board.time,
-                outputs_hw=outputs_hw,
-                outputs_sw=outputs_sw,
+                outputs_hw=period.outputs_hw,
+                outputs_sw=period.outputs_sw,
                 targets_hw=np.asarray(getattr(self.hw_controller, "targets", [])),
                 targets_sw=np.asarray(
                     getattr(self.sw_controller, "targets", [])
@@ -220,12 +264,12 @@ class MultilayerCoordinator:
                 with tel.span("telemetry"):
                     self._publish_telemetry(
                         tel, board, signals, hw_u, sw_u, exd,
-                        override_active, t_start,
+                        period.override_active, period.t_start,
                     )
             else:
                 self._publish_telemetry(
-                    tel, board, signals, hw_u, sw_u, exd, override_active,
-                    t_start,
+                    tel, board, signals, hw_u, sw_u, exd,
+                    period.override_active, period.t_start,
                 )
         if self.monitor is not None:
             self.monitor.check_period(board, coordinator=self,

@@ -20,6 +20,15 @@ actuates its own board, in the same per-period order the serial runner
 uses.  ``tests/test_board_bank.py`` and the ``bank-matrix-vs-serial``
 oracle assert the composition.
 
+The controllers are banked too.  Each period runs the coordinator's
+phases (:meth:`~repro.core.MultilayerCoordinator.sense`, the layer
+steps, :meth:`~repro.core.MultilayerCoordinator.finish`) for every live
+board, and each layer steps once per *design group*: lanes whose SSV
+controllers share a design (:meth:`~repro.core.RuntimeController.
+fresh_copy`) step in one :func:`~repro.core.controller.step_stacked`
+pass when there are ``STACK_MIN_LANES`` or more of them, bit-identical
+to stepping each alone; heuristic and LQG controllers step per lane.
+
 The monolithic-LQG scheme drives a different loop (single fused
 controller, no coordinator) and is not banked; callers route it through
 :func:`run_workload` instead.
@@ -35,12 +44,28 @@ from __future__ import annotations
 
 from ..board import Board, BoardBank
 from ..core import MultilayerCoordinator
-from ..telemetry import active_session
+from ..core.controller import STACK_MIN_LANES, RuntimeController, step_stacked
+from ..telemetry import NULL_SPAN, active_session
 from .metrics import RunMetrics
 from .runner import instantiate_workload
 from .schemes import MONOLITHIC_LQG, build_session
 
 __all__ = ["bankable_scheme", "run_cells_banked"]
+
+
+def _design_groups(lanes, controllers):
+    """``(lane, controller)`` groups that can step as one stacked pass.
+
+    SSV controllers minted from one design share its state machine
+    (:meth:`~repro.core.RuntimeController.fresh_copy`) and group by it;
+    every other controller is a group of its own.
+    """
+    groups = {}
+    for i, ctrl in zip(lanes, controllers):
+        key = (id(ctrl.state_machine) if isinstance(ctrl, RuntimeController)
+               else ("lane", i))
+        groups.setdefault(key, []).append((i, ctrl))
+    return list(groups.values())
 
 
 def bankable_scheme(scheme_name):
@@ -88,41 +113,85 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
         ))
     bank = BoardBank(boards, telemetry=tel)
     period_steps = context.spec.period_steps()
+    failed = {}
+
+    def attempt(i, phase, *args):
+        """Run one lane's phase; in collect mode a raise fails the lane."""
+        try:
+            return phase(*args)
+        except Exception as exc:
+            if on_error != "collect":
+                raise
+            from ..runtime import CellFailure
+
+            scheme, workload, seed = cells[i]
+            name = workload if isinstance(workload, str) else "+".join(
+                a.name for a in boards[i].applications
+            )
+            failed[i] = CellFailure(
+                index=i, label=f"{scheme}:{name}:s{seed}",
+                reason="exception", attempts=1,
+                error=f"{type(exc).__name__}: {exc}",
+                elapsed=boards[i].time)
+            return None
+
+    def ok(lanes):
+        return [i for i in lanes if i not in failed]
+
+    def step_layer(layer, lanes, periods):
+        """Step one layer of every lane, same-design SSV lanes stacked."""
+        out = {}
+        ctrls = [getattr(coordinators[i], f"{layer}_controller")
+                 for i in lanes]
+        for group in _design_groups(lanes, ctrls):
+            idx = [i for i, _ctrl in group]
+            args = [(ctrl, getattr(periods[i], f"outputs_{layer}"),
+                     getattr(periods[i], f"ext_for_{layer}"))
+                    for i, ctrl in group]
+            results = None
+            with (tel.span(f"{layer}.step", lanes=len(group))
+                  if tel is not None else NULL_SPAN):
+                if len(group) >= STACK_MIN_LANES:
+                    try:
+                        results = step_stacked(*zip(*args))
+                    except Exception:
+                        # No lane was written: step them one by one so
+                        # that only the bad lane fails.
+                        if on_error != "collect":
+                            raise
+                if results is None:
+                    results = [attempt(i, ctrl.step, y, e)
+                               for i, (ctrl, y, e) in zip(idx, args)]
+            out.update(zip(idx, results))
+        return out
+
     # Mirror run_workload's loop per board: the while-condition check,
-    # run_period, the post-period done check, then control_step — the bank
-    # just advances every live board's period at once.
+    # run_period, the post-period done check, then control_step's three
+    # phases.  The bank advances every live board's period at once, and
+    # each layer steps once per design group instead of once per lane;
+    # every lane still sees its own phases in control_step's order.
     active = [i for i, b in enumerate(boards)
               if not b.done and b.time < max_time]
-    failed = {}
     while active:
         if tel is not None:
             tel.begin_period(boards[active[0]].time)
         bank.run_period_bank(period_steps, only=active)
-        survivors = []
-        for i in active:
-            board = boards[i]
-            if board.done:
-                continue
-            try:
-                coordinators[i].control_step(board, period_steps)
-            except Exception as exc:
-                if on_error != "collect":
-                    raise
-                from ..runtime import CellFailure
-
-                scheme, workload, seed = cells[i]
-                name = workload if isinstance(workload, str) else "+".join(
-                    a.name for a in board.applications
-                )
-                failed[i] = CellFailure(
-                    index=i, label=f"{scheme}:{name}:s{seed}",
-                    reason="exception", attempts=1,
-                    error=f"{type(exc).__name__}: {exc}",
-                    elapsed=board.time)
-                continue
-            if not board.done and board.time < max_time:
-                survivors.append(i)
-        active = survivors
+        live = [i for i in active if not boards[i].done]
+        periods = {i: attempt(i, coordinators[i].sense, boards[i],
+                              period_steps) for i in live}
+        hw_u = step_layer("hw", ok(live), periods)
+        for i in ok(live):
+            attempt(i, coordinators[i].actuate_hw, boards[i], hw_u[i])
+        for i in ok(live):
+            attempt(i, coordinators[i].observe_threads, boards[i])
+        sw_u = step_layer("sw", [i for i in ok(live) if
+                                 coordinators[i].sw_controller is not None],
+                          periods)
+        for i in ok(live):
+            attempt(i, coordinators[i].finish, boards[i], periods[i],
+                    hw_u[i], sw_u.get(i))
+        active = [i for i in ok(live)
+                  if not boards[i].done and boards[i].time < max_time]
     metrics = []
     for i, ((scheme, workload, seed), board, coordinator) in enumerate(zip(
         cells, boards, coordinators

@@ -328,23 +328,17 @@ def build_session(scheme_name, context: DesignContext) -> SchemeSession:
             sw_controller=DecoupledHeuristicOS(spec),
         )
     if scheme_name == YUKTA_HW_SSV_OS_HEUR:
-        hw = copy.deepcopy(context.get_hw_design().controller)
-        hw.reset()
         return SchemeSession(
             scheme_name,
-            hw_controller=hw,
+            hw_controller=context.get_hw_design().controller.fresh_copy(),
             sw_controller=CoordinatedHeuristicOS(spec),
             hw_optimizer=context.hw_optimizer(),
         )
     if scheme_name == YUKTA_HW_SSV_OS_SSV:
-        hw = copy.deepcopy(context.get_hw_design().controller)
-        sw = copy.deepcopy(context.get_sw_design().controller)
-        hw.reset()
-        sw.reset()
         return SchemeSession(
             scheme_name,
-            hw_controller=hw,
-            sw_controller=sw,
+            hw_controller=context.get_hw_design().controller.fresh_copy(),
+            sw_controller=context.get_sw_design().controller.fresh_copy(),
             hw_optimizer=context.hw_optimizer(),
             sw_optimizer=context.sw_optimizer(),
         )

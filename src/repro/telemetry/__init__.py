@@ -11,7 +11,12 @@ harness).  Three cooperating pieces, owned by one
 * :mod:`~repro.telemetry.tracing` — span-based tracing of each control
   period (``sample → optimize → hw.step → actuate.hw → sw.step →
   actuate.sw``, plus the per-period ``sim`` span), emitted as JSONL and
-  Chrome ``trace_event`` JSON (Perfetto-loadable);
+  Chrome ``trace_event`` JSON (Perfetto-loadable).  A banked run
+  (:func:`~repro.experiments.bank_runner.run_cells_banked`) emits one
+  ``hw.step``/``sw.step`` span per design group per bank period, with a
+  ``lanes`` attribute (same-design SSV lanes step as one group, every
+  other controller as a group of one); the other phase spans and the
+  per-lane ``record_period`` snapshots are unchanged;
 * :mod:`~repro.telemetry.flight` — a bounded ring buffer of per-period
   state snapshots, dumped automatically on supervisor transitions and
   fault-injection events.

@@ -441,12 +441,18 @@ def oracle_bank_schedule(spec=None, workloads=("blackscholes", "mcf",
 
 
 def oracle_bank_matrix(context, schemes=None, workloads=None, seed=7,
-                       max_time=10.0, batch=8):
-    """Run the same matrix serially and banked (``--batch``); must be 0 ULP."""
+                       max_time=10.0, batch=12):
+    """Run the same matrix serially and banked (``--batch``); must be 0 ULP.
+
+    The defaults put every layered scheme on three programs into one
+    bank, so three or more lanes share each SSV design and step as one
+    stacked group (``core.controller.step_stacked``).
+    """
     from ..experiments.runner import run_scheme_matrix
 
-    schemes = list(schemes or ["coordinated-heuristic", "decoupled-heuristic"])
-    workloads = list(workloads or ["blackscholes"])
+    schemes = list(schemes or ["coordinated-heuristic", "decoupled-heuristic",
+                               "yukta-hwssv-osheur", "yukta-hwssv-osssv"])
+    workloads = list(workloads or ["blackscholes", "mcf", "gamess"])
     serial = run_scheme_matrix(schemes, workloads, context, seed=seed,
                                max_time=max_time, record=True, jobs=None)
     banked = run_scheme_matrix(schemes, workloads, context, seed=seed,

@@ -719,7 +719,8 @@ class TestBankIntegration:
     def test_batched_matrix_matches_serial(self, design_context):
         from repro.experiments import run_scheme_matrix
 
-        schemes = ["coordinated-heuristic", "decoupled-heuristic"]
+        schemes = ["coordinated-heuristic", "decoupled-heuristic",
+                   "yukta-hwssv-osheur", "yukta-hwssv-osssv"]
         workloads = ["blackscholes", "mcf"]
         serial = run_scheme_matrix(schemes, workloads, design_context,
                                    seed=7, max_time=10.0, record=True)
@@ -739,6 +740,48 @@ class TestBankIntegration:
                 for signal in a.trace:
                     assert np.array_equal(a.trace[signal],
                                           b.trace[signal]), (w, s, signal)
+
+    def test_collect_mode_fails_only_the_raising_lane(self, design_context,
+                                                      monkeypatch):
+        """One lane's actuation raises mid-run under ``on_error="collect"``:
+        that lane alone becomes a CellFailure, and its siblings -- stacked
+        SSV lanes whose groups shrink around it -- stay bit-identical to
+        their solo runs."""
+        from repro.experiments import run_workload
+        from repro.experiments.bank_runner import run_cells_banked
+        from repro.runtime import CellFailure
+
+        cells = [("yukta-hwssv-osssv", w, 5)
+                 for w in ("blackscholes", "gamess", "x264")]
+        cells += [("yukta-hwssv-osheur", "mcf", 5),
+                  ("coordinated-heuristic", "bodytrack", 5)]
+        victim = 1  # gamess: leaves a 3-lane hw and a 2-lane sw group
+        solo = {i: run_workload(*cell[:2], design_context, seed=5,
+                                max_time=12.0, record=True)
+                for i, cell in enumerate(cells) if i != victim}
+
+        actuate = Board.set_active_cores
+
+        def flaky(board, cluster, n):
+            if board.applications[0].name == "gamess" and board.time >= 4.0:
+                raise RuntimeError("injected actuation fault")
+            return actuate(board, cluster, n)
+
+        monkeypatch.setattr(Board, "set_active_cores", flaky)
+        banked = run_cells_banked(cells, design_context, max_time=12.0,
+                                  record=True, on_error="collect")
+        failure = banked[victim]
+        assert isinstance(failure, CellFailure)
+        assert "injected actuation fault" in failure.error
+        assert 4.0 <= failure.elapsed < 12.0
+        for i, ref in solo.items():
+            got = banked[i]
+            assert got.execution_time == ref.execution_time, cells[i]
+            assert got.energy == ref.energy, cells[i]
+            assert got.completed == ref.completed, cells[i]
+            for signal in ref.trace:
+                assert np.array_equal(ref.trace[signal], got.trace[signal]), (
+                    cells[i], signal)
 
     def test_monolithic_cells_are_rejected_by_bank_runner(self):
         from repro.experiments import bankable_scheme, run_cells_banked

@@ -305,3 +305,138 @@ class TestWorkloadProperties:
             app.execute(runnable[0], per_chunk, now=guard)
         assert app.completed_instructions == pytest.approx(budget, rel=1e-9)
         assert app.done
+
+
+# ---------------------------------------------------------------------------
+# Controller bank: the stacked pass against per-lane RuntimeController.step
+# ---------------------------------------------------------------------------
+def _bits(value):
+    """Bit patterns of a float array, every NaN as one pattern.
+
+    That is ``ulp_distance``'s 0 ULP made stricter on zeros: signed zeros
+    must match too.  NaN payloads are left out because NumPy's one-element
+    and vector loops may propagate a different NaN operand of the same sum.
+    """
+    arr = np.asarray(value, dtype=float)
+    return np.where(np.isnan(arr), np.nan, arr).view(np.uint64).tolist()
+
+
+def _lane_state(ctrl):
+    """Everything a step leaves behind in one controller, bit for bit."""
+    prev = [None if v is None else _bits(v)
+            for v in (ctrl._prev_u_norm, ctrl._prev_y_norm)]
+    return (_bits(ctrl.state), _bits(ctrl._snap_residual), prev,
+            _bits(ctrl._innovation_ema), ctrl._innovation_streak,
+            ctrl._violation_streak, ctrl.guardband_exhausted)
+
+
+def _toy_design():
+    """u = [err, ext]: commands that land exactly where the test puts them.
+
+    The first knob dithers over quarter steps, so an error of k/8 sits
+    exactly halfway between two levels; the second snaps plainly onto
+    the explicit levels -1, -0.25 and 0.5, with a midpoint at 0.125.
+    """
+    from repro.core import RuntimeController
+
+    sm = StateSpace(np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((2, 1)),
+                    np.eye(2), dt=0.5)
+    return RuntimeController(
+        name="toy", state_machine=sm,
+        input_ranges=[QuantizedRange(-0.5, 0.5, step=0.25),
+                      QuantizedRange(-1.0, 1.0, levels=[-1.0, -0.25, 0.5])],
+        input_offsets=np.zeros(2), input_scales=np.ones(2),
+        output_offsets=np.zeros(1), output_scales=np.ones(1),
+        external_offsets=np.zeros(1), external_scales=np.ones(1),
+        bound_fractions=np.array([0.1]), targets=np.zeros(1),
+        dither_mask=np.array([True, False]),
+    )
+
+
+# Measurements (in units of an output's scale around its offset): inside
+# the operating range, far beyond saturation, exact level midpoints of the
+# toy design, and non-finite sensor readings.
+_READINGS = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+    st.sampled_from([-40.0, 40.0, 0.125, -0.125, 0.375, 0.0, -0.0]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+
+
+class TestControllerBankProperties:
+    @given(
+        design=st.sampled_from(["hw", "sw", "toy"]),
+        lanes=st.integers(min_value=1, max_value=16),
+        periods=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        state_scale=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        readings=st.lists(_READINGS, min_size=8, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_pass_matches_step_bit_for_bit(
+            self, design_context, design, lanes, periods, seed,
+            state_scale, readings):
+        """0 ULP per lane: snapped outputs, state, residuals, monitors."""
+        from repro.core.controller import step_stacked
+
+        template = {
+            "hw": lambda: design_context.get_hw_design().controller,
+            "sw": lambda: design_context.get_sw_design().controller,
+            "toy": _toy_design,
+        }[design]()
+        rng = np.random.default_rng(seed)
+        ref = [template.fresh_copy() for _ in range(lanes)]
+        stk = [template.fresh_copy() for _ in range(lanes)]
+        gaps = np.array([g or 0.0 for g in template.constants.half_gaps])
+        n_x = template.state_machine.n_states
+        for a, b in zip(ref, stk):
+            # Diverging targets, residuals and states; state_scale 2
+            # starts lanes up to twice past the state-norm cap.
+            targets = template.targets * rng.uniform(0.5, 1.5,
+                                                     template.n_outputs)
+            # Half the lanes start with no residual, so their first toy
+            # command is exactly the reading (a level midpoint, say).
+            residual = gaps * rng.uniform(-1.0, 1.0, gaps.size) * rng.integers(2)
+            direction = rng.normal(size=n_x)
+            state = (direction / max(np.linalg.norm(direction), 1e-12)
+                     * template._state_norm_cap * state_scale
+                     * rng.uniform(0.5, 1.0))
+            for ctrl in (a, b):
+                ctrl.set_targets(targets)
+                ctrl._snap_residual = residual.copy()
+                ctrl.state = state.copy()
+        n_e = template.external_offsets.size
+        for _ in range(periods):
+            ys, es = [], []
+            for _lane in range(lanes):
+                z = rng.normal(0.0, 0.5, template.n_outputs + n_e)
+                # Each reading lands on a random channel of this lane.
+                for reading in readings[:int(rng.integers(0, 3))]:
+                    z[rng.integers(z.size)] = reading
+                if design == "toy":
+                    z[0] = readings[int(rng.integers(len(readings)))]
+                y = template.output_offsets + template.output_scales * z[:template.n_outputs]
+                e = template.external_offsets + template.external_scales * z[template.n_outputs:]
+                ys.append(y)
+                es.append(list(e))
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = [c.step(y, e) for c, y, e in zip(ref, ys, es)]
+                got = step_stacked(stk, ys, es)
+            assert _bits(got) == _bits(expected)
+            assert [type(v) for row in got for v in row] == [
+                type(v) for row in expected for v in row]
+            for k, (a, b) in enumerate(zip(ref, stk)):
+                assert _lane_state(b) == _lane_state(a), k
+
+    def test_nan_command_snaps_to_lowest_level(self):
+        """searchsorted sorts NaN last; the kernel must follow bisect."""
+        from repro.core.controller import step_stacked
+
+        lanes = [_toy_design().fresh_copy() for _ in range(3)]
+        ref = [_toy_design().fresh_copy() for _ in range(3)]
+        ys = [np.array([np.nan])] * 3
+        es = [[np.nan]] * 3
+        with np.errstate(invalid="ignore"):
+            got = step_stacked(lanes, ys, es)
+            assert got == [c.step(y, e) for c, y, e in zip(ref, ys, es)]
+        assert got == [[-0.5, -1.0]] * 3

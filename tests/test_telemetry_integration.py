@@ -88,6 +88,26 @@ class TestInstrumentedRun:
         session.close()
 
 
+    def test_banked_run_spans_one_step_per_design_group(self, design_context):
+        """Same-design SSV lanes share one hw.step/sw.step span per bank
+        period; a heuristic lane is a group of one; the other phases and
+        the per-lane period records stay per board."""
+        from repro.experiments.bank_runner import run_cells_banked
+
+        session = TelemetrySession()
+        cells = [("yukta-hwssv-osssv", w, 3)
+                 for w in ("gamess", "mcf", "x264")]
+        cells.append(("coordinated-heuristic", "gamess", 3))
+        run_cells_banked(cells, design_context, max_time=3.0,
+                         telemetry=session)
+        spans = list(session.tracer.spans)
+        periods = session.period
+        for layer in ("hw.step", "sw.step"):
+            lanes = sorted(r["lanes"] for r in spans if r["name"] == layer)
+            assert lanes == [1] * periods + [3] * periods, layer
+        assert sum(r["name"] == "sample" for r in spans) == 4 * periods
+        assert session.registry.value("control_periods_total") == 4 * periods
+
 # ----------------------------------------------------------------------
 # Board actuation-health counters (public accessor + metrics surface)
 # ----------------------------------------------------------------------
