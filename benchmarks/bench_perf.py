@@ -26,6 +26,9 @@ records them in ``BENCH_perf.json``:
 6. **Controller bank** — µs per lane-step of the hardware SSV design,
    per-lane ``RuntimeController.step`` vs one ``step_stacked`` pass over
    L = 1, 7 and 14 lanes, bit-identical.  Recorded, no floor.
+7. **SSV synthesis** — cold ``get_hw_design``/``get_sw_design`` seconds
+   and ms per ``linf_norm_grid``/``mu_bounds_over_frequency`` call, the
+   frequency sweeps inside the D-K iterations.  Recorded, no floor.
 
 Runs standalone (the CI perf-smoke job) as well as manually:
 
@@ -349,6 +352,61 @@ def bench_cache(samples, seed, cache_dir):
     }, warm
 
 
+def bench_synthesis(context, reps=3):
+    """Cold SSV designs from a built characterization, sweeps timed apart.
+
+    Each rep designs both layers in a fresh cache-less context sharing
+    ``context``'s characterization, with timing wrappers around the two
+    frequency sweeps the D-K iterations spend their time in.  Every
+    figure is the best of ``reps``.
+    """
+    from unittest import mock
+
+    import repro.lti.norms as norms
+    import repro.robust.dk as dk
+    from repro.experiments import DesignContext
+
+    def timed(fn, acc):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                acc[0] += 1
+                acc[1] += time.perf_counter() - t0
+        return wrapper
+
+    best = {}
+    for _ in range(reps):
+        linf, mu = [0, 0.0], [0, 0.0]
+        fresh = DesignContext(spec=context.spec,
+                              characterization=context.characterization)
+        with mock.patch.object(norms, "linf_norm_grid",
+                               timed(norms.linf_norm_grid, linf)), \
+                mock.patch.object(dk, "mu_bounds_over_frequency",
+                                  timed(dk.mu_bounds_over_frequency, mu)):
+            t0 = time.perf_counter()
+            fresh.get_hw_design()
+            hw_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            fresh.get_sw_design()
+            sw_s = time.perf_counter() - t0
+        rep = {
+            "hw_design_sec": hw_s,
+            "sw_design_sec": sw_s,
+            "linf_norm_grid_ms_per_call": 1e3 * linf[1] / max(linf[0], 1),
+            "mu_sweep_ms_per_call": 1e3 * mu[1] / max(mu[0], 1),
+        }
+        best = {k: min(v, best.get(k, v)) for k, v in rep.items()}
+    return {
+        **best,
+        "linf_norm_grid_calls": linf[0],
+        "mu_sweep_calls": mu[0],
+        "reps": reps,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 CONTROLLER_LANES = (1, 7, 14)
 
 
@@ -525,6 +583,14 @@ def main(argv=None):
               f"{results['cache']['warm_context_sec']:.3f}s -> "
               f"{results['cache']['speedup']:.0f}x "
               f"({results['cache']['warm_hits']} cache hits)")
+
+        print("== SSV synthesis: cold designs and their frequency sweeps ==")
+        results["synthesis"] = bench_synthesis(warm_ctx)
+        syn = results["synthesis"]
+        print(f"  hw {syn['hw_design_sec']:.2f}s, sw {syn['sw_design_sec']:.2f}s;"
+              f" linf_norm_grid {syn['linf_norm_grid_ms_per_call']:.1f} ms x"
+              f" {syn['linf_norm_grid_calls']}, mu sweep "
+              f"{syn['mu_sweep_ms_per_call']:.1f} ms x {syn['mu_sweep_calls']}")
 
         print("== controller bank: per-lane step vs stacked pass (hw SSV) ==")
         results["controller_bank"] = bench_controller_bank(warm_ctx)

@@ -25,7 +25,7 @@ from .lyapunov import (
 from .norms import frequency_grid, h2_norm, hinf_norm, linf_norm_grid, singular_value_plot
 from .reduction import balanced_truncation, hankel_singular_values, stable_unstable_split
 from .response import StepInfo, impulse_response, step_info, step_response
-from .statespace import StateSpace, append, feedback, parallel, series, ss, static_gain
+from .statespace import StateSpace, append, feedback, grid_chunks, parallel, series, ss, static_gain
 from .transferfunction import TransferFunction, first_order_lag, tf, tf_to_ss
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "parallel",
     "feedback",
     "append",
+    "grid_chunks",
     "TransferFunction",
     "tf",
     "tf_to_ss",

@@ -27,6 +27,7 @@ __all__ = [
     "feedback",
     "append",
     "static_gain",
+    "grid_chunks",
 ]
 
 
@@ -135,6 +136,28 @@ class StateSpace:
         if self.is_discrete:
             return self.frequency_response(np.exp(1j * omega * self.dt))
         return self.frequency_response(1j * omega)
+
+    def at_frequencies(self, omegas):
+        """Transfer matrices at a stack of angular frequencies, ``(k, p, m)``.
+
+        One stacked ``solve`` runs the same per-matrix LAPACK routine as
+        :meth:`frequency_response`, so slice ``i`` equals
+        ``at_frequency(omegas[i])`` bit for bit.  Callers sweeping a long
+        grid take it :func:`grid_chunks` at a time.
+        """
+        omegas = np.asarray(omegas, dtype=float)
+        points = np.exp(1j * omegas * self.dt) if self.is_discrete else 1j * omegas
+        n = self.n_states
+        if n == 0:
+            return np.repeat(self.D.astype(complex)[None], points.size, axis=0)
+        # ``s * np.eye(n) - A`` for every point, the same products and
+        # differences, with the subtraction done in place.
+        pencils = np.multiply.outer(points, np.eye(n, dtype=complex))
+        pencils -= self.A
+        resolvents = np.linalg.solve(
+            pencils, np.broadcast_to(self.B, (points.size,) + self.B.shape)
+        )
+        return self.C @ resolvents + self.D
 
     def dc_gain(self):
         """Steady-state gain matrix (z=1 for discrete, s=0 for continuous)."""
@@ -312,6 +335,19 @@ def _coerce_system(value, like):
     if gain.shape == (1, 1):
         gain = gain[0, 0] * np.eye(like.n_outputs)
     return static_gain(gain, dt=like.dt)
+
+
+# Frequencies per stacked evaluation.  Evaluating a whole 601-point grid
+# of the SSV closed loops at once raised a cold design build's peak RSS
+# from 76 to 92 MB; 32 at a time keeps it where the point-by-point loop
+# had it (docs/PERFORMANCE.md).
+_GRID_CHUNK = 32
+
+
+def grid_chunks(count):
+    """Slices covering ``range(count)`` in order, a bounded stack at a time."""
+    return [slice(lo, min(lo + _GRID_CHUNK, count))
+            for lo in range(0, count, _GRID_CHUNK)]
 
 
 def ss(A, B, C, D=None, dt=None):

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..robust import BlockStructure, UncertaintyBlock, mu_upper_bound
+from ..robust import BlockStructure, UncertaintyBlock, mu_upper_bounds
 from .spec import RackSpec
 
 __all__ = [
@@ -219,12 +219,16 @@ def select_integral_gain(n_boards, guardband=0.4,
     history = []
     chosen = None
     for gain in sorted(gain_grid, reverse=True):
+        Ms = np.stack([
+            guardband * _closed_loop_channel(
+                n, gain, weights, complex(math.cos(omega), math.sin(omega)))
+            for omega in omegas
+        ])
+        bounds, _ = mu_upper_bounds(Ms, structure)
+        # The recorded peak is the running max up to the first crossing.
         peak = 0.0
-        for omega in omegas:
-            z = complex(math.cos(omega), math.sin(omega))
-            M = guardband * _closed_loop_channel(n, gain, weights, z)
-            bound, _ = mu_upper_bound(M, structure)
-            peak = max(peak, bound)
+        for bound in bounds:
+            peak = max(peak, float(bound))
             if peak > 1.0:
                 break
         history.append((gain, peak))

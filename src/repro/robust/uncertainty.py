@@ -92,20 +92,19 @@ class BlockStructure:
         return delta
 
     def scaling_matrices(self, log_scales):
-        """Build (D_left, D_right) from one log-scale per block.
+        """Build (D_left, D_right^-1) from one log-scale per block.
 
         For full blocks the scaling is ``d * I`` on both sides; the last
-        block's scale is pinned to 1 (only ratios matter).
+        block's scale is pinned to 1 (only ratios matter).  ``log_scales``
+        of shape ``(..., n_blocks)`` gives matrices stacked the same way.
         """
         scales = np.exp(np.asarray(log_scales, dtype=float))
-        if scales.size != len(self.blocks):
+        if scales.shape[-1:] != (len(self.blocks),):
             raise ValueError("need one scale per block")
-        d_left = np.zeros(self.total_rows)
-        d_right = np.zeros(self.total_cols)
-        for (block, row_sl, col_sl), scale in zip(self.block_slices(), scales):
-            d_left[row_sl] = scale
-            d_right[col_sl] = scale
-        return np.diag(d_left), np.diag(1.0 / d_right)
+        index = np.arange(len(self.blocks))
+        d_left = scales[..., np.repeat(index, [b.rows for b in self.blocks])]
+        d_right = scales[..., np.repeat(index, [b.cols for b in self.blocks])]
+        return _diag(d_left), _diag(1.0 / d_right)
 
     def __len__(self):
         return len(self.blocks)
@@ -116,6 +115,14 @@ class BlockStructure:
             for b in self.blocks
         )
         return f"BlockStructure({parts})"
+
+
+def _diag(values):
+    """Diagonal matrices from the last axis of ``values`` (like ``np.diag``)."""
+    n = values.shape[-1]
+    out = np.zeros(values.shape + (n,))
+    out.reshape(values.shape[:-1] + (n * n,))[..., :: n + 1] = values
+    return out
 
 
 def guardband_weight(fraction):

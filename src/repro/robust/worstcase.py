@@ -139,22 +139,25 @@ def worst_case_gain(channel: StateSpace, structure: BlockStructure, n_d, n_f,
     ``channel`` maps [d; w] -> [f; z]; the performance gain is measured on
     the LFT-closed w -> z map.
     """
-    from ..lti import frequency_grid
+    from ..lti import frequency_grid, grid_chunks
 
     omegas = frequency_grid(channel, points)
     nominal_peak = 0.0
     worst = (0.0, omegas[0], np.zeros((n_d, n_f), dtype=complex))
-    for i, omega in enumerate(omegas):
-        M = channel.at_frequency(omega)
-        nominal = np.linalg.svd(M[n_f:, n_d:], compute_uv=False)
-        nominal_peak = max(nominal_peak, float(nominal[0]) if nominal.size else 0.0)
-        delta, gain = worst_case_delta(
-            M, structure, n_d, n_f, radius=radius, samples=samples,
-            polish_iterations=15, seed=seed + i,
-        )
-        if np.isfinite(gain) and gain > worst[0]:
-            worst = (gain, float(omega), delta)
-    return WorstCaseResult(nominal_peak, worst[0], worst[1], worst[2])
+    for chunk in grid_chunks(len(omegas)):
+        Ms = channel.at_frequencies(omegas[chunk])
+        nominal = np.linalg.svd(Ms[:, n_f:, n_d:], compute_uv=False)
+        if nominal.shape[1]:
+            # fmax skips a NaN gain, as a running max() does.
+            nominal_peak = np.fmax.reduce(nominal[:, 0], initial=nominal_peak)
+        for i, M in enumerate(Ms, start=chunk.start):
+            delta, gain = worst_case_delta(
+                M, structure, n_d, n_f, radius=radius, samples=samples,
+                polish_iterations=15, seed=seed + i,
+            )
+            if np.isfinite(gain) and gain > worst[0]:
+                worst = (gain, float(omegas[i]), delta)
+    return WorstCaseResult(float(nominal_peak), worst[0], worst[1], worst[2])
 
 
 def destabilizing_radius(channel: StateSpace, structure: BlockStructure,

@@ -8,8 +8,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.board import BIG, LITTLE, Board
 from repro.board.specs import default_xu3_spec
-from repro.lti import StateSpace, feedback, hinf_norm, linf_norm_grid, static_gain
-from repro.robust import BlockStructure, UncertaintyBlock, mu_lower_bound, mu_upper_bound
+from repro.lti import (
+    StateSpace,
+    feedback,
+    frequency_grid,
+    hinf_norm,
+    linf_norm_grid,
+    singular_value_plot,
+    static_gain,
+)
+from repro.robust import (
+    BlockStructure,
+    MuAnalysis,
+    UncertaintyBlock,
+    mu_bounds_over_frequency,
+    mu_lower_bound,
+    mu_upper_bound,
+)
 from repro.signals import QuantizedRange
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0,
@@ -258,6 +273,303 @@ class TestMuProperties:
         base, _ = mu_upper_bound(M, structure)
         scaled, _ = mu_upper_bound(scale * M, structure)
         assert scaled == pytest.approx(scale * base, rel=5e-2)
+
+
+# Point-by-point reference implementations of the frequency-grid sweeps.
+# The stacked versions in repro.lti and repro.robust must reproduce them bit
+# for bit: same per-matrix LAPACK calls, same running max() over NaN, same
+# random draws per frequency.
+def _ref_linf_norm_grid(system, points=600):
+    omegas = list(frequency_grid(system, points))
+    if system.is_discrete:
+        omegas.append(0.0)  # include DC explicitly
+    peak = 0.0
+    for omega in omegas:
+        response = system.at_frequency(omega)
+        gain = np.linalg.svd(response, compute_uv=False)[0]
+        peak = max(peak, float(gain))
+    return peak
+
+
+def _ref_scaled_norm(M, structure, log_scales):
+    scales = np.exp(np.asarray(log_scales, dtype=float))
+    d_left = np.zeros(structure.total_rows)
+    d_right = np.zeros(structure.total_cols)
+    for (block, row_sl, col_sl), scale in zip(structure.block_slices(), scales):
+        d_left[row_sl] = scale
+        d_right[col_sl] = scale
+    scaled = np.diag(d_left) @ M @ np.diag(1.0 / d_right)
+    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+
+
+def _ref_mu_upper_bound(M, structure, iterations=60):
+    M = np.asarray(M, dtype=complex)
+    if M.shape != (structure.total_rows, structure.total_cols):
+        raise ValueError("shape mismatch")
+    n_blocks = len(structure)
+    log_scales = np.zeros(n_blocks)
+    if n_blocks == 1:
+        return float(np.linalg.svd(M, compute_uv=False)[0]), log_scales
+    for _ in range(10):
+        for i, (block, row_sl, col_sl) in enumerate(structure.block_slices()):
+            row_norm = np.linalg.norm(M[row_sl, :]) * np.exp(log_scales[i])
+            col_norm = np.linalg.norm(M[:, col_sl]) * np.exp(-log_scales[i])
+            if row_norm > 1e-14 and col_norm > 1e-14:
+                log_scales[i] += 0.5 * (np.log(col_norm) - np.log(row_norm))
+    log_scales -= log_scales[-1]
+    best = _ref_scaled_norm(M, structure, log_scales)
+    step = 0.5
+    for _ in range(iterations):
+        improved = False
+        for i in range(n_blocks - 1):
+            for direction in (+1.0, -1.0):
+                trial = log_scales.copy()
+                trial[i] += direction * step
+                value = _ref_scaled_norm(M, structure, trial)
+                if value < best - 1e-12:
+                    best = value
+                    log_scales = trial
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-4:
+                break
+    return float(best), log_scales
+
+
+def _ref_mu_lower_bound(M, structure, samples=60, seed=0):
+    M = np.asarray(M, dtype=complex)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(samples):
+        U = np.zeros((structure.total_cols, structure.total_rows), dtype=complex)
+        r = c = 0
+        for block in structure.blocks:
+            if block.kind == "repeated":
+                phase = np.exp(2j * np.pi * rng.uniform())
+                U[c : c + block.cols, r : r + block.rows] = phase * np.eye(block.rows)
+            else:
+                raw = rng.normal(size=(block.cols, block.rows)) + 1j * rng.normal(
+                    size=(block.cols, block.rows)
+                )
+                q, _ = np.linalg.qr(raw)
+                U[c : c + block.cols, r : r + block.rows] = q[: block.cols, : block.rows]
+            r += block.rows
+            c += block.cols
+        radius = float(np.max(np.abs(np.linalg.eigvals(M @ U))))
+        best = max(best, radius)
+    return best
+
+
+def _ref_mu_bounds_over_frequency(channel, structure, omegas=None, points=60,
+                                  lower_samples=20):
+    if omegas is None:
+        omegas = frequency_grid(channel, points)
+        omegas = np.concatenate([[omegas[0] * 0.1], omegas])
+    uppers = np.zeros(len(omegas))
+    lowers = np.zeros(len(omegas))
+    all_scales = np.zeros((len(omegas), len(structure)))
+    best_scales = None
+    peak = -np.inf
+    peak_omega = omegas[0]
+    for i, omega in enumerate(omegas):
+        M = channel.at_frequency(omega)
+        upper, scales = _ref_mu_upper_bound(M, structure)
+        uppers[i] = upper
+        all_scales[i] = scales
+        lowers[i] = _ref_mu_lower_bound(M, structure, samples=lower_samples, seed=i)
+        if upper > peak:
+            peak = upper
+            peak_omega = omega
+            best_scales = scales
+    return MuAnalysis(
+        np.asarray(omegas), uppers, lowers, float(peak), float(peak_omega),
+        best_scales, all_scales,
+    )
+
+
+def _grid_outcome(fn, *args, **kwargs):
+    """``("ok", result)``, or ``("raised", None)`` for any ValueError.
+
+    Where a bad point makes a sweep raise a LinAlgError, the stacked code
+    may meet a different bad point first, so only the fact of raising is
+    compared.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            return "ok", fn(*args, **kwargs)
+        except ValueError:
+            return "raised", None
+
+
+def _raw(value):
+    """``_bits`` of the real and imaginary parts (signed zeros count)."""
+    if value is None:
+        return None
+    arr = np.asarray(value)
+    return _bits(arr.real), _bits(arr.imag), arr.shape
+
+
+@st.composite
+def _grid_systems(draw, outputs=None, inputs=None):
+    """Random systems, some with non-finite, overflowing or tiny responses."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    p = outputs or draw(st.integers(min_value=1, max_value=3))
+    m = inputs or draw(st.integers(min_value=1, max_value=3))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    A = gen.normal(size=(n, n))
+    B = gen.normal(size=(n, m))
+    C = gen.normal(size=(p, n))
+    D = gen.normal(size=(p, m))
+    special = draw(st.sampled_from(
+        ["none", "none", "inf_D", "nan_D", "overflow", "underflow"]))
+    if special == "inf_D":
+        D[0, 0] = np.inf
+    elif special == "nan_D":
+        D[0, 0] = np.nan
+    elif special == "overflow":
+        # Near-resonant points overflow to inf, the rest stay finite.
+        C *= 1e306
+        D *= 1e306
+    elif special == "underflow":
+        # Squared entries underflow, as in a Frobenius norm.
+        C *= 1e-160
+        D *= 1e-160
+    dt = draw(st.sampled_from([None, 0.5]))
+    return StateSpace(A, B, C, D, dt=dt)
+
+
+_BLOCKS = st.one_of(
+    # Full blocks at least as wide as tall, like the augmented plants'.
+    st.tuples(st.integers(1, 3), st.integers(0, 2)).map(
+        lambda rc: UncertaintyBlock("full", rc[0], rc[0] + rc[1])),
+    st.integers(1, 3).map(lambda k: UncertaintyBlock("repeated", k, k)),
+)
+_STRUCTURES = st.lists(_BLOCKS, min_size=1, max_size=3).map(BlockStructure)
+
+
+class TestGridExactness:
+    """Stacked frequency sweeps match the point-by-point loops at 0 ULP."""
+
+    @given(system=_grid_systems(), points=st.integers(min_value=1, max_value=80))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_response_matches_per_point(self, system, points):
+        omegas = list(frequency_grid(system, points))
+        if system.is_discrete:
+            omegas.append(0.0)
+        got = _grid_outcome(system.at_frequencies, omegas)
+        expected = _grid_outcome(
+            lambda: np.stack([system.at_frequency(w) for w in omegas]))
+        assert got[0] == expected[0]  # a singular pencil raises in both
+        if got[0] == "ok":
+            assert _raw(got[1]) == _raw(expected[1])
+
+    def test_grid_response_without_states(self):
+        system = static_gain([[1.0, -2.0], [0.5, 0.0]], dt=0.25)
+        got = system.at_frequencies([0.0, 1.0, 3.0])
+        assert got.shape == (3, 2, 2)
+        for response in got:
+            assert _raw(response) == _raw(system.at_frequency(1.0))
+
+    @given(system=_grid_systems(), points=st.integers(min_value=1, max_value=80))
+    @settings(max_examples=60, deadline=None)
+    def test_linf_norm_grid_matches_reference(self, system, points):
+        got = _grid_outcome(linf_norm_grid, system, points)
+        expected = _grid_outcome(_ref_linf_norm_grid, system, points)
+        assert got[0] == expected[0]
+        if got[0] == "ok":
+            assert _raw(got[1]) == _raw(expected[1])
+
+    def test_linf_norm_grid_skips_nan_gains(self):
+        # The response overflows to inf below the pole, where its SVD
+        # returns NaN, and stays finite above it.
+        system = StateSpace([[-1.0]], [[2.0]], [[1.5e308]], [[0.0]])
+        with np.errstate(all="ignore"):
+            _, gains = singular_value_plot(system, frequency_grid(system, 40))
+            assert 0 < np.isnan(gains).sum() < gains.size
+            peak = linf_norm_grid(system, points=40)
+            assert peak == _ref_linf_norm_grid(system, points=40)
+        assert peak == np.nanmax(gains)
+
+    @given(system=_grid_systems(), points=st.integers(min_value=1, max_value=80))
+    @settings(max_examples=30, deadline=None)
+    def test_singular_value_plot_matches_per_point(self, system, points):
+        omegas = frequency_grid(system, points)
+        got = _grid_outcome(singular_value_plot, system, omegas)
+        expected = _grid_outcome(lambda: [
+            np.linalg.svd(system.at_frequency(w), compute_uv=False)[0]
+            for w in omegas
+        ])
+        assert got[0] == expected[0]
+        if got[0] == "ok":
+            assert _raw(got[1][1]) == _raw(expected[1])
+
+    def test_worst_case_gain_matches_per_point(self):
+        from repro.robust import worst_case_delta, worst_case_gain
+
+        structure = BlockStructure([UncertaintyBlock("full", 1, 1),
+                                    UncertaintyBlock("repeated", 1, 1)])
+        channel = _random_stable(3, n=4, dt=None)
+        channel = StateSpace(channel.A - 2.0 * np.eye(4),
+                             np.hstack([channel.B, channel.B[:, :1]]),
+                             np.vstack([channel.C, channel.C[:1]]),
+                             np.zeros((3, 3)))
+        got = worst_case_gain(channel, structure, n_d=2, n_f=2, points=35,
+                              samples=4, seed=5)
+        nominal_peak = 0.0
+        worst = (0.0, None, None)
+        for i, omega in enumerate(frequency_grid(channel, 35)):
+            M = channel.at_frequency(omega)
+            nominal = np.linalg.svd(M[2:, 2:], compute_uv=False)
+            nominal_peak = max(nominal_peak, float(nominal[0]))
+            delta, gain = worst_case_delta(M, structure, 2, 2, samples=4,
+                                           polish_iterations=15, seed=5 + i)
+            if np.isfinite(gain) and gain > worst[0]:
+                worst = (gain, float(omega), delta)
+        assert _raw(got.nominal_peak) == _raw(nominal_peak)
+        assert (got.worst_gain, got.worst_omega) == worst[:2]
+        assert _raw(got.worst_delta) == _raw(worst[2])
+
+    @given(data=st.data(), structure=_STRUCTURES,
+           points=st.sampled_from([1, 5, 31, 32, 40, 63]),
+           lower_samples=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=40, deadline=None)
+    def test_mu_sweep_matches_reference(self, data, structure, points,
+                                        lower_samples):
+        channel = data.draw(_grid_systems(outputs=structure.total_rows,
+                                          inputs=structure.total_cols))
+        got = _grid_outcome(mu_bounds_over_frequency, channel, structure,
+                            points=points, lower_samples=lower_samples)
+        expected = _grid_outcome(_ref_mu_bounds_over_frequency, channel,
+                                 structure, points=points,
+                                 lower_samples=lower_samples)
+        assert got[0] == expected[0]
+        if got[0] == "raised":
+            return
+        got, expected = got[1], expected[1]
+        for field in ("omegas", "upper", "lower", "scales", "peak_upper",
+                      "peak_omega", "scales_at_peak"):
+            assert _raw(getattr(got, field)) == _raw(getattr(expected, field)), field
+        if got.scales_at_peak is not None:
+            assert not np.shares_memory(got.scales_at_peak, got.scales)
+
+    @given(structure=_STRUCTURES, seed=st.integers(min_value=0, max_value=2**16),
+           samples=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_single_point_bounds_match_reference(self, structure, seed, samples):
+        gen = np.random.default_rng(seed)
+        shape = (structure.total_rows, structure.total_cols)
+        M = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        got = _grid_outcome(mu_upper_bound, M, structure)
+        expected = _grid_outcome(_ref_mu_upper_bound, M, structure)
+        assert got[0] == expected[0] == "ok"
+        assert _raw(got[1][0]) == _raw(expected[1][0])
+        assert _raw(got[1][1]) == _raw(expected[1][1])
+        got = _grid_outcome(mu_lower_bound, M, structure, samples, seed)
+        expected = _grid_outcome(_ref_mu_lower_bound, M, structure, samples, seed)
+        assert got[0] == expected[0]
+        if got[0] == "ok":
+            assert _raw(got[1]) == _raw(expected[1])
 
 
 class TestOptimizerProperties:

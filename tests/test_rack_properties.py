@@ -13,6 +13,7 @@ Two tiers:
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -28,12 +29,15 @@ from repro.rack import (
     SSVRackController,
     select_integral_gain,
 )
-from repro.rack.controllers import _project_to_cap
+from repro.rack.controllers import _closed_loop_channel, _project_to_cap
+from repro.robust import BlockStructure, UncertaintyBlock
 from repro.verify.invariants import (
     InvariantMonitor,
     activate_monitor,
     deactivate_monitor,
 )
+
+from .test_properties import _ref_mu_upper_bound
 
 TINY_WORKLOADS = ("mcf@0.02", "blackscholes@0.02", "gamess@0.02",
                   "streamcluster@0.02")
@@ -173,6 +177,31 @@ class TestGainSelectionProperties:
         for g, peak in history:
             if g > gain:
                 assert peak > 1.0
+
+    @given(n_boards=st.integers(min_value=1, max_value=6),
+           guardband=st.sampled_from([0.2, 0.4, 0.8]))
+    @settings(max_examples=8, deadline=None)
+    def test_matches_point_by_point_sweep(self, n_boards, guardband):
+        """Stacked bounds give the gain and history of a per-point sweep."""
+        gain_grid = (1.0, 0.8, 0.65, 0.5, 0.4, 0.3, 0.2)
+        structure = BlockStructure([UncertaintyBlock("repeated", 1, 1)
+                                    for _ in range(n_boards)])
+        weights = [1.0 / n_boards] * n_boards
+        history = []
+        for gain in gain_grid:
+            peak = 0.0
+            for omega in np.linspace(0.02, math.pi, 24):
+                z = complex(math.cos(omega), math.sin(omega))
+                M = guardband * _closed_loop_channel(n_boards, gain, weights, z)
+                peak = max(peak, _ref_mu_upper_bound(M, structure)[0])
+                if peak > 1.0:
+                    break
+            history.append((gain, peak))
+            if peak <= 1.0:
+                break
+        expected = (history[-1][0] if history[-1][1] <= 1.0 else min(gain_grid),
+                    history)
+        assert select_integral_gain(n_boards, guardband=guardband) == expected
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for generalized-plant construction and the D-K iteration."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,57 @@ class TestDKIteration:
     def test_summary_mentions_robustness(self, augmented):
         result = dk_synthesize(augmented, max_iterations=1, mu_points=10)
         assert "mu" in result.summary()
+
+
+@pytest.fixture(scope="module")
+def sw_dk_problem(design_context):
+    """The software layer's augmented plant and D-K arguments.
+
+    Captured by redesigning the layer from the shared characterization in
+    a context with no cache, so ``dk_synthesize`` really runs.
+    """
+    import repro.core.design as core_design
+    from repro.experiments import DesignContext
+
+    captured = []
+    real = core_design.dk_synthesize
+
+    def capture(augmented, **kwargs):
+        result = real(augmented, **kwargs)
+        captured.append((augmented, kwargs, result))
+        return result
+
+    fresh = DesignContext(spec=design_context.spec,
+                          characterization=design_context.characterization)
+    with mock.patch.object(core_design, "dk_synthesize", capture):
+        fresh.get_sw_design()
+    return captured[-1]
+
+
+class TestDKDesignPin:
+    """The stacked frequency sweeps leave the synthesized design unchanged."""
+
+    def test_matches_point_by_point_reference(self, sw_dk_problem):
+        import repro.lti.norms as norms
+        import repro.robust.dk as dk
+
+        from .test_properties import (
+            _ref_linf_norm_grid,
+            _ref_mu_bounds_over_frequency,
+        )
+
+        augmented, kwargs, got = sw_dk_problem
+        with mock.patch.object(norms, "linf_norm_grid", _ref_linf_norm_grid), \
+                mock.patch.object(dk, "mu_bounds_over_frequency",
+                                  _ref_mu_bounds_over_frequency):
+            ref = dk_synthesize(augmented, **kwargs)
+        assert got.peak_mu_history == ref.peak_mu_history
+        assert got.iterations == ref.iterations
+        assert got.hinf.gamma == ref.hinf.gamma
+        assert got.hinf.achieved_norm == ref.hinf.achieved_norm
+        for field in ("upper", "lower", "scales", "omegas"):
+            assert (getattr(got.mu, field).tobytes()
+                    == getattr(ref.mu, field).tobytes()), field
+        for name in "ABCD":
+            assert (getattr(got.controller, name).tobytes()
+                    == getattr(ref.controller, name).tobytes()), name
