@@ -66,7 +66,7 @@ def _floors_runtime(runtime):
         yield (f"runtime: journal get rate "
                f"{runtime['journal']['get_per_sec']:.0f}/s < 100/s")
     if not runtime["supervision"]["identical"]:
-        yield "runtime: supervised results differ from the plain pool"
+        yield "runtime: pool results differ from the in-process run"
     if runtime["supervision"]["overhead_x"] > 25.0:
         yield (f"runtime: supervision overhead "
                f"{runtime['supervision']['overhead_x']:.1f}x > 25x")

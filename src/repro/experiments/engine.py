@@ -3,8 +3,9 @@
 The paper's evaluation is embarrassingly parallel — every (scheme ×
 workload × seed) cell is an independent closed-loop simulation — but each
 cell takes seconds, and the full matrix is hundreds of cells.  This module
-fans cells across a :class:`concurrent.futures.ProcessPoolExecutor` while
-keeping the three properties the serial harness guarantees:
+runs every cell on the supervised worker pool
+(:func:`repro.runtime.executor.supervised_map`) while keeping the three
+properties the serial harness guarantees:
 
 * **Determinism** — the fully-primed :class:`DesignContext` is pickled once
   and shipped to every worker (workers never re-synthesize), and each cell
@@ -15,19 +16,20 @@ keeping the three properties the serial harness guarantees:
   serial loops produce.
 * **Telemetry** — each worker process activates its own
   :class:`~repro.telemetry.TelemetrySession` under
-  ``<telemetry_dir>/worker-<pid>/``; on join the per-worker directories
-  are merged into one coherent parent directory
+  ``<telemetry_dir>/worker-<pid>/``; when the pool closes the per-worker
+  directories are merged into one coherent parent directory
   (:func:`repro.telemetry.merge_worker_dirs`).
 
-``jobs=None`` or ``jobs=1`` short-circuits to a plain in-process loop, so
-every caller can expose a ``--jobs`` knob without special-casing.
+``jobs=None``, ``jobs=1`` or a single cell runs on the calling thread
+against the live context (no pickling, no worker process), so every
+caller can expose a ``--jobs`` knob without special-casing.
 
-Fault tolerance (``repro.runtime``) layers on top without disturbing the
-fast path: ``checkpoint``/``resume`` journal completed cells and replay
-them on restart; ``cell_timeout``/``max_retries``/``chaos`` route the run
-through the supervised worker pool
-(:func:`repro.runtime.executor.supervised_map`); ``on_error="collect"``
-turns a cell that ultimately fails into a structured
+Fault tolerance (``repro.runtime``) rides on the same pool:
+``checkpoint``/``resume`` journal completed cells and replay them on
+restart; ``cell_timeout``/``max_retries``/``backoff``/``chaos`` arm the
+supervisor's deadlines, retries and fault injection; a worker that dies
+costs only the cell it was running; ``on_error="collect"`` turns a cell
+that ultimately fails into a structured
 :class:`~repro.runtime.executor.CellFailure` in its result slot instead of
 an exception that discards every completed sibling.  Unset knobs fall back
 to the process-wide :class:`~repro.runtime.policy.ExecutionPolicy`
@@ -37,19 +39,11 @@ installed by the CLI (``--resume``, ``--cell-timeout``, ...).
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
-from ..telemetry import TelemetrySession, activate, active_session
+from ..telemetry import active_session
 from .runner import run_workload, workload_name
-from .schemes import prime_designs
 
 __all__ = ["parallel_map", "run_matrix", "resolve_jobs", "execute_task"]
-
-# Worker-process globals, set once by _init_worker.
-_WORKER_CONTEXT = None
-_WORKER_SESSION = None
 
 
 def resolve_jobs(jobs):
@@ -62,28 +56,6 @@ def resolve_jobs(jobs):
     return max(jobs, 1)
 
 
-def _close_worker_session():
-    global _WORKER_SESSION
-    if _WORKER_SESSION is not None:
-        _WORKER_SESSION.close()
-        _WORKER_SESSION = None
-
-
-def _init_worker(context_blob, telemetry_dir):
-    """Per-process initializer: install the shared context + telemetry."""
-    global _WORKER_CONTEXT, _WORKER_SESSION
-    _WORKER_CONTEXT = pickle.loads(context_blob)
-    if telemetry_dir is not None:
-        out = os.path.join(telemetry_dir, f"worker-{os.getpid()}")
-        _WORKER_SESSION = activate(TelemetrySession(out))
-        # multiprocessing children exit via os._exit (atexit never runs),
-        # so register on multiprocessing's own finalizer list as a backstop;
-        # _run_cell also flushes after every task.
-        from multiprocessing.util import Finalize
-
-        Finalize(None, _close_worker_session, exitpriority=0)
-
-
 def execute_task(context, task):
     """Execute one generic engine task against ``context``, in-process.
 
@@ -92,9 +64,10 @@ def execute_task(context, task):
     invokes an arbitrary module-level function with ``context`` prepended
     (used by the figure sweeps and the bank packer, whose cells are not
     plain run_workload calls).  This is the single execution semantics
-    every runner shares — the serial loop, the worker pools, and the
-    control-plane service (:mod:`repro.serve`) all route through it, which
-    is what makes their results bit-identical.
+    every runner shares — the supervised pool, in process and in its
+    worker processes, under both the campaigns and the control-plane
+    service (:mod:`repro.serve`), routes through it, which is what makes
+    their results bit-identical.
     """
     kind, payload = task
     if kind == "cell":
@@ -105,17 +78,6 @@ def execute_task(context, task):
         fn, args, kwargs = payload
         return fn(context, *args, **kwargs)
     raise ValueError(f"unknown task kind {kind!r}")
-
-
-def _run_cell(task):
-    """Worker-side execution of one task against the installed context."""
-    try:
-        return execute_task(_WORKER_CONTEXT, task)
-    finally:
-        # Keep the worker's on-disk telemetry current: children exit via
-        # os._exit, so waiting for interpreter shutdown would lose it.
-        if _WORKER_SESSION is not None:
-            _WORKER_SESSION.flush()
 
 
 def _task_label(task):
@@ -132,15 +94,17 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
                  progress=None, prime=None, on_error=None, checkpoint=None,
                  resume=None, cell_timeout=None, max_retries=None,
                  backoff=None, chaos=None):
-    """Run engine tasks across ``jobs`` processes; ordered result list.
+    """Run engine tasks on the supervised worker pool; ordered result list.
 
     ``tasks`` is a list of ``("cell", payload)`` / ``("call", payload)``
-    tuples (see :func:`_run_cell`).  With ``jobs`` ≤ 1 the tasks run in
-    this process against ``context`` directly — same code path the workers
-    execute, minus the pickling.  ``progress`` (if given) is called with
-    each result *in task order*.  ``prime`` restricts pre-pool design
-    priming to the named schemes (``None`` primes everything — safe for
-    arbitrary ``("call", ...)`` tasks).
+    tuples (see :func:`execute_task`).  Every cell not resumed from the
+    journal runs through :func:`repro.runtime.supervised_map` on up to
+    ``jobs`` worker processes; with ``jobs`` ≤ 1 (or one cell to run) it
+    runs on the calling thread against ``context`` directly — same code
+    path the workers execute, minus the pickling.  ``progress`` (if given)
+    is called with each result *in task order*.  ``prime`` restricts
+    pre-pool design priming to the named schemes (``None`` primes
+    everything — safe for arbitrary ``("call", ...)`` tasks).
 
     Fault-tolerance knobs (``None`` defers to the active
     :class:`~repro.runtime.policy.ExecutionPolicy`, if any):
@@ -149,17 +113,19 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
       directory; completed cells are journaled as they finish.
     * ``resume`` — serve cells already in the journal from disk and run
       only the missing ones (bit-identical to an uninterrupted run).
-    * ``on_error`` — ``"raise"`` (default: first failure propagates) or
-      ``"collect"`` (a failed cell becomes a
+    * ``on_error`` — ``"raise"`` (default: the first failure propagates,
+      as the task's own exception in process or as a
+      :class:`~repro.runtime.CellExecutionError` chained to the worker's
+      traceback) or ``"collect"`` (a failed cell becomes a
       :class:`~repro.runtime.CellFailure` in its result slot and every
       sibling survives).
-    * ``cell_timeout`` / ``max_retries`` / ``backoff`` / ``chaos`` — any
-      of these routes execution through the supervised worker pool
-      (:func:`repro.runtime.supervised_map`); the plain pool is kept for
-      the fast path.
+    * ``cell_timeout`` / ``max_retries`` / ``backoff`` / ``chaos`` — arm
+      the pool's per-cell deadline (enforced on worker processes), retry
+      budget (no retries when unset) and fault injection.
     """
     from ..cache import MISS
-    from ..runtime import CellFailure, CheckpointJournal, task_key
+    from ..runtime import (CellExecutionError, CellFailure,
+                           CheckpointJournal, task_key)
     from ..runtime.executor import supervised_map
     from ..runtime.policy import ExecutionPolicy, active_policy
 
@@ -286,101 +252,35 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
             events.emit("cell.checkpointed", index=i,
                         label=_task_label(tasks[i]))
 
-    # --- supervised path --------------------------------------------------
-    retry = ExecutionPolicy(max_retries=max_retries,
-                            backoff=backoff).retry_policy()
-    supervised = bool(
-        cell_timeout or chaos is not None or retry.max_retries > 0)
-    if supervised and todo:
+    # --- execution: every fresh cell runs on the supervised pool ----------
+    if todo:
         order = iter(todo)
 
         def _sub_progress(value):
             i = next(order)
+            if isinstance(value, CellFailure):
+                value.index = i  # the pool numbers cells within ``todo``
             results[i] = value
             done[i] = True
             _deliver()
 
-        supervised_map(
-            [tasks[i] for i in todo], context, jobs=jobs,
-            telemetry_dir=telemetry_dir, progress=_sub_progress,
-            prime=prime, cell_timeout=cell_timeout,
-            retry=retry,
-            chaos=chaos, on_error=on_error,
-            labels=[_task_label(tasks[i]) for i in todo],
-            keys=[keys[i] for i in todo] if keys else None,
-            on_result=lambda j, value: _record(todo[j], value),
-            events=events,
-        )
-        _deliver()
-        return results
-
-    # --- plain serial path ------------------------------------------------
-    if jobs <= 1 or len(todo) <= 1:
-        global _WORKER_CONTEXT
-        saved = _WORKER_CONTEXT
-        _WORKER_CONTEXT = context
+        retry = ExecutionPolicy(max_retries=max_retries,
+                                backoff=backoff).retry_policy()
         try:
-            for i in todo:
-                try:
-                    result = _run_cell(tasks[i])
-                except Exception as exc:
-                    if on_error != "collect":
-                        raise
-                    result = CellFailure(
-                        index=i, label=_task_label(tasks[i]),
-                        reason="exception", attempts=1,
-                        error=f"{type(exc).__name__}: {exc}",
-                        key=keys[i] if keys else "")
-                else:
-                    _record(i, result)
-                results[i] = result
-                done[i] = True
-                _deliver()
-        finally:
-            _WORKER_CONTEXT = saved
-        _deliver()
-        return results
-
-    # --- plain pool path --------------------------------------------------
-    # Prime every lazy design before pickling so workers never synthesize:
-    # that keeps workers bit-identical to the parent AND avoids paying the
-    # synthesis cost once per process.
-    prime_designs(context, prime)
-    blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-    tel_dir = str(telemetry_dir) if telemetry_dir is not None else None
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(todo)),
-        initializer=_init_worker,
-        initargs=(blob, tel_dir),
-    ) as pool:
-        futures = {i: pool.submit(_run_cell, tasks[i]) for i in todo}
-        for i in todo:  # submission order == collection order
-            try:
-                result = futures[i].result()
-            except Exception as exc:
-                if on_error != "collect":
-                    raise
-                # A dead pool poisons every remaining future; each becomes
-                # its own structured failure rather than one fatal raise
-                # that discards the completed siblings.
-                reason = ("worker-died"
-                          if isinstance(exc, BrokenProcessPool)
-                          else "exception")
-                if session is not None:
-                    session.cell_failures.labels(reason=reason).inc()
-                result = CellFailure(
-                    index=i, label=_task_label(tasks[i]), reason=reason,
-                    attempts=1, error=f"{type(exc).__name__}: {exc}",
-                    key=keys[i] if keys else "")
-            else:
-                _record(i, result)
-            results[i] = result
-            done[i] = True
-            _deliver()
-    if tel_dir is not None:
-        from ..telemetry.merge import merge_worker_dirs
-
-        merge_worker_dirs(tel_dir)
+            supervised_map(
+                [tasks[i] for i in todo], context, jobs=jobs,
+                telemetry_dir=telemetry_dir, progress=_sub_progress,
+                prime=prime, cell_timeout=cell_timeout, retry=retry,
+                chaos=chaos, on_error=on_error,
+                labels=[_task_label(tasks[i]) for i in todo],
+                keys=[keys[i] for i in todo] if keys else None,
+                on_result=lambda j, value: _record(todo[j], value),
+                events=events,
+            )
+        except CellExecutionError as exc:
+            exc.failure.index = todo[exc.failure.index]
+            exc.args = (exc.failure.describe(),)
+            raise
     _deliver()
     return results
 

@@ -1,11 +1,12 @@
 """Supervised worker pool: timeouts, retry with backoff, crash survival.
 
-The plain engine pool (:mod:`repro.experiments.engine`) is fast but
-brittle: one worker SIGKILL tears down the whole
-``ProcessPoolExecutor`` (``BrokenProcessPool``) and a hung cell stalls the
-campaign forever.  :class:`SupervisedPool` runs the same engine tasks under
-a parent supervisor that treats worker failure as a first-class input,
-mirroring the simulation-level NOMINAL→DEGRADED supervisor one layer up:
+Every campaign task (:func:`repro.experiments.engine.parallel_map`) and
+every ``repro serve`` request runs on :class:`SupervisedPool`.  A bare
+process-pool executor breaks for good when one worker is SIGKILLed and
+stalls forever on a hung cell; this pool instead runs the engine tasks
+under a parent supervisor that treats worker failure as a first-class
+input, mirroring the simulation-level NOMINAL→DEGRADED supervisor one
+layer up:
 
 * each worker is a dedicated process on its own duplex
   :func:`multiprocessing.Pipe` — no shared queue, so a worker killed
@@ -27,8 +28,9 @@ The pool is long-lived: :meth:`SupervisedPool.submit` returns a
 Per-worker telemetry directories are merged on :meth:`~SupervisedPool.close`.
 
 With ``jobs=0`` the pool runs tasks on one in-process thread against the
-live context, with the same retry accounting; wall-clock deadlines need a
-killable worker process, so ``cell_timeout`` is only enforced with worker
+live context (:func:`supervised_map` runs them on its calling thread),
+with the same retry accounting; wall-clock deadlines need a killable
+worker process, so ``cell_timeout`` is only enforced with worker
 processes.
 """
 
@@ -115,21 +117,26 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
 
 
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as an error's cause."""
+
+
 def _worker_main(worker_id, conn, context_blob, telemetry_dir, chaos_blob):
     """Supervised worker loop: recv (index, attempt, task), send verdicts.
 
-    Reuses the engine's worker globals (``_WORKER_CONTEXT`` /
-    ``_WORKER_SESSION``) so :func:`repro.experiments.engine._run_cell` —
-    including its per-task telemetry flush — runs unchanged under
-    supervision.
+    The worker holds the shared context and, with ``telemetry_dir``, its
+    own telemetry session under ``worker-<pid>/``, flushed after every
+    task: a killed worker runs no cleanup, so waiting for its shutdown
+    would lose the telemetry.
     """
     from ..experiments import engine as _engine
     from ..telemetry import TelemetrySession, activate
 
-    _engine._WORKER_CONTEXT = pickle.loads(context_blob)
+    context = pickle.loads(context_blob)
+    session = None
     if telemetry_dir is not None:
         out = os.path.join(telemetry_dir, f"worker-{os.getpid()}")
-        _engine._WORKER_SESSION = activate(TelemetrySession(out))
+        session = activate(TelemetrySession(out))
     chaos = pickle.loads(chaos_blob) if chaos_blob is not None else None
     try:
         while True:
@@ -143,30 +150,31 @@ def _worker_main(worker_id, conn, context_blob, telemetry_dir, chaos_blob):
             try:
                 if chaos is not None:
                     chaos.apply(index, attempt)
-                result = _engine._run_cell(task)
+                result = _engine.execute_task(context, task)
             except BaseException as exc:
+                verdict = ("err", index, attempt,
+                           f"{type(exc).__name__}: {exc}",
+                           traceback.format_exc())
+            else:
+                verdict = ("ok", index, attempt, result, None)
+            if session is not None:
+                session.flush()
+            try:
+                conn.send(verdict)
+            except Exception as exc:
+                if verdict[0] == "err":
+                    break
+                # A result the pipe cannot carry is still a cell failure,
+                # not a dead worker.
                 try:
                     conn.send(("err", index, attempt,
-                               f"{type(exc).__name__}: {exc}",
-                               traceback.format_exc()))
+                               f"unsendable result: "
+                               f"{type(exc).__name__}: {exc}", None))
                 except Exception:
                     break
-            else:
-                try:
-                    conn.send(("ok", index, attempt, result, None))
-                except Exception as exc:
-                    # A result the pipe cannot carry is still a cell failure,
-                    # not a dead worker.
-                    try:
-                        conn.send(("err", index, attempt,
-                                   f"unsendable result: "
-                                   f"{type(exc).__name__}: {exc}", None))
-                    except Exception:
-                        break
     finally:
-        if _engine._WORKER_SESSION is not None:
-            _engine._WORKER_SESSION.close()
-            _engine._WORKER_SESSION = None
+        if session is not None:
+            session.close()
 
 
 class _Cell:
@@ -177,7 +185,7 @@ class _Cell:
     def __init__(self, index, task, label, key):
         self.index = index
         self.task = task
-        self.label = label
+        self.label = label or f"task-{index}"
         self.key = key
         self.future = Future()
         self.started = None  # monotonic time of the first attempt
@@ -207,9 +215,10 @@ class SupervisedPool:
     (:class:`~repro.runtime.chaos.ChaosPolicy`, indexed by submission
     order).  A task that exhausts its budget resolves to a
     :class:`CellFailure` (``on_error="collect"``, the default); with
-    ``on_error="raise"`` its future raises :class:`CellExecutionError`
-    (the original exception, in process) and every other unfinished task
-    is cancelled.  ``events`` (anything with ``emit(event, **fields)``)
+    ``on_error="raise"`` its future raises :class:`CellExecutionError`,
+    whose cause is the worker's formatted traceback (the original
+    exception, in process), and every other unfinished task is
+    cancelled.  ``events`` (anything with ``emit(event, **fields)``)
     receives ``cell.started`` / ``cell.retried`` / ``cell.timeout`` from
     the supervisor thread.
     """
@@ -234,16 +243,11 @@ class SupervisedPool:
         self._submitted = 0
         self._closed = False
         self._failed = False  # on_error="raise" and a task exhausted
+        self._thread = None  # started by the first submit()
         if self.jobs:
-            self._init_workers(prime)
-            target = self._supervise
-        else:
-            target = self._run_in_process
-        self._thread = threading.Thread(target=target, daemon=True,
-                                        name="repro-supervisor")
-        self._thread.start()
+            self._prepare_workers(prime)
 
-    def _init_workers(self, prime):
+    def _prepare_workers(self, prime):
         import multiprocessing as mp
 
         from ..experiments.schemes import prime_designs
@@ -274,11 +278,16 @@ class SupervisedPool:
     def submit(self, task, label=None, key=""):
         """Queue one engine task; returns its :class:`Future`."""
         with self._lock:
+            if self._thread is None and not self._closed:
+                self._thread = threading.Thread(
+                    target=self._supervise if self.jobs
+                    else self._run_in_process,
+                    daemon=True, name="repro-supervisor")
+                self._thread.start()
             if self._closed or not self._thread.is_alive():
                 raise RuntimeError("cannot submit to a closed SupervisedPool")
-            index = self._submitted
+            cell = _Cell(self._submitted, task, label, key)
             self._submitted += 1
-            cell = _Cell(index, task, label or f"task-{index}", key)
             self._inbox.put(cell)
         self._wake()
         return cell.future
@@ -296,7 +305,8 @@ class SupervisedPool:
             self._closed = True
             self._inbox.put(None)
         self._wake()
-        self._thread.join(None if self.jobs else _JOIN_GRACE)
+        if self._thread is not None:
+            self._thread.join(None if self.jobs else _JOIN_GRACE)
         if self.jobs:
             os.close(self._wake_r)
             os.close(self._wake_w)
@@ -529,7 +539,7 @@ class SupervisedPool:
                 self._worker_died(wid, index, attempt)
                 continue
             if msg is not None:
-                kind, m_index, m_attempt, payload, _tb = msg
+                kind, m_index, m_attempt, payload, tb = msg
                 del self._busy[wid]
                 self._idle.append(wid)
                 if kind == "ok":
@@ -538,7 +548,7 @@ class SupervisedPool:
                         _settle(cell.future, payload)
                 else:
                     self._attempt_failed(m_index, m_attempt, "exception",
-                                         payload)
+                                         payload, tb)
             elif not proc.is_alive():
                 del self._busy[wid]
                 self._worker_died(wid, index, attempt)
@@ -559,7 +569,7 @@ class SupervisedPool:
         self._attempt_failed(index, attempt, "worker-died",
                              "worker process died (crashed or killed)")
 
-    def _attempt_failed(self, index, attempt, reason, error):
+    def _attempt_failed(self, index, attempt, reason, error, tb=None):
         cell = self._cells.get(index)
         if cell is None:
             return  # settled or cancelled meanwhile
@@ -571,7 +581,12 @@ class SupervisedPool:
         del self._cells[index]
         failure = self._exhausted(cell, attempt, reason, error)
         if self.on_error == "raise":
-            self._fail(cell, CellExecutionError(failure))
+            exc = CellExecutionError(failure)
+            if tb:
+                # As concurrent.futures does: the worker's frames print
+                # above the error as its cause.
+                exc.__cause__ = _RemoteTraceback(tb)
+            self._fail(cell, exc)
         else:
             _settle(cell.future, failure)
 
@@ -607,14 +622,17 @@ def supervised_map(tasks, context, jobs=None, telemetry_dir=None,
                    labels=None, keys=None, on_result=None, events=None):
     """Run engine tasks on a :class:`SupervisedPool`; ordered result list.
 
-    Drop-in sibling of :func:`repro.experiments.engine.parallel_map` with
-    fault tolerance: per-cell ``cell_timeout`` (seconds of wall-clock,
+    The pool under :func:`repro.experiments.engine.parallel_map`, which
+    adds the checkpoint journal and the campaign event stream.  Fault
+    tolerance: per-cell ``cell_timeout`` (seconds of wall-clock,
     enforced with ``jobs`` > 1), bounded ``retry`` (a :class:`RetryPolicy`,
     default 2 retries), optional ``chaos`` injection
     (:class:`~repro.runtime.chaos.ChaosPolicy`), and ``on_error`` handling:
     ``"collect"`` (default) places a :class:`CellFailure` in the result
     slot of a cell that exhausts retries, ``"raise"`` raises
     :class:`CellExecutionError` (or the original exception, serially).
+    With ``jobs`` ≤ 1 or one task the cells run one at a time on the
+    calling thread, with the same retry accounting.
 
     ``progress`` receives results in task order.  ``labels``/``keys``
     annotate failures; ``on_result(index, value)`` fires on each
@@ -622,7 +640,7 @@ def supervised_map(tasks, context, jobs=None, telemetry_dir=None,
     ``events`` (a :class:`~repro.obs.events.CampaignEvents`) receives
     ``cell.started`` / ``cell.retried`` / ``cell.timeout`` records as the
     supervisor makes those decisions.  Every callback runs on the calling
-    thread except ``events``.
+    thread; ``events`` may also be called from the supervisor thread.
     """
     from concurrent.futures import FIRST_COMPLETED, wait
 
@@ -634,6 +652,22 @@ def supervised_map(tasks, context, jobs=None, telemetry_dir=None,
                         telemetry_dir=telemetry_dir, prime=prime,
                         cell_timeout=cell_timeout, retry=retry, chaos=chaos,
                         on_error=on_error, events=events) as pool:
+        if not pool.jobs:
+            # The calling thread runs the cells: a fresh pool thread per
+            # call would allocate them from a malloc arena of its own,
+            # beside the caller's, and raise peak RSS.
+            results = []
+            for i, task in enumerate(tasks):
+                value = pool._attempts_in_process(_Cell(
+                    i, task, labels[i] if labels else None,
+                    keys[i] if keys else ""))  # raises under "raise"
+                if on_result is not None and \
+                        not isinstance(value, CellFailure):
+                    on_result(i, value)
+                if progress is not None:
+                    progress(value)
+                results.append(value)
+            return results
         futures = [
             pool.submit(task, label=labels[i] if labels else None,
                         key=keys[i] if keys else "")

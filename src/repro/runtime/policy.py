@@ -6,7 +6,10 @@ the CLI parses ``--checkpoint-dir`` / ``--resume`` / ``--cell-timeout`` /
 campaign entry point (scheme matrix, resilience sweep, figure sweeps) and
 the control-plane service (``repro serve``) picks it up from
 :func:`active_policy` without threading four extra parameters through the
-whole call graph.  Explicit keyword arguments to
+whole call graph.  Both run on the one supervised worker pool
+(:class:`~repro.runtime.executor.SupervisedPool`); the policy only arms
+it — a deadline, a retry budget, fault injection — and never chooses
+another execution path.  Explicit keyword arguments to
 :func:`~repro.experiments.engine.parallel_map` always win over the policy.
 """
 
@@ -43,15 +46,6 @@ class ExecutionPolicy:
     backoff: object = None  # RetryPolicy, or None for the default
     chaos: object = None
     on_error: str = "collect"
-
-    @property
-    def supervised(self):
-        """Whether these knobs require the supervised worker pool."""
-        return bool(
-            self.cell_timeout
-            or self.chaos is not None
-            or (self.max_retries not in (None, 0))
-        )
 
     def retry_policy(self):
         """``backoff`` if set, else a :class:`~repro.runtime.RetryPolicy`

@@ -9,6 +9,7 @@ it was resuming from.
 import json
 import os
 import shutil
+import signal
 import time
 from types import SimpleNamespace
 
@@ -264,6 +265,14 @@ def _boom(context, x):
     raise RuntimeError(f"boom {x}")
 
 
+def _kill_on(context, parent_pid, victim, x):
+    # SIGKILL the worker running cell ``victim``; never the test process.
+    if x == victim and os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.05)
+    return x * x
+
+
 def _nap(context, started, seconds):
     started.set()
     time.sleep(seconds)
@@ -480,6 +489,34 @@ class TestEngineCheckpointing:
         assert seen == [0, 1, 4, 9]
 
 
+    def test_resumed_failure_keeps_task_index(self, design_context,
+                                              tmp_path):
+        from repro.experiments.engine import parallel_map
+
+        tasks = [("call", (_square, (i,), {})) for i in range(3)]
+        tasks.append(("call", (_boom, (3,), {})))
+        for name in ("collect", "raise"):
+            parallel_map(tasks[:2], design_context, jobs=1,
+                         checkpoint=tmp_path / name)
+
+        results = parallel_map(tasks, design_context, jobs=1,
+                               checkpoint=tmp_path / "collect", resume=True,
+                               backoff=RetryPolicy(max_retries=1, **FAST),
+                               on_error="collect")
+        assert results[:3] == [0, 1, 4]
+        failure = results[3]
+        assert isinstance(failure, CellFailure)
+        assert failure.index == 3
+        assert failure.describe().startswith("cell 3 [call:_boom]")
+
+        with pytest.raises(CellExecutionError,
+                           match=r"^cell 3 \[call:_boom\]") as info:
+            parallel_map(tasks, design_context, jobs=2,
+                         checkpoint=tmp_path / "raise", resume=True,
+                         on_error="raise")
+        assert info.value.failure.index == 3
+
+
 class TestPlainPoolSalvage:
     """Satellite fix: one raising cell must not discard completed siblings."""
 
@@ -527,6 +564,36 @@ class TestPlainPoolSalvage:
         assert "sabotaged cell" in bad.error
 
 
+class TestOnePool:
+    """Every parallel_map runs on the supervised pool, knobs or none."""
+
+    def test_sigkilled_worker_costs_only_its_cell(self, design_context):
+        from repro.experiments.engine import parallel_map
+
+        tasks = [("call", (_kill_on, (os.getpid(), 1, i), {}))
+                 for i in range(6)]
+        results = parallel_map(tasks, design_context, jobs=2,
+                               on_error="collect", prime=())
+        failure = results[1]
+        assert isinstance(failure, CellFailure)
+        assert failure.reason == "worker-died"
+        assert failure.index == 1
+        assert [results[i] for i in (0, 2, 3, 4, 5)] == [0, 4, 9, 16, 25]
+
+    def test_raise_keeps_worker_traceback(self, design_context):
+        import traceback
+
+        from repro.experiments.engine import parallel_map
+
+        tasks = [("call", (_square, (0,), {})),
+                 ("call", (_boom, (1,), {}))]
+        with pytest.raises(CellExecutionError, match="boom 1") as info:
+            parallel_map(tasks, design_context, jobs=2)
+        text = "".join(traceback.format_exception(info.value))
+        assert "in _boom" in text
+        assert 'raise RuntimeError(f"boom {x}")' in text
+
+
 class TestExecutionPolicy:
     def test_activation_scoping(self):
         assert active_policy() is None
@@ -534,17 +601,9 @@ class TestExecutionPolicy:
         try:
             assert activate_policy(policy) is policy
             assert active_policy() is policy
-            assert policy.supervised
         finally:
             deactivate_policy()
         assert active_policy() is None
-
-    def test_supervised_detection(self):
-        assert not ExecutionPolicy().supervised
-        assert not ExecutionPolicy(checkpoint_dir="x").supervised
-        assert ExecutionPolicy(cell_timeout=1.0).supervised
-        assert ExecutionPolicy(max_retries=3).supervised
-        assert ExecutionPolicy(chaos=ChaosPolicy()).supervised
 
     def test_policy_checkpoint_flows_into_engine(self, design_context,
                                                  tmp_path):
