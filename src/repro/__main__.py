@@ -13,9 +13,9 @@ Commands
 ``rack``              the rack-scale (third layer) campaign triple
 ``serve``             long-lived concurrent experiment server (HTTP/JSON)
 ``loadgen``           deterministic open-loop load generator for ``serve``
-``trace``             summarize a recorded telemetry directory
 ``status``            live progress/ETA/health of a (running) campaign
-``report``            combined markdown/HTML campaign report
+``report``            markdown/HTML report of a campaign or telemetry
+                      directory (alias: ``trace``)
 ``verify``            invariant monitor + oracle pairs + golden traces
 
 Telemetry
@@ -24,7 +24,7 @@ Every experiment command accepts ``--telemetry DIR``: the run then records
 control-loop spans (``spans.jsonl`` + Perfetto-loadable ``trace.json``), a
 metrics snapshot (``metrics.prom`` / ``metrics.json``), and flight-recorder
 dumps (``flight-*.json``) triggered by supervisor transitions and fault
-injections.  Inspect a finished directory with ``python -m repro trace DIR``.
+injections.  Inspect a finished directory with ``python -m repro report DIR``.
 ``--profile`` additionally prices each control period's phases (sensing /
 controller / optimizer / actuation / plant step / telemetry) into
 p50/p90/p99 histograms; campaign runs with ``--checkpoint-dir`` or
@@ -126,11 +126,6 @@ def main(argv=None):
 
     sub.add_parser("tables", help="render Tables I-IV")
 
-    p_trace = sub.add_parser(
-        "trace", help="summarize a recorded --telemetry directory"
-    )
-    p_trace.add_argument("dir", help="telemetry output directory")
-
     p_status = sub.add_parser(
         "status",
         help="progress/ETA/retry health of a campaign directory "
@@ -140,10 +135,13 @@ def main(argv=None):
                                       "directory holding events.jsonl")
 
     p_report = sub.add_parser(
-        "report",
-        help="combined campaign report: health + control-quality KPIs + "
-             "phase profile + telemetry headlines",
+        "report", aliases=["trace"],
+        help="report of a campaign or --telemetry directory: health + "
+             "control-quality KPIs + phase profile + spans + flight dumps "
+             "+ metrics",
     )
+    # One handler whichever name was typed.
+    p_report.set_defaults(command="report")
     p_report.add_argument("dir", help="campaign directory (checkpoint "
                                       "journal and/or telemetry artifacts)")
     p_report.add_argument("--out", metavar="FILE", default=None,
@@ -309,16 +307,6 @@ def main(argv=None):
         print(tables.render_all())
         return 0
 
-    if args.command == "trace":
-        from repro.telemetry import summarize_dir
-
-        try:
-            print(summarize_dir(args.dir))
-        except FileNotFoundError as exc:
-            print(f"repro trace: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
     if args.command == "status":
         from repro.obs import render_status
 
@@ -455,7 +443,7 @@ def main(argv=None):
             session.close()
             print(
                 f"Telemetry written to {args.telemetry} "
-                "(inspect with: python -m repro trace "
+                "(inspect with: python -m repro report "
                 f"{args.telemetry})",
                 file=sys.stderr,
             )

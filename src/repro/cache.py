@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 import pickle
 import tempfile
@@ -41,6 +42,7 @@ __all__ = [
     "MISS",
     "atomic_write_bytes",
     "atomic_write_text",
+    "read_jsonl",
 ]
 
 # Sentinel distinguishing "no cached value" from a cached None.
@@ -78,6 +80,37 @@ def atomic_write_bytes(path, data, fsync=True):
 def atomic_write_text(path, text, fsync=True):
     """Atomic UTF-8 text counterpart of :func:`atomic_write_bytes`."""
     return atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
+
+
+def read_jsonl(path, require=None):
+    """Parse an append-only JSONL file; returns ``(records, skipped)``.
+
+    The one reader for every JSONL artifact a run leaves (spans, campaign
+    events, the checkpoint journal).  A writer killed mid-append leaves a
+    torn final line; it and any other unparsable, non-object or (when
+    ``require`` names a key) keyless line is counted in ``skipped``
+    instead of raising, so the surviving records stay readable.  What to
+    do with the count is the caller's policy.  A missing file raises
+    :class:`FileNotFoundError`.
+    """
+    records = []
+    skipped = 0
+    with open(path) as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                skipped += 1
+                continue
+            if isinstance(record, dict) and (require is None
+                                             or require in record):
+                records.append(record)
+            else:
+                skipped += 1
+    return records, skipped
 
 
 def default_cache_dir():

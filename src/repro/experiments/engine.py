@@ -16,9 +16,10 @@ properties the serial harness guarantees:
   serial loops produce.
 * **Telemetry** — each worker process activates its own
   :class:`~repro.telemetry.TelemetrySession` under
-  ``<telemetry_dir>/worker-<pid>/``; when the pool closes the per-worker
-  directories are merged into one coherent parent directory
-  (:func:`repro.telemetry.merge_worker_dirs`).
+  ``<telemetry_dir>/worker-<pid>/``; the per-worker directories are
+  merged into one coherent parent directory
+  (:func:`repro.telemetry.merge_worker_dirs`) when the pool closes, or,
+  when a live session records into that directory, when it closes.
 
 ``jobs=None``, ``jobs=1`` or a single cell runs on the calling thread
 against the live context (no pickling, no worker process), so every
@@ -124,8 +125,7 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
       budget (no retries when unset) and fault injection.
     """
     from ..cache import MISS
-    from ..runtime import (CellExecutionError, CellFailure,
-                           CheckpointJournal, task_key)
+    from ..runtime import CellFailure, CheckpointJournal, task_key
     from ..runtime.executor import supervised_map
     from ..runtime.policy import ExecutionPolicy, active_policy
 
@@ -258,29 +258,23 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
 
         def _sub_progress(value):
             i = next(order)
-            if isinstance(value, CellFailure):
-                value.index = i  # the pool numbers cells within ``todo``
             results[i] = value
             done[i] = True
             _deliver()
 
         retry = ExecutionPolicy(max_retries=max_retries,
                                 backoff=backoff).retry_policy()
-        try:
-            supervised_map(
-                [tasks[i] for i in todo], context, jobs=jobs,
-                telemetry_dir=telemetry_dir, progress=_sub_progress,
-                prime=prime, cell_timeout=cell_timeout, retry=retry,
-                chaos=chaos, on_error=on_error,
-                labels=[_task_label(tasks[i]) for i in todo],
-                keys=[keys[i] for i in todo] if keys else None,
-                on_result=lambda j, value: _record(todo[j], value),
-                events=events,
-            )
-        except CellExecutionError as exc:
-            exc.failure.index = todo[exc.failure.index]
-            exc.args = (exc.failure.describe(),)
-            raise
+        supervised_map(
+            [tasks[i] for i in todo], context, jobs=jobs,
+            telemetry_dir=telemetry_dir, progress=_sub_progress,
+            prime=prime, cell_timeout=cell_timeout, retry=retry,
+            chaos=chaos, on_error=on_error,
+            labels=[_task_label(tasks[i]) for i in todo],
+            keys=[keys[i] for i in todo] if keys else None,
+            indices=todo,
+            on_result=lambda j, value: _record(todo[j], value),
+            events=events,
+        )
     _deliver()
     return results
 

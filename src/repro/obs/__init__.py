@@ -16,8 +16,9 @@ into *verdicts*:
 * :mod:`~repro.obs.events` / :mod:`~repro.obs.health` — the structured
   campaign event stream (``events.jsonl``) and its progress / ETA /
   retry / failure analysis, behind ``repro status``;
-* :mod:`~repro.obs.report` — the combined markdown/HTML campaign report
-  behind ``repro report``.
+* :mod:`~repro.obs.report` — the combined markdown/HTML report of a
+  campaign or telemetry directory behind ``repro report`` (alias
+  ``repro trace``), and the span / flight-dump loaders it reads with.
 
 Everything here is read-side or behind the same is-``None`` fast path as
 telemetry: with no session and no checkpoint directory, nothing is
@@ -40,7 +41,7 @@ from .quality import (
     step_response,
     transition_count,
 )
-from .report import build_report, to_html
+from .report import build_report, load_flight_dumps, load_spans, to_html
 
 __all__ = [
     "CampaignEvents",
@@ -58,7 +59,9 @@ __all__ = [
     "build_report",
     "events_path",
     "exposure",
+    "load_flight_dumps",
     "load_health",
+    "load_spans",
     "phase_summary",
     "read_events",
     "render_status",

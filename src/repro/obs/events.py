@@ -30,6 +30,8 @@ import threading
 import time
 from pathlib import Path
 
+from ..cache import read_jsonl
+
 __all__ = ["CampaignEvents", "read_events", "events_path", "EVENTS_FILENAME"]
 
 EVENTS_FILENAME = "events.jsonl"
@@ -96,23 +98,7 @@ def read_events(source):
     path = Path(source)
     if path.is_dir():
         path = path / EVENTS_FILENAME
-    records = []
-    skipped = 0
     try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if isinstance(record, dict) and "event" in record:
-                    records.append(record)
-                else:
-                    skipped += 1
+        return read_jsonl(path, require="event")
     except OSError:
         raise FileNotFoundError(f"no campaign event stream at {path}")
-    return records, skipped

@@ -1,8 +1,7 @@
-"""``repro report``: one markdown/HTML verdict for a campaign directory.
+"""``repro report``: one markdown/HTML verdict for a run directory.
 
-Combines everything the other observability layers recorded about a
-campaign — finished or in-flight — into a single human-readable
-artifact:
+The one reader and renderer for what a campaign or a ``--telemetry``
+run recorded — finished or in-flight (``repro trace`` is an alias):
 
 * **health** — progress/ETA/retry/failure from ``events.jsonl``
   (:mod:`repro.obs.health`);
@@ -12,27 +11,35 @@ artifact:
   carried a board trace, summary rows otherwise;
 * **profile** — the per-phase control-loop latency summary
   (:mod:`repro.obs.profiler`) from the recorded ``metrics.json``;
-* **telemetry** — headline counters (periods, supervisor trips, cap
-  rejections, flight dumps) from the same snapshot.
+* **spans** — where control-loop wall-clock time went, per span name,
+  from ``spans.jsonl``, plus the fault-injection instants;
+* **flight dumps** — every ``flight-*.json`` with its window and
+  supervisor states;
+* **metrics** — every sample of the ``metrics.json`` snapshot, and a
+  pointer to the Perfetto-loadable ``trace.json``.
 
 Sections degrade independently: a directory holding only telemetry still
-yields a profile+metrics report, a bare checkpoint dir still yields
-health+quality.  The markdown renders standalone; :func:`to_html` wraps
-it in a minimal self-contained page for sharing.
+yields a span+metrics report, a bare checkpoint dir still yields
+health+quality, and a torn artifact is skipped with a warning rather
+than taking the other sections down.  The markdown renders standalone;
+:func:`to_html` wraps it in a minimal self-contained page for sharing.
 """
 
 from __future__ import annotations
 
 import html as _html
 import json
+import warnings
 from pathlib import Path
 
+from ..cache import read_jsonl
 from .events import EVENTS_FILENAME
 from .health import load_health, render_status
 from .profiler import phase_summary
 from .quality import analyze_run
 
-__all__ = ["build_report", "to_html", "quality_rows"]
+__all__ = ["build_report", "to_html", "quality_rows", "load_spans",
+           "load_flight_dumps"]
 
 
 def _md_table(headers, rows):
@@ -123,43 +130,133 @@ def quality_rows(directory, spec=None):
     return headers, rows, reports
 
 
-def _metrics_snapshot(directory):
-    path = Path(directory) / "metrics.json"
-    if not path.is_file():
-        return None
+def load_spans(directory):
+    """The ``spans.jsonl`` records of a run directory (none if absent).
+
+    A session killed mid-write (SIGKILL, full disk, chaos harness) leaves
+    a torn final line; corrupt lines are skipped with a counted warning so
+    the surviving records stay readable.
+    """
+    path = Path(directory) / "spans.jsonl"
     try:
-        return json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError):
-        return None
+        records, skipped = read_jsonl(path)
+    except FileNotFoundError:
+        return []
+    if skipped:
+        warnings.warn(f"skipped {skipped} torn/corrupt line(s) in {path}",
+                      RuntimeWarning, stacklevel=2)
+    return records
 
 
-HEADLINE_COUNTERS = (
-    "control_periods_total",
-    "supervisor_trips_total",
-    "actuations_rejected_total",
-    "fault_events_total",
-    "flight_dumps_total",
-    "cell_retries_total",
-    "cell_failures_total",
-    "cell_timeouts_total",
-    "worker_restarts_total",
-)
+def load_flight_dumps(directory):
+    """Every ``flight-*.json`` payload, in sequence order.
 
-
-def _counter_rows(metrics):
-    rows = []
-    for name in HEADLINE_COUNTERS:
-        family = metrics.get(name)
-        if not family:
+    A dump torn mid-write is skipped with a counted warning — the
+    recorder dumps exactly because something is going wrong, so partial
+    artifacts are expected, not exceptional.
+    """
+    dumps = []
+    skipped = 0
+    for path in sorted(Path(directory).glob("flight-*.json")):
+        try:
+            payload = json.loads(path.read_text())
+        except (ValueError, OSError):
+            skipped += 1
             continue
-        for value in family.get("values", ()):
-            labels = value.get("labels", {})
+        if not isinstance(payload, dict) or "sequence" not in payload:
+            skipped += 1
+            continue
+        payload["_path"] = path.name
+        dumps.append(payload)
+    if skipped:
+        warnings.warn(
+            f"skipped {skipped} torn/corrupt flight dump(s) in {directory}",
+            RuntimeWarning, stacklevel=2)
+    return dumps
+
+
+def _load_metrics(path):
+    """The ``metrics.json`` snapshot at ``path``, or ``None``.
+
+    A torn or corrupt snapshot is skipped with a warning, and the caller
+    says so in the report.
+    """
+    try:
+        metrics = json.loads(path.read_text())
+    except (ValueError, OSError):
+        metrics = None
+    if not isinstance(metrics, dict):
+        warnings.warn(f"skipped torn/corrupt metrics snapshot {path}",
+                      RuntimeWarning, stacklevel=2)
+        return None
+    return metrics
+
+
+def _percentile(sorted_values, q):
+    return sorted_values[int(q * (len(sorted_values) - 1) + 0.5)]
+
+
+def _span_section(spans, n_dumps):
+    """Per-span-name wall-clock totals, slowest first."""
+    by_name = {}
+    for record in spans:
+        if record.get("phase") == "span" and "dur_us" in record:
+            by_name.setdefault(record.get("name", "?"), []).append(
+                record["dur_us"])
+    n_spans = sum(len(durs) for durs in by_name.values())
+    # Period ids restart in every worker of a merged directory.
+    n_periods = len({(r.get("worker"), r["trace_id"]) for r in spans
+                     if r.get("trace_id")})
+    lines = ["## Control-loop time by span", "",
+             f"periods traced: {n_periods} · spans: {n_spans} · "
+             f"instant events: {len(spans) - n_spans} · "
+             f"flight dumps: {n_dumps}", ""]
+    rows = []
+    for name in sorted(by_name, key=lambda n: -sum(by_name[n])):
+        durs = sorted(by_name[name])
+        total = sum(durs)
+        rows.append([name, len(durs), f"{total / 1000:.2f}",
+                     f"{total / len(durs):.1f}",
+                     f"{_percentile(durs, 0.95):.1f}", f"{durs[-1]:.1f}"])
+    if rows:
+        lines += _md_table(["span", "count", "total ms", "mean µs",
+                            "p95 µs", "max µs"], rows)
+        lines.append("")
+    return lines
+
+
+def _flight_line(payload):
+    snaps = payload.get("snapshots", [])
+    times = [s.get("time") for s in snaps
+             if isinstance(s.get("time"), (int, float))]
+    window = f" t=[{min(times):.1f}s..{max(times):.1f}s]" if times else ""
+    states = {s.get("supervisor_state") for s in snaps
+              if s.get("supervisor_state")}
+    state_note = f" states={sorted(states)}" if states else ""
+    return (f"- #{payload['sequence']:02d} {payload.get('reason', '?')}: "
+            f"{len(snaps)} period(s){window}{state_note} "
+            f"[{payload['_path']}]")
+
+
+def _metric_rows(metrics):
+    """One ``[metric, value]`` row per sample of every family."""
+    rows = []
+    for name in sorted(metrics):
+        family = metrics[name]
+        for sample in family.get("values", ()):
+            labels = sample.get("labels") or {}
             suffix = ("{" + ",".join(f"{k}={v}"
                                      for k, v in sorted(labels.items())) + "}"
                       if labels else "")
-            amount = value.get("value", 0)
-            if amount:
-                rows.append([f"{name}{suffix}", f"{amount:g}"])
+            if family.get("type") == "histogram":
+                count = sample.get("count", 0)
+                mean = sample.get("sum", 0.0) / count * 1e3 if count else 0.0
+                value = f"count={count} mean={mean:.3f} ms"
+            else:
+                value = sample.get("value", 0)
+                value = (int(value) if float(value).is_integer()
+                         else round(value, 6))
+            rows.append([f"{name}{suffix}", value])
     return rows
 
 
@@ -205,8 +302,9 @@ def build_report(directory, spec=None, title=None):
             lines += [f"### {name}", "", "```", report.render(), "```", ""]
 
     # --- profile ------------------------------------------------------
-    metrics = _metrics_snapshot(directory)
-    if metrics:
+    metrics_path = directory / "metrics.json"
+    metrics = _load_metrics(metrics_path) if metrics_path.exists() else None
+    if metrics is not None:
         found = True
         phases = phase_summary(metrics)
         if phases:
@@ -219,16 +317,48 @@ def build_report(directory, spec=None, title=None):
                   f"{entry.get('p99_us', 0):.1f}"]
                  for phase, entry in sorted(phases.items())])
             lines.append("")
-        counter_rows = _counter_rows(metrics)
-        if counter_rows:
-            lines += ["## Telemetry headlines", ""]
-            lines += _md_table(["metric", "value"], counter_rows)
-            lines.append("")
+
+    # --- spans, faults, flight dumps -----------------------------------
+    spans = load_spans(directory)
+    dumps = load_flight_dumps(directory)
+    if spans:
+        found = True
+        lines += _span_section(spans, len(dumps))
+    faults = [r for r in spans if r.get("cat") == "fault"]
+    if faults:
+        lines += ["## Fault-injection events", ""]
+        lines += [f"- period {r.get('trace_id', '?')}: {r.get('name', '?')} "
+                  f"kind={r.get('kind', '?')}" for r in faults]
+        lines.append("")
+    if dumps:
+        found = True
+        lines += ["## Flight-recorder dumps", ""]
+        lines += [_flight_line(payload) for payload in dumps]
+        lines.append("")
+
+    # --- metrics ------------------------------------------------------
+    if metrics is not None:
+        metric_rows = _metric_rows(metrics)
+        lines += ["## Metrics", ""]
+        lines += (_md_table(["metric", "value"], metric_rows) if metric_rows
+                  else ["Empty registry."])
+        lines.append("")
+    elif metrics_path.exists():
+        lines += ["## Metrics", "",
+                  f"`{metrics_path.name}` is torn or corrupt; skipped.", ""]
+    if (directory / "trace.json").is_file():
+        lines += ["## Trace", "",
+                  f"Load `{directory / 'trace.json'}` in chrome://tracing "
+                  "or https://ui.perfetto.dev", ""]
 
     if not found:
+        if metrics_path.exists():
+            raise FileNotFoundError(
+                f"no readable campaign artifacts in {directory}: "
+                f"{metrics_path.name} is torn or corrupt")
         raise FileNotFoundError(
             f"no campaign artifacts (events.jsonl / journal.jsonl / "
-            f"metrics.json) in {directory}")
+            f"spans.jsonl / metrics.json / flight-*.json) in {directory}")
     return "\n".join(lines).rstrip() + "\n"
 
 

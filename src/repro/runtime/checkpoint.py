@@ -35,7 +35,7 @@ import os
 import pickle
 from pathlib import Path
 
-from ..cache import MISS, atomic_write_bytes, fingerprint
+from ..cache import MISS, atomic_write_bytes, fingerprint, read_jsonl
 
 __all__ = ["CheckpointJournal", "task_key"]
 
@@ -122,22 +122,11 @@ class CheckpointJournal:
         killed mid-write — are skipped silently: losing the in-flight cell
         is the designed failure mode, it just gets re-run.
         """
-        entries = {}
         try:
-            with open(self.journal_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if isinstance(record, dict) and "key" in record:
-                        entries[record["key"]] = record
+            records, _ = read_jsonl(self.journal_path, require="key")
         except OSError:
             return {}
-        return entries
+        return {record["key"]: record for record in records}
 
     def get(self, key, expected_sha=None):
         """The journaled value for ``key``, or :data:`~repro.cache.MISS`.

@@ -47,6 +47,7 @@ import traceback
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
+from pathlib import Path
 
 __all__ = [
     "CellFailure",
@@ -178,14 +179,22 @@ def _worker_main(worker_id, conn, context_blob, telemetry_dir, chaos_blob):
 
 
 class _Cell:
-    """One submitted task and the future its final verdict settles."""
+    """One submitted task and the future its final verdict settles.
 
-    __slots__ = ("index", "task", "label", "key", "future", "started")
+    ``seq`` is the submission number: the pool's own bookkeeping, chaos
+    targeting and retry jitter key on it.  ``index`` is the number
+    events and failures report — the campaign's cell index when the
+    caller passes one (a resumed run submits only its missing cells),
+    else ``seq``.
+    """
 
-    def __init__(self, index, task, label, key):
-        self.index = index
+    __slots__ = ("seq", "index", "task", "label", "key", "future", "started")
+
+    def __init__(self, seq, task, label, key, index=None):
+        self.seq = seq
+        self.index = seq if index is None else index
         self.task = task
-        self.label = label or f"task-{index}"
+        self.label = label or f"task-{self.index}"
         self.key = key
         self.future = Future()
         self.started = None  # monotonic time of the first attempt
@@ -265,18 +274,22 @@ class SupervisedPool:
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
-        self._cells = {}  # index -> unsettled _Cell
-        self._ready = []  # heap of (due time, index, attempt)
+        self._cells = {}  # seq -> unsettled _Cell
+        self._ready = []  # heap of (due time, seq, attempt)
         self._workers = {}  # wid -> (process, parent_conn)
-        self._busy = {}  # wid -> (index, attempt, deadline)
+        self._busy = {}  # wid -> (_Cell, attempt, deadline)
         self._idle = []
         self._next_wid = 0
 
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------
-    def submit(self, task, label=None, key=""):
-        """Queue one engine task; returns its :class:`Future`."""
+    def submit(self, task, label=None, key="", index=None):
+        """Queue one engine task; returns its :class:`Future`.
+
+        ``index`` is the number events and failures report for it
+        (default: its submission number).
+        """
         with self._lock:
             if self._thread is None and not self._closed:
                 self._thread = threading.Thread(
@@ -286,7 +299,7 @@ class SupervisedPool:
                 self._thread.start()
             if self._closed or not self._thread.is_alive():
                 raise RuntimeError("cannot submit to a closed SupervisedPool")
-            cell = _Cell(self._submitted, task, label, key)
+            cell = _Cell(self._submitted, task, label, key, index)
             self._submitted += 1
             self._inbox.put(cell)
         self._wake()
@@ -343,7 +356,7 @@ class SupervisedPool:
             self.events.emit("cell.retried", index=cell.index,
                              label=cell.label, reason=reason,
                              attempt=attempt)
-        return self.retry.delay(cell.index, attempt)
+        return self.retry.delay(cell.seq, attempt)
 
     def _exhausted(self, cell, attempt, reason, error):
         """Account a cell whose final attempt failed; its failure record."""
@@ -395,7 +408,7 @@ class SupervisedPool:
         while True:
             try:
                 if self.chaos is not None:
-                    self.chaos.apply(cell.index, attempt, in_process=True)
+                    self.chaos.apply(cell.seq, attempt, in_process=True)
                 return _engine.execute_task(self.context, cell.task)
             except Exception as exc:
                 if attempt < self.retry.max_retries:
@@ -438,8 +451,8 @@ class SupervisedPool:
             if self._failed:
                 cell.future.cancel()
                 continue
-            self._cells[cell.index] = cell
-            heapq.heappush(self._ready, (time.monotonic(), cell.index, 0))
+            self._cells[cell.seq] = cell
+            heapq.heappush(self._ready, (time.monotonic(), cell.seq, 0))
 
     def _spawn(self):
         parent_conn, child_conn = self._mp.Pipe()
@@ -476,26 +489,26 @@ class SupervisedPool:
         while self._ready and self._ready[0][0] <= now:
             if not self._idle and len(self._workers) >= self.jobs:
                 return
-            _, index, attempt = heapq.heappop(self._ready)
-            cell = self._cells.get(index)
+            _, seq, attempt = heapq.heappop(self._ready)
+            cell = self._cells.get(seq)
             if cell is None:
                 continue
             if cell.future.cancelled():  # its owner gave up on it
-                del self._cells[index]
+                del self._cells[seq]
                 continue
             if not self._idle:
                 self._spawn()
             wid = self._idle.pop()
             proc, conn = self._workers[wid]
             try:
-                conn.send((index, attempt, cell.task))
+                conn.send((seq, attempt, cell.task))
             except (BrokenPipeError, OSError):
                 # Worker died while idle: replace it, requeue the cell
                 # without burning an attempt.
-                heapq.heappush(self._ready, (now, index, attempt))
+                heapq.heappush(self._ready, (now, seq, attempt))
                 self._retire(wid, "worker-died")
                 continue
-            self._busy[wid] = (index, attempt,
+            self._busy[wid] = (cell, attempt,
                                now + self.cell_timeout
                                if self.cell_timeout else None)
             self._started(cell)
@@ -529,14 +542,14 @@ class SupervisedPool:
                 if not proc.is_alive():
                     self._retire(wid, "worker-died")
                 continue
-            index, attempt, deadline = job
+            cell, attempt, deadline = job
             msg = None
             try:
                 if conn.poll():
                     msg = conn.recv()
             except (EOFError, OSError):
                 del self._busy[wid]
-                self._worker_died(wid, index, attempt)
+                self._worker_died(wid, cell.seq, attempt)
                 continue
             if msg is not None:
                 kind, m_index, m_attempt, payload, tb = msg
@@ -551,34 +564,34 @@ class SupervisedPool:
                                          payload, tb)
             elif not proc.is_alive():
                 del self._busy[wid]
-                self._worker_died(wid, index, attempt)
+                self._worker_died(wid, cell.seq, attempt)
             elif deadline is not None and now >= deadline:
                 del self._busy[wid]
                 if self._session is not None:
                     self._session.cell_timeouts.inc()
                 if self.events is not None:
-                    self.events.emit("cell.timeout", index=index,
+                    self.events.emit("cell.timeout", index=cell.index,
                                      attempt=attempt)
                 self._retire(wid, "timeout")
                 self._attempt_failed(
-                    index, attempt, "timeout",
+                    cell.seq, attempt, "timeout",
                     f"cell exceeded cell_timeout={self.cell_timeout}s")
 
-    def _worker_died(self, wid, index, attempt):
+    def _worker_died(self, wid, seq, attempt):
         self._retire(wid, "worker-died")
-        self._attempt_failed(index, attempt, "worker-died",
+        self._attempt_failed(seq, attempt, "worker-died",
                              "worker process died (crashed or killed)")
 
-    def _attempt_failed(self, index, attempt, reason, error, tb=None):
-        cell = self._cells.get(index)
+    def _attempt_failed(self, seq, attempt, reason, error, tb=None):
+        cell = self._cells.get(seq)
         if cell is None:
             return  # settled or cancelled meanwhile
         if attempt < self.retry.max_retries:
             delay = self._retried(cell, attempt, reason)
             heapq.heappush(self._ready,
-                           (time.monotonic() + delay, index, attempt + 1))
+                           (time.monotonic() + delay, seq, attempt + 1))
             return
-        del self._cells[index]
+        del self._cells[seq]
         failure = self._exhausted(cell, attempt, reason, error)
         if self.on_error == "raise":
             exc = CellExecutionError(failure)
@@ -610,7 +623,13 @@ class SupervisedPool:
             except OSError:
                 pass
         self._workers.clear()
-        if self._tel_dir is not None:
+        owner = self._session
+        if self._tel_dir is not None and (
+                owner is None or owner.closed or owner.out_dir is None
+                or owner.out_dir.resolve() != Path(self._tel_dir).resolve()):
+            # A live session recording into the directory folds the
+            # workers in when it closes; merging now would replace the
+            # files it is still writing.
             from ..telemetry.merge import merge_worker_dirs
 
             merge_worker_dirs(self._tel_dir)
@@ -619,7 +638,8 @@ class SupervisedPool:
 def supervised_map(tasks, context, jobs=None, telemetry_dir=None,
                    progress=None, prime=None, cell_timeout=None,
                    retry=None, chaos=None, on_error="collect",
-                   labels=None, keys=None, on_result=None, events=None):
+                   labels=None, keys=None, indices=None, on_result=None,
+                   events=None):
     """Run engine tasks on a :class:`SupervisedPool`; ordered result list.
 
     The pool under :func:`repro.experiments.engine.parallel_map`, which
@@ -635,7 +655,9 @@ def supervised_map(tasks, context, jobs=None, telemetry_dir=None,
     calling thread, with the same retry accounting.
 
     ``progress`` receives results in task order.  ``labels``/``keys``
-    annotate failures; ``on_result(index, value)`` fires on each
+    annotate failures, and ``indices`` numbers the tasks in events and
+    failures (default: their position; chaos still targets positions);
+    ``on_result(position, value)`` fires on each
     *successful* fresh result as it completes (the checkpoint hook).
     ``events`` (a :class:`~repro.obs.events.CampaignEvents`) receives
     ``cell.started`` / ``cell.retried`` / ``cell.timeout`` records as the
@@ -660,7 +682,8 @@ def supervised_map(tasks, context, jobs=None, telemetry_dir=None,
             for i, task in enumerate(tasks):
                 value = pool._attempts_in_process(_Cell(
                     i, task, labels[i] if labels else None,
-                    keys[i] if keys else ""))  # raises under "raise"
+                    keys[i] if keys else "",
+                    indices[i] if indices else None))  # raises under "raise"
                 if on_result is not None and \
                         not isinstance(value, CellFailure):
                     on_result(i, value)
@@ -670,7 +693,8 @@ def supervised_map(tasks, context, jobs=None, telemetry_dir=None,
             return results
         futures = [
             pool.submit(task, label=labels[i] if labels else None,
-                        key=keys[i] if keys else "")
+                        key=keys[i] if keys else "",
+                        index=indices[i] if indices else None)
             for i, task in enumerate(tasks)
         ]
         index_of = {future: i for i, future in enumerate(futures)}

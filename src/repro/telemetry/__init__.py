@@ -33,7 +33,8 @@ passing a session explicitly or installing one process-wide::
         run_workload("yukta-hwssv-osssv", "gamess", context)
 
 or from the CLI with ``python -m repro <cmd> --telemetry DIR``; inspect a
-finished directory with ``python -m repro trace DIR``.
+finished directory with ``python -m repro report DIR`` (``trace`` is an
+alias), which :mod:`repro.obs.report` renders.
 """
 
 from .flight import FlightRecorder, jsonable
@@ -51,7 +52,6 @@ from .session import (
     active_session,
     deactivate,
 )
-from .summarize import load_flight_dumps, load_spans, summarize_dir
 from .tracing import NULL_SPAN, Tracer
 
 __all__ = [
@@ -68,9 +68,6 @@ __all__ = [
     "activate",
     "deactivate",
     "active_session",
-    "load_spans",
-    "load_flight_dumps",
-    "summarize_dir",
     "merge_worker_dirs",
     "merge_metrics_dicts",
 ]

@@ -12,8 +12,9 @@ folds the worker outputs back into the parent directory:
   wins" within a process, and the same holds across the merge).
 * ``spans.jsonl`` — concatenated in worker order, each span annotated with
   a ``worker`` attribute so interleaved timelines stay attributable.
-* ``metrics.prom`` — re-rendered from the merged JSON snapshot in
-  Prometheus text exposition format.
+* ``metrics.prom`` — re-rendered from the merged JSON snapshot by the
+  same :func:`~repro.telemetry.registry.render_prometheus` a live
+  registry uses.
 
 Worker directories are left in place (they are the ground truth for
 debugging a single worker); the merged artifacts land next to them.
@@ -23,6 +24,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from ..cache import atomic_write_text, read_jsonl
+from .registry import quantiles_from_buckets, render_prometheus
 
 __all__ = ["merge_worker_dirs", "merge_metrics_dicts"]
 
@@ -69,8 +73,6 @@ def merge_metrics_dicts(dicts):
             )
     # Quantile summaries cannot be merged sample-wise; re-estimate them
     # from the merged cumulative buckets.
-    from .registry import quantiles_from_buckets
-
     for family in merged.values():
         if family.get("type") != "histogram":
             continue
@@ -81,43 +83,16 @@ def merge_metrics_dicts(dicts):
     return dict(sorted(merged.items()))
 
 
-def _render_prometheus(merged):
-    """Prometheus text exposition of a merged metrics dict."""
-    lines = []
-    for name, family in merged.items():
-        if family.get("help"):
-            help_text = family["help"].replace("\\", r"\\").replace("\n", r"\n")
-            lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {family.get('type', 'counter')}")
-        for value in family["values"]:
-            label_str = _label_str(value["labels"])
-            if family.get("type") == "histogram":
-                for bucket in value["buckets"]:
-                    bl = _label_str({**value["labels"], "le": bucket["le"]})
-                    lines.append(f"{name}_bucket{bl} {bucket['cumulative']}")
-                lines.append(f"{name}_sum{label_str} {value['sum']}")
-                lines.append(f"{name}_count{label_str} {value['count']}")
-                for key, quantile in value.get("quantiles", {}).items():
-                    lines.append(f"{name}_{key}{label_str} {quantile}")
-            else:
-                lines.append(f"{name}{label_str} {value['value']}")
-    return "\n".join(lines) + "\n"
-
-
-def _label_str(labels):
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in labels.items())
-    return "{" + inner + "}"
-
-
-def merge_worker_dirs(parent_dir, worker_dirs=None):
+def merge_worker_dirs(parent_dir, worker_dirs=None, snapshot=None,
+                      spans=()):
     """Merge worker telemetry into ``parent_dir``; returns the merged dict.
 
     ``worker_dirs`` defaults to every ``worker-*`` subdirectory of the
     parent, sorted by name (deterministic merge order).  Missing or
     unparsable worker artifacts are skipped — a crashed worker must not
-    take the merged report down with it.
+    take the merged report down with it.  ``snapshot`` and ``spans`` are
+    the parent's own metrics and span records, when a session records
+    beside its workers; they merge in first.
     """
     parent = Path(parent_dir)
     if worker_dirs is None:
@@ -125,8 +100,8 @@ def merge_worker_dirs(parent_dir, worker_dirs=None):
     else:
         worker_dirs = [Path(p) for p in worker_dirs]
 
-    snapshots = []
-    span_lines = []
+    snapshots = [] if snapshot is None else [snapshot]
+    span_lines = [json.dumps(span) for span in spans]
     for worker in worker_dirs:
         metrics_path = worker / "metrics.json"
         if metrics_path.is_file():
@@ -134,27 +109,18 @@ def merge_worker_dirs(parent_dir, worker_dirs=None):
                 snapshots.append(json.loads(metrics_path.read_text()))
             except (json.JSONDecodeError, OSError):
                 pass
-        spans_path = worker / "spans.jsonl"
-        if spans_path.is_file():
-            try:
-                for line in spans_path.read_text().splitlines():
-                    if not line.strip():
-                        continue
-                    try:
-                        span = json.loads(line)
-                        span["worker"] = worker.name
-                        span_lines.append(json.dumps(span))
-                    except json.JSONDecodeError:
-                        continue
-            except OSError:
-                pass
+        try:
+            records, _ = read_jsonl(worker / "spans.jsonl")
+        except OSError:
+            continue
+        for span in records:
+            span["worker"] = worker.name
+            span_lines.append(json.dumps(span))
 
     merged = merge_metrics_dicts(snapshots)
-    from ..cache import atomic_write_text
-
     atomic_write_text(parent / "metrics.json", json.dumps(merged, indent=1),
                       fsync=False)
-    atomic_write_text(parent / "metrics.prom", _render_prometheus(merged),
+    atomic_write_text(parent / "metrics.prom", render_prometheus(merged),
                       fsync=False)
     if span_lines:
         atomic_write_text(parent / "spans.jsonl",

@@ -27,6 +27,7 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "EXPORT_QUANTILES",
     "quantiles_from_buckets",
+    "render_prometheus",
 ]
 
 # Quantile summaries attached to every exported histogram, as
@@ -244,28 +245,7 @@ class MetricsRegistry:
     # -- export --------------------------------------------------------
     def render_prometheus(self):
         """The registry in Prometheus text exposition format."""
-        lines = []
-        for family in self.families():
-            if family.help:
-                lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for labels, child in family.samples():
-                base = _label_str(labels)
-                if family.kind == "histogram":
-                    for bound, cum in child.cumulative():
-                        le = "+Inf" if bound == float("inf") else _fmt(bound)
-                        bl = _label_str({**labels, "le": le})
-                        lines.append(f"{family.name}_bucket{bl} {cum}")
-                    lines.append(f"{family.name}_sum{base} {_fmt(child.sum)}")
-                    lines.append(f"{family.name}_count{base} {child.count}")
-                    for q in EXPORT_QUANTILES:
-                        lines.append(
-                            f"{family.name}_p{int(q * 100)}{base} "
-                            f"{_fmt(child.quantile(q))}"
-                        )
-                else:
-                    lines.append(f"{family.name}{base} {_fmt(child.value)}")
-        return "\n".join(lines) + "\n"
+        return render_prometheus(self.to_dict())
 
     def to_dict(self):
         """The registry as a JSON-able dict."""
@@ -296,6 +276,38 @@ class MetricsRegistry:
                 "values": values,
             }
         return out
+
+
+def render_prometheus(snapshot):
+    """Prometheus text exposition of a :meth:`MetricsRegistry.to_dict`
+    snapshot — a live registry's or a merged one's.
+
+    Each histogram child ends its buckets with ``le="+Inf"`` at its
+    ``count`` (the snapshot keeps finite bounds only), then its sum,
+    count and quantile samples.
+    """
+    lines = []
+    for name, family in snapshot.items():
+        kind = family.get("type", "counter")
+        if family.get("help"):
+            lines.append(f"# HELP {name} {_escape_help(family['help'])}")
+        lines.append(f"# TYPE {name} {kind}")
+        for value in family["values"]:
+            labels = value["labels"]
+            base = _label_str(labels)
+            if kind == "histogram":
+                for bucket in value["buckets"]:
+                    bl = _label_str({**labels, "le": _fmt(bucket["le"])})
+                    lines.append(f"{name}_bucket{bl} {bucket['cumulative']}")
+                inf = _label_str({**labels, "le": "+Inf"})
+                lines.append(f"{name}_bucket{inf} {value['count']}")
+                lines.append(f"{name}_sum{base} {_fmt(value['sum'])}")
+                lines.append(f"{name}_count{base} {value['count']}")
+                for key, quantile in value.get("quantiles", {}).items():
+                    lines.append(f"{name}_{key}{base} {_fmt(quantile)}")
+            else:
+                lines.append(f"{name}{base} {_fmt(value['value'])}")
+    return "\n".join(lines) + "\n"
 
 
 def quantiles_from_buckets(buckets, count, quantiles=EXPORT_QUANTILES):

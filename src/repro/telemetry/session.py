@@ -220,11 +220,26 @@ class TelemetrySession:
         self.tracer.flush()
 
     def close(self):
-        """Final metrics snapshot + finalize the trace files."""
+        """Final metrics snapshot + finalize the trace files.
+
+        The workers of a parallel campaign record into ``worker-*``
+        subdirectories; closing folds them into this directory's
+        ``metrics.*`` and ``spans.jsonl`` beside this session's own.
+        """
         if self.closed:
             return
         self.flush()
+        workers = (sorted(p for p in self.out_dir.glob("worker-*")
+                          if p.is_dir())
+                   if self.out_dir is not None else [])
+        own_spans = list(self.tracer._iter_records()) if workers else ()
         self.tracer.close()
+        if workers:
+            from .merge import merge_worker_dirs
+
+            merge_worker_dirs(self.out_dir, workers,
+                              snapshot=self.registry.to_dict(),
+                              spans=own_spans)
         self.closed = True
         if active_session() is self:
             deactivate()

@@ -24,7 +24,7 @@ Output sinks:
   inside the <5 % budget of ``benchmarks/bench_telemetry.py``).
 
 With no output paths the tracer keeps a bounded in-memory deque of recent
-records — what the tests and the ``trace`` summarizer consume.
+records — what the tests consume.
 """
 
 from __future__ import annotations

@@ -54,17 +54,8 @@ class TestEventStream:
         assert records[0]["cells"] == 3
         assert records[1]["t"] > 0  # wall-clock stamped
 
-    def test_torn_tail_line_skipped_with_count(self, tmp_path):
-        path = events_path(tmp_path)
-        with CampaignEvents(path) as events:
-            events.emit("campaign.begin", cells=1)
-            events.emit("cell.completed", index=0)
-        with open(path, "a") as fh:
-            fh.write('{"event": "cell.comp')  # SIGKILL mid-write
-        records, skipped = read_events(tmp_path)
-        assert len(records) == 2
-        assert skipped == 1
-
+    # A torn tail in every JSONL artifact, this stream included:
+    # test_trace_schema.py::test_jsonl_artifact_tolerates_torn_lines.
     def test_non_event_json_lines_skipped(self, tmp_path):
         path = events_path(tmp_path)
         path.write_text('{"event": "campaign.begin"}\n[1, 2]\n{"x": 1}\n')
@@ -198,6 +189,29 @@ class TestCampaignLifecycle:
         assert "resumed 1 time(s)" in status
         assert "4/4" in status
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resumed_run_reports_campaign_indices(self, tmp_path, jobs):
+        """A run that resumes 2 of 4 cells numbers the other two 2 and 3
+        in its events and failures, not by their pool submission order
+        (which chaos targeting still uses)."""
+        parallel_map(_tasks()[:2], CONTEXT, checkpoint=tmp_path)
+        results = parallel_map(
+            _tasks(), CONTEXT, jobs=jobs, checkpoint=tmp_path, resume=True,
+            chaos=ChaosPolicy(error_cells=(0,)), on_error="collect",
+            backoff=RetryPolicy(max_retries=0, **FAST), prime=[])
+        assert results[:2] == [0, 2] and results[3] == 6
+        assert results[2].index == 2  # the first submitted cell failed
+        records = read_events(tmp_path)[0]
+        begins = [i for i, r in enumerate(records)
+                  if r["event"] == "campaign.begin"]
+        second_run = records[begins[-1]:]
+        cell_events = [r for r in second_run
+                       if r["event"] in ("cell.started", "cell.completed",
+                                         "cell.failed")]
+        assert {r["event"] for r in cell_events} == {
+            "cell.started", "cell.completed", "cell.failed"}
+        assert {r["index"] for r in cell_events} == {2, 3}
+
     def test_supervised_stream_has_started_and_retried(self, tmp_path):
         chaos = ChaosPolicy(error_cells=(2,))
         parallel_map(_tasks(), CONTEXT, jobs=2, checkpoint=tmp_path,
@@ -252,11 +266,34 @@ class TestStatusReportCli:
 
     def test_trace_empty_dir_exits_2(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path)]) == 2
-        assert "no telemetry artifacts" in capsys.readouterr().err
+        assert "no campaign artifacts" in capsys.readouterr().err
 
     def test_trace_missing_dir_exits_2(self, capsys, tmp_path):
         assert main(["trace", str(tmp_path / "nope")]) == 2
-        assert "not a telemetry directory" in capsys.readouterr().err
+        assert "not a campaign directory" in capsys.readouterr().err
+
+    def test_torn_metrics_snapshot_skipped_not_hidden(self, tmp_path, capsys):
+        from repro.telemetry import TelemetrySession
+
+        torn = '{"control_periods_total": {"type": "coun'
+        # Beside other artifacts: they render, the report says it skipped
+        # the snapshot, and the command succeeds.
+        session = TelemetrySession(tmp_path / "tel")
+        with session.span("sample"):
+            pass
+        session.close()
+        (tmp_path / "tel" / "metrics.json").write_text(torn)
+        with pytest.warns(RuntimeWarning, match="metrics snapshot"):
+            assert main(["report", str(tmp_path / "tel")]) == 0
+        out = capsys.readouterr().out
+        assert "## Control-loop time by span" in out
+        assert "`metrics.json` is torn or corrupt; skipped." in out
+        # Alone: nothing is readable, so exit 2 naming the torn file.
+        (tmp_path / "only").mkdir()
+        (tmp_path / "only" / "metrics.json").write_text(torn)
+        with pytest.warns(RuntimeWarning, match="metrics snapshot"):
+            assert main(["report", str(tmp_path / "only")]) == 2
+        assert "metrics.json is torn or corrupt" in capsys.readouterr().err
 
     def test_report_on_telemetry_only_dir(self, tmp_path, capsys):
         from repro.telemetry import TelemetrySession

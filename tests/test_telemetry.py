@@ -119,6 +119,40 @@ class TestRegistry:
         assert "step_seconds_sum 0.05" in text
         assert "step_seconds_count 1" in text
 
+    def test_prometheus_text_is_pinned(self):
+        """The live exposition text, byte for byte, as it was before it
+        was rendered from the ``to_dict`` snapshot: escaped help and label
+        values, integral floats printed as integers, a ``+Inf`` bucket."""
+        reg = MetricsRegistry()
+        requests = reg.counter("requests_total",
+                               help="Requests seen.\nSecond line",
+                               labels=("who",))
+        requests.labels(who='x"y').inc(3)
+        requests.labels(who="back\\slash").inc()
+        reg.gauge("temp_celsius").set(61.25)
+        hist = reg.histogram("step_seconds", help="Step latency",
+                             labels=("who",), buckets=(0.001, 0.01, 1.0))
+        for value in (0.0005, 0.02, 3.0):
+            hist.labels(who='x"y').observe(value)
+        assert reg.render_prometheus() == (
+            '# HELP requests_total Requests seen.\\nSecond line\n'
+            '# TYPE requests_total counter\n'
+            'requests_total{who="x\\"y"} 3\n'
+            'requests_total{who="back\\\\slash"} 1\n'
+            '# HELP step_seconds Step latency\n'
+            '# TYPE step_seconds histogram\n'
+            'step_seconds_bucket{who="x\\"y",le="0.001"} 1\n'
+            'step_seconds_bucket{who="x\\"y",le="0.01"} 1\n'
+            'step_seconds_bucket{who="x\\"y",le="1"} 2\n'
+            'step_seconds_bucket{who="x\\"y",le="+Inf"} 3\n'
+            'step_seconds_sum{who="x\\"y"} 3.0205\n'
+            'step_seconds_count{who="x\\"y"} 3\n'
+            'step_seconds_p50{who="x\\"y"} 0.505\n'
+            'step_seconds_p90{who="x\\"y"} 1\n'
+            'step_seconds_p99{who="x\\"y"} 1\n'
+            '# TYPE temp_celsius gauge\n'
+            'temp_celsius 61.25\n')
+
     def test_to_dict_is_json_serializable(self):
         reg = MetricsRegistry()
         reg.counter("a_total", labels=("k",)).labels(k="v").inc()

@@ -210,6 +210,7 @@ class TestCLI:
         session = TelemetrySession(out)
         run_workload("coordinated-heuristic", "gamess", context,
                      max_time=5.0, record=False, telemetry=session)
+        session.instant("fault.injected", cat="fault", kind="unit")
         session.dump_flight("unit-test")
         session.close()
         assert main(["trace", str(out)]) == 0
@@ -217,6 +218,14 @@ class TestCLI:
         assert "periods" in text
         assert "sample" in text  # the span table
         assert "unit-test" in text  # the flight-dump listing
+        dump = next(out.glob("flight-*.json")).name
+        assert "- #00 unit-test: " in text and f"[{dump}]" in text
+        assert "fault.injected kind=unit" in text
+        assert "| control_periods_total |" in text  # the full metrics
+        assert "perfetto.dev" in text
+        # ``trace`` is an alias of ``report``: one handler, same bytes.
+        assert main(["report", str(out)]) == 0
+        assert capsys.readouterr().out == text
 
     def test_run_parser_accepts_telemetry_flag(self, capsys):
         from repro.__main__ import main

@@ -2,13 +2,23 @@
 robust to empty, partial, duplicated, and corrupted worker output."""
 
 import json
+from types import SimpleNamespace
 
-from repro.telemetry import TelemetrySession
+from repro.telemetry import TelemetrySession, activate, active_session
 from repro.telemetry.merge import merge_metrics_dicts, merge_worker_dirs
 
 
 def _worker_session(parent, name):
     return TelemetrySession(parent / name)
+
+
+def _record_in_worker(context, periods):
+    """Engine task: record a counter and a span in the worker's session."""
+    session = active_session()
+    session.periods.inc(periods)
+    with session.span("sim"):
+        pass
+    return periods
 
 
 def _counter_snapshot(name="jobs_total", value=1.0, labels=None):
@@ -111,6 +121,64 @@ class TestMergeWorkerDirs:
         prom = (tmp_path / "metrics.prom").read_text()
         assert "control_periods_total 2" in prom
         assert "# TYPE control_periods_total counter" in prom
+
+    def test_merged_prometheus_matches_live_renderer(self, tmp_path):
+        """Two workers' histograms merge into text with one ``+Inf``
+        bucket per child, escaped label values and the live ``le``
+        formatting — the same renderer a single registry uses."""
+        for name in ("worker-1", "worker-2"):
+            session = _worker_session(tmp_path, name)
+            hist = session.registry.histogram(
+                "step_seconds", labels=("who",), buckets=(0.001, 1.0))
+            hist.labels(who='x"y').observe(0.5)
+            hist.labels(who="plain").observe(2.0)
+            session.close()
+        merge_worker_dirs(tmp_path)
+        prom = (tmp_path / "metrics.prom").read_text()
+        inf_lines = [line for line in prom.splitlines()
+                     if line.startswith("step_seconds_bucket")
+                     and 'le="+Inf"' in line]
+        assert inf_lines == ['step_seconds_bucket{who="x\\"y",le="+Inf"} 2',
+                             'step_seconds_bucket{who="plain",le="+Inf"} 2']
+        assert 'step_seconds_bucket{who="x\\"y",le="1"} 2' in prom
+        assert 'le="1.0"' not in prom
+        assert 'who="x"y"' not in prom
+        # Every histogram child of the merged snapshot gets its +Inf line.
+        snapshot = json.loads((tmp_path / "metrics.json").read_text())
+        children = sum(len(family["values"]) for family in snapshot.values()
+                       if family["type"] == "histogram")
+        assert prom.count('le="+Inf"') == children
+
+
+class TestSessionFoldsWorkers:
+    def test_parallel_campaign_under_a_live_session(self, tmp_path):
+        """``--jobs N --telemetry DIR``: the session recording into the
+        pool's directory ends with its workers' metrics and spans beside
+        its own, instead of overwriting the merge with its own snapshot."""
+        from repro.experiments.engine import parallel_map
+
+        session = activate(TelemetrySession(tmp_path))
+        try:
+            with session.span("setup"):
+                pass
+            session.periods.inc(1)
+            results = parallel_map(
+                [("call", (_record_in_worker, (n,), {})) for n in (2, 3)],
+                SimpleNamespace(char_fingerprint="merge-test", overrides={}),
+                jobs=2, telemetry_dir=str(tmp_path), prime=[])
+            session.instant("after.pool")
+        finally:
+            session.close()
+        assert results == [2, 3]
+        merged = json.loads((tmp_path / "metrics.json").read_text())
+        assert merged["control_periods_total"]["values"][0]["value"] == 6
+        assert "control_periods_total 6" in (
+            tmp_path / "metrics.prom").read_text()
+        spans = [json.loads(line) for line in
+                 (tmp_path / "spans.jsonl").read_text().splitlines()]
+        own = [r["name"] for r in spans if "worker" not in r]
+        assert own == ["setup", "after.pool"]
+        assert [r["name"] for r in spans if "worker" in r] == ["sim", "sim"]
 
 
 class TestMergeMetricsDicts:
