@@ -205,6 +205,22 @@ def test_jsonl_artifact_tolerates_torn_lines(tmp_path, relpath, read,
 
 
 class TestTornArtifactTolerance:
+    def test_torn_spans_line_skipped_with_warning(self, tmp_path):
+        _record_session(tmp_path)
+        intact = len(load_spans(tmp_path))
+        with open(tmp_path / "spans.jsonl", "a") as fh:
+            fh.write('{"name": "sim", "ts_us"')  # torn tail
+        with pytest.warns(RuntimeWarning, match="1 torn/corrupt line"):
+            records = load_spans(tmp_path)
+        assert len(records) == intact
+
+    def test_non_object_span_lines_skipped(self, tmp_path):
+        (tmp_path / "spans.jsonl").write_text(
+            '{"name": "a", "phase": "span", "dur_us": 1.0}\n[1,2,3]\n')
+        with pytest.warns(RuntimeWarning):
+            records = load_spans(tmp_path)
+        assert len(records) == 1
+
     def test_corrupt_flight_dump_skipped_with_warning(self, tmp_path):
         (tmp_path / "flight-000.json").write_text(
             json.dumps({"sequence": 0, "reason": "test", "snapshots": []}))
