@@ -358,6 +358,34 @@ class TestOracles:
         assert "FAIL" in result.render()
         assert "first divergence" in result.render()
 
+    def test_compare_runs_field_list(self):
+        # Every RunMetrics field, trace and note is compared -- except the
+        # bank's own counters -- and a failed cell is a divergence.
+        from repro.experiments.metrics import RunMetrics
+        from repro.verify.oracles import _Comparator, compare_runs
+
+        def run(trips=0, bank=None, temperature=(40.0, 41.0)):
+            notes = {"emergency_trips": trips}
+            if bank is not None:
+                notes["bank"] = bank
+            return RunMetrics("s", "w", 10.0, 5.0, True,
+                              trace={"temperature": np.array(temperature)},
+                              notes=notes)
+
+        same = compare_runs(_Comparator(), [("w", "s")], [run()],
+                            [run(bank={"windows": 3})])
+        assert same.result("x").agree
+        trips = compare_runs(_Comparator(), [("w", "s")], [run()],
+                             [run(trips=1)]).result("x")
+        assert trips.divergence.signal == "notes.emergency_trips"
+        trace = compare_runs(_Comparator(), [("w", "s")], [run()],
+                             [run(temperature=(40.0, 41.5))]).result("x")
+        assert trace.divergence.signal == "w/s/temperature"
+        assert trace.divergence.step == 1
+        failed = compare_runs(_Comparator(), [("w", "s")], [run()],
+                              [None]).result("x")
+        assert failed.divergence.signal == "cell"
+
     def test_reference_recursion_tracks_model_changes(self):
         # The textbook reference must be sensitive to the plant: a
         # perturbed A matrix moves the reference gains well past rtol,
