@@ -741,6 +741,29 @@ class TestBankIntegration:
                     assert np.array_equal(a.trace[signal],
                                           b.trace[signal]), (w, s, signal)
 
+    def test_batched_matrix_matches_serial_to_completion(self,
+                                                         design_context):
+        """bodytrack and x264 run to completion diverged banked from
+        ~95 s on while a plan cached for an earlier phase's threads was
+        still being reused; every field must agree over the whole run."""
+        from repro.experiments import run_scheme_matrix
+        from repro.verify.oracles import _Comparator, compare_runs
+
+        schemes = ["coordinated-heuristic", "decoupled-heuristic",
+                   "decoupled-lqg"]
+        workloads = ["bodytrack", "x264"]
+        serial = run_scheme_matrix(schemes, workloads, design_context,
+                                   seed=11, record=True)
+        banked = run_scheme_matrix(schemes, workloads, design_context,
+                                   seed=11, record=True, batch=6)
+        cells = [(w, s) for w in workloads for s in schemes]
+        assert all(serial[w][s].completed for w, s in cells)
+        cmp = compare_runs(_Comparator(), cells,
+                           [serial[w][s] for w, s in cells],
+                           [banked[w][s] for w, s in cells])
+        result = cmp.result("bank-matrix-vs-serial")
+        assert result.agree, result.render()
+
     def test_collect_mode_fails_only_the_raising_lane(self, design_context,
                                                       monkeypatch):
         """One lane's actuation raises mid-run under ``on_error="collect"``:
