@@ -344,13 +344,6 @@ class BoardBank:
         self._sched_cache = {}
         self._lane_cache = {}
         self._slice_cache = {}
-        # Full WindowPlan objects keyed by the complete live state they
-        # were planned from (thread/app identity, placement content,
-        # effective operating point, emergency flags) — operating points
-        # recur when excitation cycles a small level set, and a matching
-        # key proves the cached plan (and its works/layout identity, which
-        # keeps the schedule caches warm) is valid verbatim.
-        self._plan_by_state = {}
         # Last placement epoch at which each lane was verified stall-free:
         # every stall-charging path (hotplug, placement apply) bumps the
         # board's _placement_epoch, so an unchanged epoch proves the
@@ -466,7 +459,6 @@ class BoardBank:
         set.
         """
         self._replan_cache.pop(index, None)
-        self._plan_by_state.pop(index, None)
         self._board_gen[index] += 1
         self._stall_free[index] = None
 
@@ -629,15 +621,21 @@ class BoardBank:
         membership — invalidated through :attr:`_replan_cache` eviction the
         moment a membership guard fires — and (d) the absence of fault
         hooks and draining stalls, re-checked here because they can appear
-        without an actuation call.  Three tiers:
+        without an actuation call.  Two reuse tiers, then a full replan:
 
         1. nothing changed → return the previous plan object;
         2. only the operating point changed (DVFS and/or emergency caps,
-           same placement and core counts) → rebuild the key from the
-           cached placement layout and hit the value memo, reassembling
-           credits from live thread objects;
+           same placement and core counts) → return this entry's plan for
+           that operating point, or rebuild the key from the cached
+           placement layout and hit the value memo, reassembling credits
+           from live thread objects;
         3. otherwise → full :func:`plan_window` (which re-derives refusal
            conditions and performs the placement-membership refresh).
+
+        Every reused plan lives in this board's :attr:`_replan_cache`
+        entry, which a membership change evicts; no plan is looked up by
+        thread values, so threads re-created on a phase entry never match
+        a plan built for their predecessors.
         """
         board = self.boards[index]
         entry = self._replan_cache.get(index)
@@ -703,31 +701,6 @@ class BoardBank:
                         entry["epoch"] = board._actuation_epoch
                         variants[vkey] = new_plan
                         return new_plan
-        # Tier 2.5: the full live state recurs (excitation sweeps cycle a
-        # small set of knob levels over stretches of stable membership).
-        # The key pins thread/app objects by identity — strong references,
-        # so a match can only mean the very same live threads in the very
-        # same placement at the very same operating point — making a
-        # previously planned WindowPlan valid verbatim, works/layout
-        # identity included.
-        state_key = self._plan_state_key(board) if clean else None
-        if state_key is not None:
-            by_state = self._plan_by_state.get(index)
-            if by_state is None:
-                by_state = self._plan_by_state[index] = {}
-            vplan = by_state.get(state_key)
-            if vplan is not None:
-                self._replan_cache[index] = {
-                    "plan": vplan,
-                    "epoch": board._actuation_epoch,
-                    "pepoch": board._placement_epoch,
-                    "cores": (
-                        board._effective_cores(BIG),
-                        board._effective_cores(LITTLE),
-                    ),
-                    "variants": {},
-                }
-                return vplan
         plan = plan_window(board, memo=self._plan_memo)
         if plan is None:
             self._replan_cache.pop(index, None)
@@ -745,47 +718,7 @@ class BoardBank:
             ),
             "variants": {},
         }
-        if state_key is not None:
-            if len(by_state) > 128:
-                by_state.clear()
-            by_state[state_key] = plan
         return plan
-
-    def _plan_state_key(self, index_or_board):
-        """Complete plan-determining live state of one board, or ``None``.
-
-        Everything :func:`plan_window` reads is covered: runnable-thread
-        sets per application (thread identity implies its phase — threads
-        are recreated on every phase entry), the placement assignment
-        content, effective frequencies and core counts (which fold in the
-        emergency caps), and the emergency snapshot.  Returns ``None``
-        when planning would refuse anyway (migration stall, nothing
-        runnable) — callers then fall through to :func:`plan_window` for
-        the authoritative refusal.
-        """
-        board = index_or_board
-        apps_sig = []
-        for app in board.applications:
-            if app.done:
-                continue
-            runnable = app.runnable_threads()
-            for thread in runnable:
-                if thread.migration_stall > 0:
-                    return None
-            apps_sig.append((app, tuple(runnable)))
-        if not apps_sig:
-            return None
-        assignment = board.placement.assignment
-        return (
-            tuple(apps_sig),
-            tuple(tuple(core) for core in assignment[BIG]),
-            tuple(tuple(core) for core in assignment[LITTLE]),
-            board._effective_frequency(BIG),
-            board._effective_cores(BIG),
-            board._effective_frequency(LITTLE),
-            board._effective_cores(LITTLE),
-            _emergency_snapshot(board),
-        )
 
     def _transient_refusal(self, index):
         """Was this plan refusal caused only by a draining stall?
