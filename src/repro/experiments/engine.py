@@ -106,6 +106,8 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
     is called with each result *in task order*.  ``prime`` restricts
     pre-pool design priming to the named schemes (``None`` primes
     everything — safe for arbitrary ``("call", ...)`` tasks).
+    ``telemetry_dir`` (default: the active telemetry session's directory)
+    receives each worker's ``worker-<pid>/`` records.
 
     Fault-tolerance knobs (``None`` defers to the active
     :class:`~repro.runtime.policy.ExecutionPolicy`, if any):
@@ -156,6 +158,8 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
     jobs = resolve_jobs(jobs)
     n = len(tasks)
     session = active_session()
+    if telemetry_dir is None and session is not None:
+        telemetry_dir = session.out_dir
 
     # --- checkpoint/resume pre-pass --------------------------------------
     journal = CheckpointJournal.resolve(checkpoint)
@@ -313,11 +317,6 @@ def run_matrix(schemes, workloads, context, seed=7, max_time=600.0,
     """
     schemes = list(schemes)
     workloads = list(workloads)
-    tel_dir = telemetry_dir
-    if tel_dir is None:
-        session = active_session()
-        if session is not None and session.out_dir is not None:
-            tel_dir = str(session.out_dir)
     order = [
         (scheme, workload)
         for workload in workloads
@@ -343,8 +342,9 @@ def run_matrix(schemes, workloads, context, seed=7, max_time=600.0,
                     ("cell", (scheme, workload, seed, max_time, record))
                 )
                 slots.append([k])
-        flat = parallel_map(tasks, context, jobs=jobs, telemetry_dir=tel_dir,
-                            prime=schemes, on_error=on_error,
+        flat = parallel_map(tasks, context, jobs=jobs,
+                            telemetry_dir=telemetry_dir, prime=schemes,
+                            on_error=on_error,
                             checkpoint=checkpoint, resume=resume,
                             cell_timeout=cell_timeout,
                             max_retries=max_retries, backoff=backoff,
@@ -372,9 +372,9 @@ def run_matrix(schemes, workloads, context, seed=7, max_time=600.0,
             ("cell", (scheme, workload, seed, max_time, record))
             for scheme, workload in order
         ]
-        flat = parallel_map(tasks, context, jobs=jobs, telemetry_dir=tel_dir,
-                            progress=progress, prime=schemes,
-                            on_error=on_error, checkpoint=checkpoint,
+        flat = parallel_map(tasks, context, jobs=jobs,
+                            telemetry_dir=telemetry_dir, progress=progress,
+                            prime=schemes, on_error=on_error, checkpoint=checkpoint,
                             resume=resume, cell_timeout=cell_timeout,
                             max_retries=max_retries, backoff=backoff,
                             chaos=chaos)

@@ -180,6 +180,30 @@ class TestSessionFoldsWorkers:
         assert own == ["setup", "after.pool"]
         assert [r["name"] for r in spans if "worker" in r] == ["sim", "sim"]
 
+    def test_parallel_map_defaults_to_the_session_directory(self, tmp_path):
+        """A campaign that passes no ``telemetry_dir`` (rack, fig15-17,
+        ablation, resilience) still records its workers under the active
+        session's directory."""
+        from repro.experiments.engine import parallel_map
+
+        session = activate(TelemetrySession(tmp_path))
+        try:
+            parallel_map(
+                [("call", (_record_in_worker, (n,), {})) for n in (2, 3)],
+                SimpleNamespace(char_fingerprint="merge-test", overrides={}),
+                jobs=2, prime=[])
+        finally:
+            session.close()
+        worker_spans = [
+            json.loads(line)
+            for path in tmp_path.glob("worker-*/spans.jsonl")
+            for line in path.read_text().splitlines()
+        ]
+        assert [r["name"] for r in worker_spans] == ["sim", "sim"]
+        merged = [json.loads(line) for line in
+                  (tmp_path / "spans.jsonl").read_text().splitlines()]
+        assert [r["name"] for r in merged if "worker" in r] == ["sim", "sim"]
+
 
 class TestMergeMetricsDicts:
     def test_counters_sum_gauges_last_write_wins(self):
