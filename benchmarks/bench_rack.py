@@ -56,9 +56,19 @@ def _saturated_rack(n_boards):
 
 
 def _timed_campaign(n_boards, use_bank, max_time, seed=3):
+    """One campaign: its result, board-steps, and bank calls (banked)."""
     from repro.rack import Rack
 
     rack = Rack(_saturated_rack(n_boards), use_bank=use_bank, seed=seed)
+    calls = []
+    if use_bank:
+        bank_call = rack.bank.run_period_bank
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return bank_call(*args, **kwargs)
+
+        rack.bank.run_period_bank = counted
     gc.collect()
     gc.disable()
     try:
@@ -67,7 +77,7 @@ def _timed_campaign(n_boards, use_bank, max_time, seed=3):
         gc.enable()
     sim_dt = rack.spec.boards[0].sim_dt
     steps = sum(result.board_time) / sim_dt
-    return result, steps
+    return result, steps, len(calls)
 
 
 def measure_throughput(attempts=ATTEMPTS, max_time=MAX_SIM_TIME,
@@ -79,8 +89,8 @@ def measure_throughput(attempts=ATTEMPTS, max_time=MAX_SIM_TIME,
         best = {}
         identical = True
         for _ in range(attempts):
-            banked, steps_b = _timed_campaign(n, True, max_time)
-            scalar, steps_s = _timed_campaign(n, False, max_time)
+            banked, steps_b, calls = _timed_campaign(n, True, max_time)
+            scalar, steps_s, _ = _timed_campaign(n, False, max_time)
             identical = identical and (
                 banked.energy == scalar.energy
                 and banked.board_time == scalar.board_time
@@ -94,6 +104,10 @@ def measure_throughput(attempts=ATTEMPTS, max_time=MAX_SIM_TIME,
                     "scalar_steps_per_sec": rate_s,
                     "bank_speedup": rate_b / rate_s,
                     "periods": banked.periods,
+                    # Vector windows per run_period_bank call: 1.0 when
+                    # every lane event re-plans inside its window.
+                    "windows_per_bank_call": (
+                        banked.bank_counters["windows"] / calls),
                 }
         best["bit_identical"] = identical
         cells.append(best)
@@ -101,6 +115,7 @@ def measure_throughput(attempts=ATTEMPTS, max_time=MAX_SIM_TIME,
             print(f"n={n}: banked {best['banked_steps_per_sec']:9,.0f} "
                   f"steps/s, scalar {best['scalar_steps_per_sec']:9,.0f}, "
                   f"speedup {best['bank_speedup']:.2f}x, "
+                  f"windows/call {best['windows_per_bank_call']:.2f}, "
                   f"identical={identical}")
     return cells
 
@@ -111,7 +126,7 @@ def measure_control_overhead(attempts=ATTEMPTS, max_time=MAX_SIM_TIME,
     _timed_campaign(n_boards, True, 4.0)  # warm-up
     best = None
     for attempt in range(attempts):
-        result, _ = _timed_campaign(n_boards, True, max_time)
+        result, _, _ = _timed_campaign(n_boards, True, max_time)
         frac = (result.loop_wall - result.step_wall) / result.step_wall
         cand = {
             "n_boards": n_boards,

@@ -15,20 +15,22 @@ instead of ``B`` Python interpreter passes:
   leading axis);
 * the windowed power sensors and performance counters update under
   boolean latch masks;
-* per-board temperature-sensor noise is pre-drawn in blocks from each
-  board's own generator (NumPy ``Generator`` draws are bit-identical
-  whether batched or sequential — asserted by the test suite) and the
-  generator is rewound to the exact number of draws consumed, so RNG
-  streams match scalar stepping;
+* only the last temperature-sensor reading survives a window, so each
+  board draws its noise once, when its lane leaves: one batch of exactly
+  as many draws as the lane ran ticks, from the board's own generator
+  (NumPy ``Generator`` draws are bit-identical whether batched or
+  sequential — asserted by the test suite), so RNG streams match scalar
+  stepping;
 * the emergency-firmware threshold state machine runs as masked array
   updates — with a fixed-point temperature bound that proves, up front,
   that no lane can trip, collapsing the machine to one vector op per
   tick in the common case;
-* application crediting runs as per-slot scatter-adds over a flat cell
-  array (threads' barrier budgets, apps' shared pools, completed
-  instructions) for as long as a conservatively computed horizon
-  guarantees no budget can clamp or run dry — the exact floating-point
-  subtraction sequence scalar ``Application.execute`` performs.
+* application crediting runs as one unbuffered add-at per tick over a
+  flat cell array (threads' barrier budgets, apps' shared pools,
+  completed instructions) for as long as a conservatively computed per-lane
+  horizon guarantees no budget can clamp or run dry — the exact
+  floating-point subtraction sequence scalar ``Application.execute``
+  performs.
 
 Planning is also amortized: the bank passes a shared memo to
 :func:`repro.board.fastpath.plan_window`, so boards at the same
@@ -38,8 +40,9 @@ across lanes *and* across control periods.
 
 One kernel does all vectorized stepping: it advances a lane set through
 a list of segments (stretches of ticks under fixed plans), gathering
-board state once, stepping, and writing it back once.
-:meth:`BoardBank.run_period_bank` hands it one segment per window.
+board state once, stepping, and writing each lane back once, when it
+leaves.  :meth:`BoardBank.run_period_bank` hands it one segment and each
+lane's tick budget; lanes re-plan inside the window.
 :meth:`BoardBank.run_schedule_bank` *fuses* whole DVFS schedules: it
 validates and snaps up to ``block_periods`` upcoming frequency commands
 at once, plans every lane for every distinct operating point in the
@@ -68,10 +71,16 @@ the existing scalar/fastpath machinery:
 * boards with fault hooks or a registered per-tick hook (e.g. a fault
   injector's ``advance``) always run the scalar per-tick loop;
 * mid-window, the moment a board's emergency firmware changes state or
-  an application's runnable-thread set changes, the lockstep window ends
-  (the offending tick is still exact), only that board's plan is
-  invalidated, and every lane — including the divergent one, under its
-  refreshed plan — re-enters the vector kernel at the next window.
+  an application's runnable-thread set changes, that lane alone re-plans
+  after the offending tick (the tick itself is still exact): its
+  emergency state and credit cells are written back, the new plan's
+  terms and cells are spliced into its column, and every lane runs on.
+  Noise is unaffected (it does not depend on the plan).  Only a lane
+  whose re-plan is refused — its program finished, nothing runnable —
+  leaves the window early (``events["lane_exit"]``); its column is
+  written back and masked out, and the caller peels, finishes or drops
+  it.  The fused multi-period path proves its blocks free of all such
+  events up front.
 """
 
 from __future__ import annotations
@@ -81,9 +90,7 @@ import numpy as np
 from .fastpath import (
     WindowPlan,
     _emergency_snapshot,
-    _membership_changed,
     plan_window,
-    run_window,
 )
 from .power import _REFERENCE_TEMP
 from .specs import BIG, LITTLE
@@ -129,132 +136,218 @@ class _MembershipGuard:
         return False
 
 
-class _CreditSchedule:
-    """Vectorized replay of one window's per-tick application crediting.
+_THREAD = 0
+_POOL = 1
+_DONE = 2
+
+
+class _LaneCells:
+    """One plan's credit list laid out as the cells of one bank lane.
 
     Scalar stepping calls ``app.execute(thread, done, now)`` for every
     planned credit, every tick — a min-clamp, one subtraction from the
     thread's barrier budget or the app's shared pool, one addition to the
     app's completed-instruction counter, and a phase-advance check.  Far
-    from exhaustion none of the clamps or advances can fire, so the whole
-    tick reduces to the same subtractions/additions on a flat float
-    array: one scatter-add per credit *slot* (position in the per-board
-    credit list) covers every board at once while preserving the exact
-    per-cell operation order.
-
-    ``horizon`` is the number of ticks this is provably safe for: each
-    budget cell keeps at least three full ticks of decrement in reserve
-    (crushing both the ``min(done, remaining)`` clamp and the ``1e-12``
-    phase-advance threshold, with orders of magnitude to spare over
-    accumulated rounding).  At the horizon the caller scatters the cells
-    back into the Python objects and finishes the window with ordinary
-    ``execute`` calls.
+    from exhaustion none of the clamps or advances can fire, so a tick
+    reduces to those subtractions/additions on the cells below.  Row 0 is
+    scratch (padding slots add 0.0 there); cell rows follow in first-use
+    order.  Credit ``j`` subtracts ``done[j]`` from row ``vrow[j]`` and
+    adds it to row ``drow[j]``; ``decs`` is each row's per-tick decrement.
+    Built once per plan (:attr:`WindowPlan.cells`).
     """
 
-    __slots__ = ("cells", "vals", "slots", "value_decs", "horizon",
-                 "scattered", "plan_ident", "_dec_idx", "_dec_arr")
+    __slots__ = ("cells", "vrow", "drow", "done", "decs")
 
-    _THREAD = 0
-    _POOL = 1
-    _DONE = 2
-
-    def __init__(self, indices, plans):
-        cells = []  # (kind, object)
-        decs = []
+    def __init__(self, credits):
+        cells = []
         index = {}
-        slot_ids = []
-        slot_ws = []
-        for i in indices:
-            for j, (app, thread, done) in enumerate(plans[i].credits):
-                if j >= len(slot_ids):
-                    slot_ids.append([])
-                    slot_ws.append([])
-                if app.current_phase.barrier:
-                    vkey = id(thread)
-                    if vkey not in index:
-                        index[vkey] = len(cells)
-                        cells.append((self._THREAD, thread))
-                        decs.append(0.0)
-                else:
-                    vkey = -1 - id(app)  # disjoint from thread id keys
-                    if vkey not in index:
-                        index[vkey] = len(cells)
-                        cells.append((self._POOL, app))
-                        decs.append(0.0)
-                vc = index[vkey]
-                ckey = ("c", id(app))
-                if ckey not in index:
-                    index[ckey] = len(cells)
-                    cells.append((self._DONE, app))
-                    decs.append(0.0)
-                decs[vc] += done
-                slot_ids[j].append(vc)
-                slot_ids[j].append(index[ckey])
-                slot_ws[j].append(-done)
-                slot_ws[j].append(done)
+        vrow = []
+        drow = []
+        dones = []
+        decs = [0.0]
+        for app, thread, done in credits:
+            if app.current_phase.barrier:
+                key, cell = id(thread), (_THREAD, thread)
+            else:
+                key, cell = -1 - id(app), (_POOL, app)  # disjoint from ids
+            v = index.get(key)
+            if v is None:
+                v = index[key] = len(decs)
+                cells.append(cell)
+                decs.append(0.0)
+            ckey = ("c", id(app))
+            c = index.get(ckey)
+            if c is None:
+                c = index[ckey] = len(decs)
+                cells.append((_DONE, app))
+                decs.append(0.0)
+            decs[v] += done
+            vrow.append(v)
+            drow.append(c)
+            dones.append(done)
         self.cells = cells
-        self.value_decs = [
-            (c, decs[c]) for c, (kind, _) in enumerate(cells)
-            if kind != self._DONE and decs[c] > 0.0
-        ]
-        self.slots = [
-            (np.array(ids, dtype=np.intp), np.array(ws))
-            for ids, ws in zip(slot_ids, slot_ws)
-        ]
-        if self.value_decs:
-            self._dec_idx = np.array(
-                [c for c, _ in self.value_decs], dtype=np.intp
-            )
-            self._dec_arr = np.array([d for _, d in self.value_decs])
-        else:
-            self._dec_idx = None
-            self._dec_arr = None
-        self.plan_ident = None  # set by the bank's schedule cache
-        self.refresh()
+        self.vrow = vrow
+        self.drow = drow
+        self.done = dones
+        self.decs = decs
 
-    def refresh(self):
-        """Re-read the live cell values (the structure is state-free)."""
-        _thread = self._THREAD
-        _pool = self._POOL
-        vals = [
-            obj.remaining if kind == _thread
-            else obj.pool_remaining if kind == _pool
+    def read(self):
+        """The live cell values, scratch row first."""
+        return [0.0] + [
+            obj.remaining if kind == _THREAD
+            else obj.pool_remaining if kind == _POOL
             else obj.completed_instructions
             for kind, obj in self.cells
         ]
-        self.vals = np.array(vals) if vals else None
-        if self._dec_idx is not None:
-            # Truncation is monotone, so int(min(v/d)) == min(int(v/d)).
-            self.horizon = max(
-                int((self.vals[self._dec_idx] / self._dec_arr).min()) - 3, 0
-            )
-        else:
-            self.horizon = None
-        self.scattered = False
+
+    def write(self, row):
+        """Store a lane's cell values back into the live objects."""
+        for value, (kind, obj) in zip(row[1:], self.cells):
+            if kind == _THREAD:
+                obj.remaining = value
+            elif kind == _POOL:
+                obj.pool_remaining = value
+            else:
+                obj.completed_instructions = value
+
+
+class _CreditSchedule:
+    """Vectorized replay of per-tick application crediting, lane by lane.
+
+    Each lane's cells (:class:`_LaneCells`) occupy one row of ``vals``.
+    A tick is one unbuffered ``np.add.at`` over every lane's credits in
+    slot-major order (slot = position in the per-board credit list), so
+    each cell sees exactly the sequence of additions scalar
+    ``Application.execute`` performs.
+
+    Each lane has its own horizon: the number of ticks it is provably
+    safe for, keeping at least three full ticks of decrement in reserve in
+    every budget cell (crushing both the ``min(done, remaining)`` clamp
+    and the ``1e-12`` phase-advance threshold, with orders of magnitude to
+    spare over accumulated rounding).  At its horizon the caller releases
+    the lane (:meth:`release`), which writes its cells back into the
+    Python objects and zeroes its weights; the lane then credits through
+    ordinary ``execute`` calls until a re-plan installs new cells
+    (:meth:`splice`).
+    """
+
+    __slots__ = ("lanes", "vector", "vals", "decs", "vrow", "drow", "w",
+                 "flat", "ids", "ws")
+
+    def __init__(self, lanes):
+        self.lanes = list(lanes)
+        self.vector = [True] * len(self.lanes)
+        rows = 1 + max(len(lane.cells) for lane in self.lanes)
+        width = max(len(lane.vrow) for lane in self.lanes)
+
+        def pad(values, n, fill):
+            return values + [fill] * (n - len(values))
+
+        self.vals = np.array([pad(lane.read(), rows, 0.0)
+                              for lane in self.lanes])
+        self.decs = np.array([pad(lane.decs, rows, 0.0)
+                              for lane in self.lanes])
+        self.vrow = np.array([pad(lane.vrow, width, 0)
+                              for lane in self.lanes], dtype=np.intp)
+        self.drow = np.array([pad(lane.drow, width, 0)
+                              for lane in self.lanes], dtype=np.intp)
+        self.w = np.array([pad(lane.done, width, 0.0)
+                           for lane in self.lanes])
+        self._derive()
+
+    def _derive(self):
+        """Flat credit indices and signed weights, one row per slot."""
+        B, rows = self.vals.shape
+        base = (np.arange(B, dtype=np.intp) * rows)[:, None]
+        w = np.where(np.array(self.vector)[:, None], self.w, 0.0)
+        self.ids = np.concatenate([(self.vrow + base).T,
+                                   (self.drow + base).T], axis=1)
+        self.ws = np.concatenate([-w.T, w.T], axis=1)
+        self.flat = self.vals.reshape(-1)
+
+    def share(self, base):
+        """Tick ``base``'s cell array if both hold the same cells."""
+        if self.vals.shape != base.vals.shape or any(
+            len(a.cells) != len(b.cells)
+            or any(x is not y for (_, x), (_, y) in zip(a.cells, b.cells))
+            for a, b in zip(self.lanes, base.lanes)
+        ):
+            return False
+        self.vals = base.vals
+        self.flat = base.flat
+        return True
+
+    def horizons(self):
+        """Each lane's safe tick count from now (``None``: unbounded)."""
+        q = np.divide(self.vals, self.decs, out=np.full(self.vals.shape,
+                                                         np.inf),
+                      where=self.decs > 0.0)
+        # Truncation is monotone, so int(min(v/d)) == min(int(v/d)).
+        return [None if m == np.inf else max(int(m) - 3, 0)
+                for m in q.min(axis=1).tolist()]
 
     def safe_ticks(self, max_ticks):
-        return max_ticks if self.horizon is None else min(self.horizon,
-                                                          max_ticks)
+        safe = [h for h in self.horizons() if h is not None]
+        return min(safe + [max_ticks])
 
     def tick(self):
-        vals = self.vals
-        for ids, ws in self.slots:
-            vals[ids] += ws
+        # ufunc.at applies its operands in index order, unbuffered.
+        np.add.at(self.flat, self.ids.reshape(-1), self.ws.reshape(-1))
 
-    def scatter(self):
-        """Write the cell lanes back into the live application objects."""
-        if self.scattered or self.vals is None:
-            self.scattered = True
-            return
-        out = self.vals.tolist()
-        for c, (kind, obj) in enumerate(self.cells):
-            if kind == self._THREAD:
-                obj.remaining = out[c]
-            elif kind == self._POOL:
-                obj.pool_remaining = out[c]
-            else:
-                obj.completed_instructions = out[c]
-        self.scattered = True
+    def release(self, col):
+        """Hand one lane's crediting back to the live objects."""
+        if self.vector[col]:
+            self.lanes[col].write(self.vals[col].tolist())
+            self.vector[col] = False
+            B = len(self.lanes)
+            self.ws[:, col] = 0.0
+            self.ws[:, B + col] = 0.0
+
+    def splice(self, col, lane):
+        """Install a released lane's new cells; returns its horizon.
+
+        The lane credits vectorized again unless its horizon is 0.
+        """
+        B, rows = self.vals.shape
+        width = self.w.shape[1]
+        need_rows = 1 + len(lane.cells)
+        need_width = len(lane.vrow)
+        grow = need_rows > rows or need_width > width
+        if need_rows > rows:
+            extra = ((0, 0), (0, need_rows - rows))
+            self.vals = np.pad(self.vals, extra)
+            self.decs = np.pad(self.decs, extra)
+            rows = need_rows
+        if need_width > width:
+            extra = ((0, 0), (0, need_width - width))
+            self.vrow = np.pad(self.vrow, extra)
+            self.drow = np.pad(self.drow, extra)
+            self.w = np.pad(self.w, extra)
+            width = need_width
+        self.lanes[col] = lane
+        n = len(lane.vrow)
+        self.vals[col] = 0.0
+        self.vals[col, :need_rows] = lane.read()
+        self.decs[col] = 0.0
+        self.decs[col, :need_rows] = lane.decs
+        for target, values in ((self.vrow, lane.vrow),
+                               (self.drow, lane.drow), (self.w, lane.done)):
+            target[col] = 0
+            target[col, :n] = values
+        decs = self.decs[col]
+        mask = decs > 0.0
+        horizon = (max(int((self.vals[col][mask] / decs[mask]).min()) - 3,
+                       0) if mask.any() else None)
+        self.vector[col] = horizon != 0
+        if grow:
+            self._derive()
+        else:
+            self.ids[:, col] = self.vrow[col] + col * rows
+            self.ids[:, B + col] = self.drow[col] + col * rows
+            w = self.w[col] if self.vector[col] else 0.0
+            self.ws[:, col] = -w
+            self.ws[:, B + col] = w
+        return horizon
 
 
 class _Segment:
@@ -264,13 +357,12 @@ class _Segment:
     lane's trace, or ``None`` to record each board's own setting.
     """
 
-    __slots__ = ("plans", "terms", "schedule", "guards", "ticks", "freqs")
+    __slots__ = ("plans", "terms", "schedule", "ticks", "freqs")
 
-    def __init__(self, plans, terms, schedule, guards, ticks, freqs):
+    def __init__(self, plans, terms, schedule, ticks, freqs):
         self.plans = plans
         self.terms = terms
         self.schedule = schedule
-        self.guards = guards
         self.ticks = ticks
         self.freqs = freqs
 
@@ -294,9 +386,10 @@ class BoardBank:
     Every vectorized tick runs in one lane×tick kernel
     (:meth:`_run_vector_window`) that advances a lane set through a list
     of *segments* — stretches of ticks under fixed per-lane plans.
-    :meth:`run_period_bank` passes one segment per window, with the
-    emergency state machine, Python crediting past the credit horizon and
-    membership guards live; :meth:`run_schedule_bank` passes the ``K``
+    :meth:`run_period_bank` passes one segment and per-lane tick budgets,
+    with the emergency state machine, Python crediting past each lane's
+    credit horizon, membership guards and in-window re-plans live;
+    :meth:`run_schedule_bank` passes the ``K``
     period segments of a block it has proven quiet.  One fixed-point
     no-trip bound (:meth:`_no_trip_bound`, one cache) serves both.
 
@@ -332,16 +425,12 @@ class BoardBank:
         self.power_violation_time = np.zeros(n)
         self._tick_hooks = {}
         self._plan_memo = {}
-        # Plan/schedule reuse state (see _plan_for and _credit_schedule_for):
-        # _replan_cache holds each board's last WindowPlan plus the change
-        # counters it is conditioned on; _board_gen ticks whenever a
-        # board's thread/app identity may have changed (full replans);
-        # _plan_gen ticks when the memo is cleared (invalidates every
-        # id()-keyed derived cache at once).
+        # Plan reuse state (see _plan_for): _replan_cache holds each
+        # board's last WindowPlan plus the change counters it is
+        # conditioned on; _plan_gen ticks when the memo is cleared
+        # (invalidates every id()-keyed derived cache at once).
         self._replan_cache = {}
-        self._board_gen = [0] * n
         self._plan_gen = 0
-        self._sched_cache = {}
         self._lane_cache = {}
         self._slice_cache = {}
         # Last placement epoch at which each lane was verified stall-free:
@@ -358,11 +447,11 @@ class BoardBank:
         # Introspection counters (mirrored into telemetry when enabled).
         self.vector_ticks = 0  # board-ticks executed by the vector kernel
         self.scalar_ticks = 0  # board-ticks finished via scalar/fastpath
-        self.windows = 0  # vectorized windows executed
+        self.windows = 0  # vectorized windows executed (kernel calls)
         self.fused_blocks = 0  # multi-period fused blocks executed
         self.fused_ticks = 0  # board-ticks executed inside fused blocks
         self.events = {"emergency": 0, "membership": 0, "plan_refused": 0,
-                       "stall_peel": 0}
+                       "stall_peel": 0, "lane_exit": 0}
 
     def _build_constants(self):
         """Per-board spec/model constants, gathered once as full arrays."""
@@ -459,7 +548,6 @@ class BoardBank:
         set.
         """
         self._replan_cache.pop(index, None)
-        self._board_gen[index] += 1
         self._stall_free[index] = None
 
     def counters(self):
@@ -508,7 +596,7 @@ class BoardBank:
             # refuse a plan for only a tick or two, so drain it with single
             # scalar ticks *before* planning — the peeled lanes then rejoin
             # the same vector window as everyone else (keeping the window's
-            # lane set stable for the slice/lane/schedule caches) instead
+            # lane set stable for the slice and lane-term caches) instead
             # of dropping to the scalar path for the whole call.
             still = []
             stall_free = self._stall_free
@@ -544,7 +632,6 @@ class BoardBank:
                 memo.clear()
                 self._plan_gen += 1
                 self._replan_cache.clear()
-                self._sched_cache.clear()
                 self._lane_cache.clear()
             retry = []
             for i in pending:
@@ -574,36 +661,20 @@ class BoardBank:
             if not pending:
                 pending = retry  # only peeled lanes left: re-plan them
                 continue
-            window = min(remaining[i] for i in pending)
-            if window < 4:
-                # Tiny remainder (stall peels de-sync lanes by a tick or
-                # two): per-lane fastpath stepping beats the vector
-                # window's fixed gather/scatter cost at this size.  Only
-                # the de-synced lanes take it, though — clamping *every*
-                # lane to the shortest remainder would collapse the whole
-                # bank to scalar stepping each time a single lane peels
-                # (each board's float sequence is independent of how
-                # lanes are grouped, so the split is bit-exact).
-                tiny = [i for i in pending if remaining[i] < 4]
-                pending = [i for i in pending if remaining[i] >= 4]
-                for i in tiny:
-                    ran = self._run_tiny(i, plans[i], remaining[i])
-                    executed[i] += ran
-                    remaining[i] -= ran
-                    if remaining[i] > 0 and not self.boards[i].done:
-                        retry.append(i)
-                if not pending:
-                    pending = retry
-                    continue
-                window = min(remaining[i] for i in pending)
+            # One window, each lane with its own tick budget: stall peels
+            # de-sync lanes by a few ticks, and each board's float sequence
+            # is independent of how lanes are grouped.
+            budgets = [remaining[i] for i in pending]
             ran = self._run_vector_window(
                 pending, [self._segment(tuple(pending), pending, plans,
-                                        window)]
+                                        max(budgets))], budgets,
             )
+            # Only lanes whose in-window re-plan was refused come back
+            # early: the next pass peels, finishes or drops them.
             survivors = []
-            for i in pending:
-                executed[i] += ran
-                remaining[i] -= ran
+            for i, r in zip(pending, ran):
+                executed[i] += r
+                remaining[i] -= r
                 if remaining[i] > 0 and not self.boards[i].done:
                     survivors.append(i)
             pending = survivors + retry
@@ -705,9 +776,6 @@ class BoardBank:
         if plan is None:
             self._replan_cache.pop(index, None)
             return None
-        # Thread/app identity may have changed on a full replan: retire
-        # every schedule built against the old identity.
-        self._board_gen[index] += 1
         self._replan_cache[index] = {
             "plan": plan,
             "epoch": board._actuation_epoch,
@@ -772,51 +840,6 @@ class BoardBank:
         if self.telemetry is not None:
             self.telemetry.bank_scalar_ticks.inc(1)
         return 1
-
-    def _run_tiny(self, index, plan, n_ticks):
-        """Advance one board ``<= n_ticks`` ticks under its window plan.
-
-        The per-lane fastpath (:func:`run_window`) performs exactly the
-        same float operations as the vector window, tick for tick, so it
-        is interchangeable bit-for-bit — and for one or two ticks it skips
-        the vector window's fixed per-call gather/scatter cost.  Mirrors
-        the vector window's bookkeeping: event counters, replan-cache
-        eviction on membership change, and violation clocks.
-        """
-        board = self.boards[index]
-        spec = board.spec
-        track = self.track_violations
-        ran = 0
-        while ran < n_ticks:
-            step = run_window(board, plan, 1 if track else n_ticks - ran)
-            ran += step
-            if track:
-                if board.thermal.temperature > spec.temp_limit:
-                    self.temp_violation_time[index] += spec.sim_dt
-                if board._instant_power[BIG] > spec.power_limit_big:
-                    self.power_violation_time[index] += spec.sim_dt
-            stop = False
-            if _emergency_snapshot(board) != plan.emergency_snapshot:
-                self.events["emergency"] += 1
-                if self.telemetry is not None:
-                    self.telemetry.bank_events.labels(
-                        reason="emergency"
-                    ).inc()
-                stop = True
-            if _membership_changed(plan.apps):
-                self._replan_cache.pop(index, None)
-                self.events["membership"] += 1
-                if self.telemetry is not None:
-                    self.telemetry.bank_events.labels(
-                        reason="membership"
-                    ).inc()
-                stop = True
-            if stop or step == 0:
-                break
-        self.scalar_ticks += ran
-        if self.telemetry is not None and ran:
-            self.telemetry.bank_scalar_ticks.inc(ran)
-        return ran
 
     # ------------------------------------------------------------------
     # Scalar fallback
@@ -914,39 +937,19 @@ class BoardBank:
             self._lane_cache[lane_key] = lanes
         return lanes
 
-    def _credit_schedule_for(self, key_boards, indices, plans):
-        """A cached, freshly refreshed credit schedule plus membership guards.
-
-        Keyed by the identity of each board's credit amounts plus its
-        membership generation; verified against the live works objects
-        (held by the cached schedule) so id() reuse cannot alias.
-        """
-        works_list = [plans[i].works for i in indices]
-        board_gen = self._board_gen
-        sched_key = (key_boards, self._plan_gen,
-                     tuple((i, id(w), board_gen[i])
-                           for i, w in zip(indices, works_list)))
-        cached = self._sched_cache.get(sched_key)
-        if (
-            cached is not None
-            and all(a is b for a, b in zip(cached[0].plan_ident, works_list))
-        ):
-            cached[0].refresh()
-            return cached
-        schedule = _CreditSchedule(indices, plans)
-        schedule.plan_ident = works_list
-        guards = [_MembershipGuard(plans[i]) for i in indices]
-        if len(self._sched_cache) > 256:
-            self._sched_cache.clear()
-        self._sched_cache[sched_key] = (schedule, guards)
-        return schedule, guards
+    @staticmethod
+    def _cells(plan):
+        """The plan's :class:`_LaneCells`, built on first use."""
+        cells = plan.cells
+        if cells is None:
+            cells = plan.cells = _LaneCells(plan.credits)
+        return cells
 
     def _segment(self, key_boards, indices, plans, ticks, freqs=None):
         """A :class:`_Segment` of ``ticks`` ticks under one set of plans."""
-        schedule, guards = self._credit_schedule_for(key_boards, indices,
-                                                     plans)
+        schedule = _CreditSchedule([self._cells(plans[i]) for i in indices])
         return _Segment(plans, self._lane_terms(key_boards, indices, plans),
-                        schedule, guards, ticks, freqs)
+                        schedule, ticks, freqs)
 
     def _no_trip_bound(self, key_boards, S, terms_list, T):
         """A temperature ceiling proving no lane can trip, or ``None``.
@@ -1222,7 +1225,7 @@ class BoardBank:
                         rej_b + rej_l
                     )
 
-        ticks = self._run_vector_window(indices, segments, quiet=True)
+        ticks = self._run_vector_window(indices, segments, quiet=True)[0]
         self.fused_blocks += 1
         self.fused_ticks += ticks * len(indices)
         for i in indices:
@@ -1251,8 +1254,6 @@ class BoardBank:
                     return []  # stall draining / membership refusal
                 plans[i] = plan
             plans_by_op.append(plans)
-        # Segments only after every op is planned: a full re-plan bumps the
-        # board's generation, which keys the credit-schedule cache.
         by_op = [self._segment(key_boards, indices, plans, period_steps, op)
                  for plans, op in zip(plans_by_op, ops)]
 
@@ -1264,14 +1265,9 @@ class BoardBank:
         base = by_op[0].schedule
         safe = base.safe_ticks(total)
         for seg in by_op[1:]:
-            sched = seg.schedule
-            if len(sched.cells) != len(base.cells) or any(
-                a is not b
-                for (_, a), (_, b) in zip(sched.cells, base.cells)
-            ):
+            if not seg.schedule.share(base):
                 return []  # structure diverged: stay exact per period
-            safe = min(safe, sched.safe_ticks(total))
-            sched.vals = base.vals
+            safe = min(safe, seg.schedule.safe_ticks(total))
         k_fused = min(len(op_of), safe // period_steps)
         if k_fused == 0:
             return []
@@ -1284,22 +1280,31 @@ class BoardBank:
     # ------------------------------------------------------------------
     # The lane×tick kernel
     # ------------------------------------------------------------------
-    def _run_vector_window(self, indices, segments, quiet=None):
+    def _run_vector_window(self, indices, segments, budgets=None,
+                           quiet=None):
         """Advance every lane through ``segments`` in vectorized lockstep.
 
         Each :class:`_Segment` is a stretch of ticks under fixed plans.
-        The per-period path passes one; the fused path passes one per
-        period of a block it has already proven emergency-quiet
-        (``quiet=True``) and inside the credit horizon, with every
-        segment's schedule sharing one live cell array.  Board state is
-        gathered into the lane matrix once, stepped tick by tick with the
-        plan-constant matrices rebound per segment, and written back once;
-        traces are flushed once per segment.  ``quiet=None`` proves (or
+        The per-period path passes one segment and each lane's tick
+        ``budgets``; the fused path passes one segment per period of a
+        block it has already proven emergency-quiet (``quiet=True``) and
+        inside the credit horizon, with every segment's schedule sharing
+        one live cell array.  Board state is gathered into the lane matrix
+        once, stepped tick by tick, and each lane's column is written back
+        once, when the lane leaves the window.  ``quiet=None`` proves (or
         fails to prove) the no-trip bound here.
 
-        Returns the number of ticks executed (shared across lanes: the
-        window ends for everyone at the first board event, after the
-        offending tick — exactly where scalar stepping would re-plan).
+        Events are lane-local.  When a lane's emergency firmware changes
+        state or its membership guard fires, that lane alone re-plans
+        after the offending tick (exactly where scalar stepping would):
+        its emergency state and credit cells are written back, the new
+        plan's terms and cells are spliced into its column, and every lane
+        runs on.  A lane leaves the window when its budget is spent or its
+        re-plan is refused (program finished, nothing runnable); its
+        column is then written back and masked out.
+
+        Returns the number of ticks each lane executed, in ``indices``
+        order.
         """
         boards = [self.boards[i] for i in indices]
         B = len(boards)
@@ -1321,14 +1326,16 @@ class BoardBank:
         thresh_m = S["thresh"]
         sdt_m = S["sdt"]
         speriod_m = S["speriod"]
-        noise_rms = S["noise_rms"]
+        trip_delay = S["trip_delay"]
+        clear_delay = S["clear_delay"]
+        min_hold = S["min_hold"]
 
         # --- mutable board state, copied into lanes ---------------------
-        # One array build for all the float lanes.  Rows 6..12 (retired
-        # instructions, sensor-elapsed, time, under-limit clocks) advance
-        # by a per-segment constant each tick, laid out contiguously so
-        # the tick loop bumps them with a single fused in-place add; those
-        # stay views of ``g`` for the whole window.  The rest may rebind.
+        # One array build for all the float lanes, updated in place for
+        # the whole window.  Rows 6..12 (retired instructions,
+        # sensor-elapsed, time, under-limit clocks) advance by a constant
+        # each tick, laid out contiguously so the tick loop bumps them
+        # with a single fused in-place add.
         sens_b = S["sens_b"]
         sens_l = S["sens_l"]
         thermals = S["thermals"]
@@ -1347,60 +1354,73 @@ class BoardBank:
             [b.time for b in boards],
             [e._under_power_time[BIG] for e in em],
             [e._under_power_time[LITTLE] for e in em],
+            [e._over_power_time[BIG] for e in em],
+            [e._over_power_time[LITTLE] for e in em],
+            [e._hold_time[BIG] for e in em],
+            [e._hold_time[LITTLE] for e in em],
+            [e.state.throttle_time for e in em],
         ])
         T = g[0]
         energy = g[1]
         acc_m = g[2:4]
         latch_m = g[4:6]
-        itotal_m = g[6:8]
         elap_m = g[8:10]
         time_arr = g[10]
         under_m = g[11:13]
+        over_m = g[13:15]
+        hold_m = g[15:17]
+        throttle_time = g[17]
+        flags = np.array([
+            [e.state.thermal_throttled for e in em],
+            [e.state.power_throttled[BIG] for e in em],
+            [e.state.power_throttled[LITTLE] for e in em],
+        ], dtype=bool)
+        th = flags[0]
+        pth_m = flags[1:3]
+        trip = np.empty_like(flags)
+        clear = np.empty_like(flags)
+        trip_count = np.array([e.state.trip_count for e in em],
+                              dtype=np.int64)
+        has_trip_cb = any(e.on_trip is not None for e in em)
         inc = np.empty((7, B))
         inc[2:4] = sdt_m
         inc[4:7] = dt
 
         # A proven no-trip bound collapses the per-tick firmware machine
-        # to the under-limit clocks (already rows of ``g``), so the quiet
-        # path skips gathering (and later writing back) the rest of it.
+        # to the under-limit clocks (already rows of ``g``).
         if quiet is None:
-            quiet = not _any_throttled(em) and self._no_trip_bound(
-                key_boards, S, [seg.terms for seg in segments], T
+            quiet = not flags.any() and self._no_trip_bound(
+                key_boards, S, [seg.terms for seg in segments], T.copy()
             ) is not None
-        if not quiet:
-            th = np.array(
-                [e.state.thermal_throttled for e in em], dtype=bool
-            )
-            pth_m = np.array(
-                [[e.state.power_throttled[BIG] for e in em],
-                 [e.state.power_throttled[LITTLE] for e in em]], dtype=bool
-            )
-            trip_count = np.array(
-                [e.state.trip_count for e in em], dtype=np.int64
-            )
-            throttle_time = np.array([e.state.throttle_time for e in em])
-            over_m = np.array(
-                [[e._over_power_time[BIG] for e in em],
-                 [e._over_power_time[LITTLE] for e in em]]
-            )
-            hold_m = np.array(
-                [[e._hold_time[BIG] for e in em],
-                 [e._hold_time[LITTLE] for e in em]]
-            )
-            trip_delay = S["trip_delay"]
-            clear_delay = S["clear_delay"]
-            min_hold = S["min_hold"]
-            has_trip_cb = any(e.on_trip is not None for e in em)
 
-        # --- per-board RNG noise blocks ---------------------------------
-        max_ticks = sum(seg.ticks for seg in segments)
-        noise = np.zeros((B, max_ticks))
-        rng_states = [None] * B
-        for k, board in enumerate(boards):
-            if noise_rms[k] > 0:
-                rng = board.temp_sensor._rng
-                rng_states[k] = rng.bit_generator.state
-                noise[k] = rng.normal(scale=noise_rms[k], size=max_ticks)
+        # --- per-lane plans: terms, credit cells, crediting mode --------
+        seg_at = 0
+        seg = segments[0]
+        seg_end = seg.ticks
+        plans = [seg.plans[i] for i in indices]
+        # dyn, leak, leak temp coefficient, idle and instructions, two
+        # rows each: this window's own copy, so re-plans can splice.
+        P = np.concatenate(seg.terms[2:7])
+        dyn_m, leak_m, ltc_m, idle_m = P[0:2], P[2:4], P[4:6], P[6:8]
+        inc[0:2] = P[8:10]
+        schedule = seg.schedule
+        if budgets is None:
+            budgets = [sum(s.ticks for s in segments)] * B
+        end = list(budgets)
+        ran = [0] * B
+        live = list(range(B))
+        alive = np.ones(B, dtype=bool)  # left lanes keep computing, masked
+        # A lane credits vectorized until its horizon tick, then through
+        # Python ``execute`` calls (watching its membership guard).
+        n_vec = [0] * B
+        guards = [None] * B
+        python = []
+        for col, h in enumerate(schedule.horizons()):
+            n_vec[col] = end[col] if h is None else min(h, end[col])
+            if n_vec[col] == 0:
+                schedule.release(col)
+                python.append(col)
+                guards[col] = _MembershipGuard(plans[col])
 
         track = self.track_violations
         temp_limit = S["temp_limit"] if track else None
@@ -1410,34 +1430,111 @@ class BoardBank:
         if any_record:
             pcap_m = S["pcap"]
             no_emergency = np.zeros(B, dtype=bool)
+            hist = {name: [] for name in (
+                "power", "temperature", "time",
+                "freq_big", "freq_little", "emergency",
+            )}
+            hist_from = [0] * B
 
-        ticks = 0
-        emergency_changed = None
-        any_active = None  # stays None on the proven-quiet path
-        stop = False
-        for seg in segments:
-            _, _, dyn_m, leak_m, ltc_m, idle_m, instr_m, _ = seg.terms
-            inc[0:2] = instr_m
-            schedule = seg.schedule
-            n_vec = schedule.safe_ticks(seg.ticks)
-            credits = None
-            if any_record:
-                hist = {name: [] for name in (
-                    "power", "temperature", "time",
-                    "freq_big", "freq_little", "emergency",
-                )}
-                if seg.freqs is None:
-                    freq_b = np.array([b.clusters[BIG].frequency
-                                       for b in boards])
-                    freq_l = np.array([b.clusters[LITTLE].frequency
-                                       for b in boards])
+            def freq_rows(freqs):
+                if freqs is None:
+                    return (np.array([b.clusters[BIG].frequency
+                                      for b in boards]),
+                            np.array([b.clusters[LITTLE].frequency
+                                      for b in boards]))
+                return np.full(B, freqs[0]), np.full(B, freqs[1])
+
+            freq_b, freq_l = freq_rows(seg.freqs)
+
+        def flush(col):
+            """Append one recording lane's pending rows to its trace."""
+            board = boards[col]
+            if any_record and board.trace is not None:
+                self._extend_trace(board, col, hist, hist_from[col],
+                                   plans[col])
+                hist_from[col] = len(hist["time"])
+
+        def leave(cols):
+            """Write lanes back into their boards; they leave the window."""
+            G = g[:, cols].T.tolist()
+            F = flags[:, cols].T.tolist()
+            trips = trip_count[cols].tolist()
+            powers = p_m[:, cols].T.tolist()
+            noise_rms = S["noise_rms"][cols].tolist()
+            for j, col in enumerate(cols):
+                flush(col)
+                schedule.release(col)
+                board = boards[col]
+                (temp, energy_k, acc_b, acc_l, latch_b, latch_l, instr_b,
+                 instr_l, elap_b, elap_l, time_k, under_b, under_l,
+                 over_b, over_l, hold_b, hold_l, throttled_s) = G[j]
+                thermals[col].temperature = temp
+                board.energy = energy_k
+                board.time = time_k
+                sensor = sens_b[col]
+                sensor._accumulated = acc_b
+                sensor._elapsed = elap_b
+                sensor._latched = latch_b
+                sensor = sens_l[col]
+                sensor._accumulated = acc_l
+                sensor._elapsed = elap_l
+                sensor._latched = latch_l
+                S["pc_b"][col].total_giga = instr_b
+                S["pc_l"][col].total_giga = instr_l
+                # The last sensed temperature: the final true temperature
+                # plus the last of this lane's noise draws, drawn here in
+                # one batch (batched == sequential draws, so the RNG
+                # stream matches scalar stepping).
+                noise = 0.0
+                if noise_rms[j] > 0:
+                    noise = float(board.temp_sensor._rng.normal(
+                        scale=noise_rms[j], size=t)[-1])
+                board.temp_sensor._last = temp + noise
+                e = em[col]
+                e._under_power_time[BIG] = under_b
+                e._under_power_time[LITTLE] = under_l
+                if quiet:
+                    # Scalar stepping zeroes the over-threshold timers on
+                    # every under-threshold tick, and every quiet tick is
+                    # under threshold; throttle flags, trip counts, and
+                    # hold clocks provably did not move.
+                    e._over_power_time[BIG] = 0.0
+                    e._over_power_time[LITTLE] = 0.0
                 else:
-                    freq_b = np.full(B, seg.freqs[0])
-                    freq_l = np.full(B, seg.freqs[1])
-            t = 0
-            while t < seg.ticks:
+                    state = e.state
+                    state.thermal_throttled = F[j][0]
+                    state.power_throttled[BIG] = F[j][1]
+                    state.power_throttled[LITTLE] = F[j][2]
+                    state.trip_count = trips[j]
+                    state.throttle_time = throttled_s
+                    e._over_power_time[BIG] = over_b
+                    e._over_power_time[LITTLE] = over_l
+                    e._hold_time[BIG] = hold_b
+                    e._hold_time[LITTLE] = hold_l
+                board._instant_power = {BIG: powers[j][0],
+                                        LITTLE: powers[j][1]}
+                board._instant_bips = plans[col].bips
+                ran[col] = t
+                alive[col] = False
+                live.remove(col)
+
+        t = 0
+        p_m = None
+        any_active = None  # None while no lane is throttled
+        while live:
+            stop = seg_end
+            vectorized = False
+            for col in live:
+                if end[col] < stop:
+                    stop = end[col]
+                if schedule.vector[col]:
+                    vectorized = True
+                    if n_vec[col] < stop:
+                        stop = n_vec[col]
+            replan = []
+            while t < stop:
                 # Exact replay of cluster_power().total per lane: dynamic
-                # and idle are segment constants, leakage tracks the hot
+                # and idle are plan constants, leakage tracks the hot
                 # spot.  (Unpowered clusters have all-zero plan terms, so
                 # the same expression reproduces their exact 0.0 W.)
                 factor = 1.0 + ltc_m * (T - _REFERENCE_TEMP)
@@ -1446,21 +1543,19 @@ class BoardBank:
                 p_l = p_m[1]
                 # Application crediting (scalar stepping credits with the
                 # tick-start time plus dt; the vectorized schedule replays
-                # the same subtractions/additions while its horizon holds).
-                if t < n_vec:
+                # the same subtractions/additions inside each lane's
+                # horizon).
+                if vectorized:
                     schedule.tick()
-                else:
-                    if credits is None:
-                        schedule.scatter()
-                        credits = [seg.plans[i].credits for i in indices]
+                if python:
                     now = time_arr + dt
-                    for k in range(B):
-                        t_now = float(now[k])
-                        for app, thread, done in credits[k]:
+                    for col in python:
+                        t_now = float(now[col])
+                        for app, thread, done in plans[col].credits:
                             app.execute(thread, done, t_now)
                 # Thermal RC fixed point, energy, sensors, counters.
                 target = ambient + resistance * (p_b + lweight * p_l)
-                T = T + alpha * (target - T)
+                T += alpha * (target - T)
                 energy += (p_b + p_l + static) * dt
                 acc_m += p_m * sdt_m
                 # Fused constant-rate clocks: retired instructions and
@@ -1474,60 +1569,60 @@ class BoardBank:
                     g[6:10] += inc[0:4]
                 latching = elap_m + 1e-12 >= speriod_m
                 if latching.any():
-                    latch_m = np.where(latching, acc_m / elap_m, latch_m)
+                    np.copyto(latch_m, acc_m / elap_m, where=latching)
                     acc_m[latching] = 0.0
                     elap_m[latching] = 0.0
-                # Emergency firmware state machine (quiet: provably inert).
+                # Emergency firmware state machine (quiet: provably inert),
+                # the thermal flag and both power flags stacked in rows:
+                # a trip needs the flag clear and a clear needs it set,
+                # so a flag flips exactly where ``trip | clear``.
                 if not quiet:
-                    trip_th = (~th) & (T >= temp_trip)
-                    clear_th = th & (T <= temp_clear)
-                    new_th = (th | trip_th) & ~clear_th
                     is_over = p_m > thresh_m
-                    over_m = np.where(is_over, over_m + dt, 0.0)
-                    under_m = np.where(
-                        is_over, 0.0,
-                        np.where(p_m <= limit_m, under_m + dt, under_m),
-                    )
-                    hold_m = np.where(pth_m, hold_m + dt, hold_m)
-                    trip_p = (~pth_m) & (over_m >= trip_delay)
-                    clear_p = (
-                        pth_m & (hold_m >= min_hold)
-                        & (under_m >= clear_delay)
-                    )
-                    hold_m = np.where(trip_p, 0.0, hold_m)
-                    new_pth = (pth_m | trip_p) & ~clear_p
-                    trip_count += trip_th
-                    trip_count += trip_p[0]
-                    trip_count += trip_p[1]
-                    if has_trip_cb and (trip_th.any() or trip_p.any()):
-                        fired = trip_th | trip_p[0] | trip_p[1]
-                        for k in np.nonzero(fired)[0]:
-                            if em[k].on_trip is not None:
-                                boards[k].time = float(time_arr[k])
-                                if trip_th[k]:
-                                    em[k].on_trip("thermal")
-                                if trip_p[0][k]:
-                                    em[k].on_trip(f"power-{BIG}")
-                                if trip_p[1][k]:
-                                    em[k].on_trip(f"power-{LITTLE}")
-                    emergency_changed = (
-                        (new_th != th) | (new_pth[0] != pth_m[0])
-                        | (new_pth[1] != pth_m[1])
-                    )
-                    th = new_th
-                    pth_m = new_pth
-                    any_active = th | pth_m[0] | pth_m[1]
-                    if any_active.any():
-                        throttle_time = np.where(
-                            any_active, throttle_time + dt, throttle_time
-                        )
-                    time_arr = time_arr + dt
+                    # Exact: (over + dt) * 0.0 is +0.0, like the reset.
+                    np.multiply(over_m + dt, is_over, out=over_m)
+                    np.add(under_m, dt, out=under_m, where=p_m <= limit_m)
+                    np.copyto(under_m, 0.0, where=is_over)
+                    np.add(hold_m, dt, out=hold_m, where=pth_m)
+                    np.greater_equal(T, temp_trip, out=trip[0])
+                    np.greater_equal(over_m, trip_delay, out=trip[1:])
+                    np.greater(trip, flags, out=trip)  # trip & ~flags
+                    np.less_equal(T, temp_clear, out=clear[0])
+                    np.logical_and(hold_m >= min_hold,
+                                   under_m >= clear_delay, out=clear[1:])
+                    clear &= flags
+                    changed = trip | clear
+                    if changed.any():
+                        hold_m[trip[1:]] = 0.0
+                        trip_count += trip.sum(axis=0)
+                        if has_trip_cb and trip.any():
+                            for k in np.nonzero(trip.any(axis=0)
+                                                & alive)[0]:
+                                if em[k].on_trip is not None:
+                                    boards[k].time = float(time_arr[k])
+                                    if trip[0, k]:
+                                        em[k].on_trip("thermal")
+                                    if trip[1, k]:
+                                        em[k].on_trip(f"power-{BIG}")
+                                    if trip[2, k]:
+                                        em[k].on_trip(f"power-{LITTLE}")
+                        flags ^= changed
+                        # Lane events: the offending tick completes first
+                        # (exactly like scalar stepping), then the lane
+                        # re-plans.
+                        replan = np.nonzero(changed.any(axis=0)
+                                            & alive)[0].tolist()
+                    any_active = None
+                    if flags.any():
+                        any_active = flags.any(axis=0)
+                        np.add(throttle_time, dt, out=throttle_time,
+                               where=any_active)
+                    time_arr += dt
                 t += 1
                 if track:
-                    hot = T > temp_limit
+                    hot = (T > temp_limit) & alive
+                    loud = (p_b > limit_m[0]) & alive
                     if hot.any():
                         tv[ix[hot]] += dt
-                    loud = p_b > limit_m[0]
                     if loud.any():
                         pv[ix[loud]] += dt
                 if any_record:
@@ -1552,146 +1647,132 @@ class BoardBank:
                         )
                         hist["emergency"].append(any_active)
                     hist["power"].append(p_m)
-                    hist["temperature"].append(T)
-                    # On the quiet path time_arr is a live view of g.
-                    hist["time"].append(
-                        time_arr.copy() if quiet else time_arr
-                    )
-                # Window-ending events: the offending tick is complete
-                # (exactly like scalar stepping), everyone re-plans here.
-                if not quiet and emergency_changed.any():
-                    count = int(emergency_changed.sum())
-                    self.events["emergency"] += count
+                    hist["temperature"].append(T.copy())
+                    hist["time"].append(time_arr.copy())
+                if replan:
+                    self.events["emergency"] += len(replan)
                     if self.telemetry is not None:
                         self.telemetry.bank_events.labels(
                             reason="emergency"
-                        ).inc(count)
-                    stop = True
-                if t > n_vec:
-                    # Membership can only change once python crediting
-                    # runs: the schedule's horizon proves no budget hits
-                    # its clamp or advance threshold before then.  Check
-                    # every guard (not just the first) so each affected
-                    # board's cached plan is retired.
-                    for g_k, guard in enumerate(seg.guards):
-                        if guard.changed():
-                            self._replan_cache.pop(indices[g_k], None)
-                            self.events["membership"] += 1
-                            if self.telemetry is not None:
-                                self.telemetry.bank_events.labels(
-                                    reason="membership"
-                                ).inc()
-                            stop = True
-                if stop:
+                        ).inc(len(replan))
+                # Membership can only change once a lane credits through
+                # Python: its horizon proves no budget hits its clamp or
+                # advance threshold before then.
+                for col in python:
+                    if guards[col].changed():
+                        self._replan_cache.pop(indices[col], None)
+                        self.events["membership"] += 1
+                        if self.telemetry is not None:
+                            self.telemetry.bank_events.labels(
+                                reason="membership"
+                            ).inc()
+                        if col not in replan:
+                            replan.append(col)
+                if replan:
                     break
-            ticks += t
-            if any_record:
-                for k, board in enumerate(boards):
-                    if board.trace is not None:
-                        self._extend_trace(board, k, hist, t,
-                                           seg.plans[indices[k]])
-            if stop:
-                break
 
-        # Segments share one cell array (one schedule when there is only
-        # one segment), so the last one writes every cell back.
-        schedule.scatter()
-        # The last sensed temperature: final true temperature plus the
-        # final tick's noise draw (T is not rebound after its update, so
-        # computing this once here matches the per-tick value exactly).
-        last_temp = T + noise[:, ticks - 1]
+            # --- at tick t: re-plans, horizons, segments, departures ----
+            leaving = [col for col in live if end[col] == t]
+            for col in replan:
+                if end[col] == t:
+                    continue  # the caller's next plan sees the event
+                i = indices[col]
+                board = boards[col]
+                # Write back what the planner reads, and re-plan.
+                schedule.release(col)
+                if col in python:
+                    python.remove(col)
+                state = em[col].state
+                (state.thermal_throttled, state.power_throttled[BIG],
+                 state.power_throttled[LITTLE]) = flags[:, col].tolist()
+                flush(col)
+                plan = None if board.done else self._plan_for(i)
+                if plan is None:
+                    self.events["lane_exit"] += 1
+                    if self.telemetry is not None:
+                        self.telemetry.bank_events.labels(
+                            reason="lane_exit"
+                        ).inc()
+                    leaving.append(col)
+                    continue
+                plans[col] = plan
+                terms = self._lane_terms((i,), [i], {i: plan})
+                P[:, col] = np.concatenate(terms[2:7])[:, 0]
+                inc[0:2, col] = P[8:10, col]
+                if quiet and self._no_trip_bound(
+                    (i,), self._slices((i,), [board]), [terms],
+                    T[col:col + 1].copy(),
+                ) is None:
+                    # The new terms may trip: run the firmware machine for
+                    # everyone from here (every quiet tick so far zeroed
+                    # the over-threshold timers).
+                    quiet = False
+                    over_m[...] = 0.0
+                horizon = schedule.splice(col, self._cells(plan))
+                n_vec[col] = end[col] if horizon is None else min(
+                    t + horizon, end[col])
+                if not schedule.vector[col]:
+                    python.append(col)
+                    guards[col] = _MembershipGuard(plan)
+                self._stall_free[i] = board._placement_epoch
+            for col in live:
+                if schedule.vector[col] and n_vec[col] == t and end[col] > t:
+                    schedule.release(col)
+                    python.append(col)
+                    guards[col] = _MembershipGuard(plans[col])
+            if t == seg_end and seg_at + 1 < len(segments):
+                for col in live:
+                    flush(col)
+                seg_at += 1
+                seg = segments[seg_at]
+                seg_end += seg.ticks
+                plans = [seg.plans[i] for i in indices]
+                P = np.concatenate(seg.terms[2:7])
+                dyn_m, leak_m, ltc_m, idle_m = P[0:2], P[2:4], P[4:6], P[6:8]
+                inc[0:2] = P[8:10]
+                schedule = seg.schedule
+                if any_record:
+                    freq_b, freq_l = freq_rows(seg.freqs)
+            if leaving:
+                for col in leaving:
+                    if col in python:
+                        python.remove(col)
+                leave(leaving)
 
-        # --- write the lanes back into the Python board objects ---------
-        T_out = T.tolist()
-        energy_out = energy.tolist()
-        time_out = time_arr.tolist()
-        acc_out = acc_m.tolist()
-        elap_out = elap_m.tolist()
-        latch_out = latch_m.tolist()
-        itotal_out = itotal_m.tolist()
-        last_out = last_temp.tolist()
-        under_out = under_m.tolist()
-        if not quiet:
-            th_out = th.tolist()
-            pth_out = pth_m.tolist()
-            tc_out = trip_count.tolist()
-            tt_out = throttle_time.tolist()
-            over_out = over_m.tolist()
-            hold_out = hold_m.tolist()
-        pb_out = p_m[0].tolist()
-        pl_out = p_m[1].tolist()
-        for k, board in enumerate(boards):
-            thermals[k].temperature = T_out[k]
-            board.energy = energy_out[k]
-            board.time = time_out[k]
-            sensor = sens_b[k]
-            sensor._accumulated = acc_out[0][k]
-            sensor._elapsed = elap_out[0][k]
-            sensor._latched = latch_out[0][k]
-            sensor = sens_l[k]
-            sensor._accumulated = acc_out[1][k]
-            sensor._elapsed = elap_out[1][k]
-            sensor._latched = latch_out[1][k]
-            S["pc_b"][k].total_giga = itotal_out[0][k]
-            S["pc_l"][k].total_giga = itotal_out[1][k]
-            board.temp_sensor._last = last_out[k]
-            if rng_states[k] is not None and ticks < max_ticks:
-                # Rewind the generator and consume exactly the draws the
-                # scalar path would have (batched == sequential draws).
-                rng = board.temp_sensor._rng
-                rng.bit_generator.state = rng_states[k]
-                rng.normal(scale=noise_rms[k], size=ticks)
-            e = em[k]
-            e._under_power_time[BIG] = under_out[0][k]
-            e._under_power_time[LITTLE] = under_out[1][k]
-            if quiet:
-                # Scalar stepping zeroes the over-threshold timers on
-                # every under-threshold tick, and every quiet tick is
-                # under threshold; throttle flags, trip counts, and hold
-                # clocks provably did not move.
-                e._over_power_time[BIG] = 0.0
-                e._over_power_time[LITTLE] = 0.0
-            else:
-                state = e.state
-                state.thermal_throttled = th_out[k]
-                state.power_throttled[BIG] = pth_out[0][k]
-                state.power_throttled[LITTLE] = pth_out[1][k]
-                state.trip_count = tc_out[k]
-                state.throttle_time = tt_out[k]
-                e._over_power_time[BIG] = over_out[0][k]
-                e._over_power_time[LITTLE] = over_out[1][k]
-                e._hold_time[BIG] = hold_out[0][k]
-                e._hold_time[LITTLE] = hold_out[1][k]
-            board._instant_power = {BIG: pb_out[k], LITTLE: pl_out[k]}
-            board._instant_bips = seg.plans[indices[k]].bips
         self.windows += 1
-        self.vector_ticks += ticks * B
+        board_ticks = sum(ran)
+        self.vector_ticks += board_ticks
         if self.telemetry is not None:
             self.telemetry.bank_windows.inc()
-            self.telemetry.bank_board_ticks.inc(ticks * B)
-        return ticks
+            self.telemetry.bank_board_ticks.inc(board_ticks)
+        return ran
 
     @staticmethod
-    def _extend_trace(board, lane, hist, ticks, plan):
-        """Append this window's per-tick history to one board's trace."""
+    def _extend_trace(board, lane, hist, start, plan):
+        """Append one lane's history rows from ``start`` to its trace."""
         trace = board.trace
-        trace.times.extend(float(row[lane]) for row in hist["time"])
-        trace.power_big.extend(float(row[0][lane]) for row in hist["power"])
-        trace.power_little.extend(
-            float(row[1][lane]) for row in hist["power"]
-        )
+        times = hist["time"][start:]
+        ticks = len(times)
+        trace.times.extend(float(row[lane]) for row in times)
+        power = hist["power"][start:]
+        trace.power_big.extend(float(row[0][lane]) for row in power)
+        trace.power_little.extend(float(row[1][lane]) for row in power)
         trace.temperature.extend(
-            float(row[lane]) for row in hist["temperature"]
+            float(row[lane]) for row in hist["temperature"][start:]
         )
         bips_big = plan.bips[BIG]
         bips_little = plan.bips[LITTLE]
         trace.bips_big.extend([bips_big] * ticks)
         trace.bips_little.extend([bips_little] * ticks)
         trace.bips_total.extend([bips_big + bips_little] * ticks)
-        trace.freq_big.extend(float(row[lane]) for row in hist["freq_big"])
+        trace.freq_big.extend(
+            float(row[lane]) for row in hist["freq_big"][start:]
+        )
         trace.freq_little.extend(
-            float(row[lane]) for row in hist["freq_little"]
+            float(row[lane]) for row in hist["freq_little"][start:]
         )
         trace.cores_big.extend([board.clusters[BIG].cores_on] * ticks)
         trace.cores_little.extend([board.clusters[LITTLE].cores_on] * ticks)
-        trace.emergency.extend(bool(row[lane]) for row in hist["emergency"])
+        trace.emergency.extend(
+            bool(row[lane]) for row in hist["emergency"][start:]
+        )

@@ -65,9 +65,11 @@ class WindowPlan:
     emergency_snapshot: tuple  # (thermal, power big, power little) throttles
     # Plan-reuse metadata (consumed by BoardBank._plan_for):
     # works: the memo-cached per-cluster credit amounts this plan's credits
-    # were built from; layout: {cluster: (per-core [(thread, app)], sig)}.
+    # were built from; layout: {cluster: (per-core [(thread, app)], sig)};
+    # cells: the bank's credit-cell layout of ``credits``, built on first use.
     works: dict = None
     layout: dict = None
+    cells: object = None
 
 
 def _emergency_snapshot(board):

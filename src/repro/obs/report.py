@@ -13,8 +13,8 @@ run recorded — finished or in-flight (``repro trace`` is an alias):
   (:mod:`repro.obs.profiler`) from the recorded ``metrics.json``;
 * **spans** — where control-loop wall-clock time went, per span name,
   from ``spans.jsonl``, plus the fault-injection instants;
-* **flight dumps** — every ``flight-*.json`` with its window and
-  supervisor states;
+* **flight dumps** — every ``flight-*.json`` (workers' included) with
+  its window and supervisor states;
 * **metrics** — every sample of the ``metrics.json`` snapshot, and a
   pointer to the Perfetto-loadable ``trace.json``.
 
@@ -151,13 +151,18 @@ def load_spans(directory):
 def load_flight_dumps(directory):
     """Every ``flight-*.json`` payload, in sequence order.
 
-    A dump torn mid-write is skipped with a counted warning — the
-    recorder dumps exactly because something is going wrong, so partial
-    artifacts are expected, not exceptional.
+    A merged directory also holds its workers' dumps
+    (``worker-*/flight-*.json``); they follow the directory's own, worker
+    by worker, so the list agrees with ``flight_dumps_total``.  A dump
+    torn mid-write is skipped with a counted warning — the recorder dumps
+    exactly because something is going wrong, so partial artifacts are
+    expected, not exceptional.
     """
+    directory = Path(directory)
     dumps = []
     skipped = 0
-    for path in sorted(Path(directory).glob("flight-*.json")):
+    for path in (sorted(directory.glob("flight-*.json"))
+                 + sorted(directory.glob("worker-*/flight-*.json"))):
         try:
             payload = json.loads(path.read_text())
         except (ValueError, OSError):
@@ -166,7 +171,7 @@ def load_flight_dumps(directory):
         if not isinstance(payload, dict) or "sequence" not in payload:
             skipped += 1
             continue
-        payload["_path"] = path.name
+        payload["_path"] = path.relative_to(directory).as_posix()
         dumps.append(payload)
     if skipped:
         warnings.warn(

@@ -12,6 +12,10 @@ folds the worker outputs back into the parent directory:
   wins" within a process, and the same holds across the merge).
 * ``spans.jsonl`` — concatenated in worker order, each span annotated with
   a ``worker`` attribute so interleaved timelines stay attributable.
+* ``trace.json`` — the merged spans as one Chrome ``trace_event`` array,
+  each worker its own process (``pid`` 2, 3, … in merge order; the
+  parent's own spans keep ``pid`` 1), so a viewer shows one track per
+  worker.
 * ``metrics.prom`` — re-rendered from the merged JSON snapshot by the
   same :func:`~repro.telemetry.registry.render_prometheus` a live
   registry uses.
@@ -27,6 +31,7 @@ from pathlib import Path
 
 from ..cache import atomic_write_text, read_jsonl
 from .registry import quantiles_from_buckets, render_prometheus
+from .tracing import chrome_event
 
 __all__ = ["merge_worker_dirs", "merge_metrics_dicts"]
 
@@ -101,8 +106,8 @@ def merge_worker_dirs(parent_dir, worker_dirs=None, snapshot=None,
         worker_dirs = [Path(p) for p in worker_dirs]
 
     snapshots = [] if snapshot is None else [snapshot]
-    span_lines = [json.dumps(span) for span in spans]
-    for worker in worker_dirs:
+    records = [(1, span) for span in spans]  # (trace pid, span record)
+    for pid, worker in enumerate(worker_dirs, start=2):
         metrics_path = worker / "metrics.json"
         if metrics_path.is_file():
             try:
@@ -110,19 +115,32 @@ def merge_worker_dirs(parent_dir, worker_dirs=None, snapshot=None,
             except (json.JSONDecodeError, OSError):
                 pass
         try:
-            records, _ = read_jsonl(worker / "spans.jsonl")
+            worker_records, _ = read_jsonl(worker / "spans.jsonl")
         except OSError:
             continue
-        for span in records:
+        for span in worker_records:
             span["worker"] = worker.name
-            span_lines.append(json.dumps(span))
+            records.append((pid, span))
 
     merged = merge_metrics_dicts(snapshots)
     atomic_write_text(parent / "metrics.json", json.dumps(merged, indent=1),
                       fsync=False)
     atomic_write_text(parent / "metrics.prom", render_prometheus(merged),
                       fsync=False)
-    if span_lines:
+    if records:
         atomic_write_text(parent / "spans.jsonl",
-                          "\n".join(span_lines) + "\n", fsync=False)
+                          "".join(json.dumps(span) + "\n"
+                                  for _, span in records), fsync=False)
+        events = []
+        for pid, span in records:
+            try:
+                event = chrome_event(span)
+            except (KeyError, TypeError):
+                continue  # not a tracer record: kept in spans.jsonl only
+            event["pid"] = pid
+            events.append(event)
+        events.sort(key=lambda e: e["ts"])
+        atomic_write_text(parent / "trace.json",
+                          "[\n" + ",\n".join(map(json.dumps, events))
+                          + "\n]\n", fsync=False)
     return merged

@@ -138,7 +138,7 @@ class TelemetrySession:
             "board-ticks finished via the bank's scalar fallback")
         self.bank_events = reg.counter(
             "bank_window_events_total",
-            "events that ended or refused a lockstep window",
+            "lane events of lockstep windows: re-plans, refusals, exits",
             labels=("reason",))
         self.cell_retries = reg.counter(
             "cell_retries_total",

@@ -519,7 +519,7 @@ class TestBankCounters:
             "boards": 4, "vector_ticks": 1600, "scalar_ticks": 0,
             "windows": 7, "fused_blocks": 6, "fused_ticks": 1560,
             "events": {"emergency": 0, "membership": 0, "plan_refused": 0,
-                       "stall_peel": 0},
+                       "stall_peel": 0, "lane_exit": 0},
         }
 
     def test_per_period_counters(self):
@@ -541,10 +541,10 @@ class TestBankCounters:
                 _actuate(boards[k], schedules[k][p])
             bank.run_period_bank(spec.period_steps(), only=live)
         assert bank.counters() == {
-            "boards": 4, "vector_ticks": 570, "scalar_ticks": 64,
-            "windows": 23, "fused_blocks": 0, "fused_ticks": 0,
+            "boards": 4, "vector_ticks": 589, "scalar_ticks": 45,
+            "windows": 20, "fused_blocks": 0, "fused_ticks": 0,
             "events": {"emergency": 1, "membership": 2, "plan_refused": 45,
-                       "stall_peel": 45},
+                       "stall_peel": 45, "lane_exit": 1},
         }
 
 
@@ -1019,3 +1019,119 @@ class TestHeterogeneousBank:
         stale = run_banked(invalidate=False)
         assert stale.applications[1].completed_instructions == 0.0
         assert reference.applications[1].completed_instructions > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Lane-local re-plans: an event costs one lane, not the whole window
+# ---------------------------------------------------------------------------
+class TestLaneLocalReplans:
+    @staticmethod
+    def _count_replans(bank):
+        """Record every plan the bank makes from inside a vector window."""
+        inside = []
+        replans = []
+        kernel = bank._run_vector_window
+        planner = bank._plan_for
+
+        def run(*args, **kwargs):
+            inside.append(True)
+            try:
+                return kernel(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def plan(index):
+            if inside:
+                replans.append(index)
+            return planner(index)
+
+        bank._run_vector_window = run
+        bank._plan_for = plan
+        return replans
+
+    def test_rack_stream_matches_scalar_rack(self):
+        """An 8-board heterogeneous rack stream with emergency and
+        membership events: the banked rack re-plans lanes inside their
+        windows and still matches ``use_bank=False`` bit for bit."""
+        from repro.rack import JobSpec, Rack, heterogeneous_rack_spec
+        from repro.workloads.library import program_names
+
+        names = list(program_names("evaluation"))[:12]
+        jobs = tuple(
+            JobSpec(name=f"j{k}", workload=f"{name}@0.03",
+                    arrival=0.0 if k < 8 else 2.0 * (k - 7), sla=20.0)
+            for k, name in enumerate(names)
+        )
+        spec = heterogeneous_rack_spec(n_boards=8, jobs=jobs)
+
+        def run(use_bank):
+            rack = Rack(spec, seed=1, use_bank=use_bank, record=True,
+                        record_boards=True, telemetry=None)
+            calls = []
+            if use_bank:
+                call = rack.bank.run_period_bank
+
+                def counted(*args, **kwargs):
+                    calls.append(1)
+                    return call(*args, **kwargs)
+
+                rack.bank.run_period_bank = counted
+            return rack, rack.run(max_time=16.0), len(calls)
+
+        rack_b, banked, calls = run(True)
+        rack_s, scalar, _ = run(False)
+        assert banked.energy == scalar.energy
+        assert banked.board_time == scalar.board_time
+        ta, tb = banked.trace.as_arrays(), scalar.trace.as_arrays()
+        assert sorted(ta) == sorted(tb)
+        for signal in ta:
+            assert np.array_equal(np.asarray(ta[signal]),
+                                  np.asarray(tb[signal])), signal
+        for k, (a, b) in enumerate(zip(rack_b.boards, rack_s.boards)):
+            _assert_boards_identical(a, b, label=f"rack board {k}")
+
+        counters = banked.bank_counters
+        events = counters["events"]
+        assert events["emergency"] > 0 and events["membership"] > 0
+        assert events["lane_exit"] > 0
+        assert counters["windows"] <= calls + events["lane_exit"]
+
+    def test_recording_lanes_match_run_period_through_replans(self):
+        """Four recording lanes — one starting above the thermal trip, one
+        whose short program finishes mid-window — match ``Board.run_period``
+        tick for tick while lanes re-plan inside the window."""
+        from repro.rack.rack import instantiate_job_workload
+
+        spec = default_xu3_spec()
+        workloads = ["blackscholes", "mcf", "blmc", "blackscholes@0.005"]
+
+        def make():
+            boards = [Board(instantiate_job_workload(w), spec=spec,
+                            seed=21 + k, record=True, telemetry=None)
+                      for k, w in enumerate(workloads)]
+            boards[2].thermal.temperature = spec.emergency_temp_trip + 5.0
+            for board in boards:
+                _actuate(board, {"freq_big": 1.8, "freq_little": 1.2,
+                                 "cores_big": 4, "cores_little": 4,
+                                 "placement": (4.0, 2.0, 2.0)})
+            return boards
+
+        banked = make()
+        bank = BoardBank(banked, telemetry=None)
+        replans = self._count_replans(bank)
+        periods = 12
+        for _ in range(periods):
+            bank.run_period_bank(spec.period_steps())
+        reference = make()
+        for board in reference:
+            for _ in range(periods):
+                board.run_period(spec.period_steps())
+        for k, (a, b) in enumerate(zip(banked, reference)):
+            _assert_boards_identical(a, b, label=f"board {k}")
+
+        counters = bank.counters()
+        assert counters["windows"] == periods
+        assert counters["events"]["emergency"] > 0
+        assert counters["events"]["lane_exit"] == 1
+        assert banked[3].done and not banked[0].done
+        assert 2 in replans, "the hot lane never re-planned mid-window"

@@ -150,6 +150,47 @@ class TestMergeWorkerDirs:
         assert prom.count('le="+Inf"') == children
 
 
+class TestMergedTraceAndFlightDumps:
+    def test_merged_trace_json_holds_every_workers_spans(self, tmp_path):
+        """The merged directory's ``trace.json`` holds both workers' spans,
+        each worker on its own trace process."""
+        for name in ("worker-1", "worker-2"):
+            session = _worker_session(tmp_path, name)
+            session.begin_period(board_time=0.0)
+            with session.span("sim"):
+                pass
+            session.close()
+        merge_worker_dirs(tmp_path)
+        events = json.loads((tmp_path / "trace.json").read_text())
+        sims = [e for e in events if e["name"] == "sim"]
+        assert {e["args"]["worker"]: e["pid"] for e in sims} == {
+            "worker-1": 2, "worker-2": 3}
+        assert [e["ts"] for e in events] == sorted(e["ts"] for e in events)
+
+    def test_report_lists_worker_flight_dumps(self, tmp_path):
+        """Two worker sessions each dump their flight recorder: the report
+        of the merged directory lists both, agreeing with the merged
+        ``flight_dumps_total``."""
+        from repro.obs import build_report
+
+        for name in ("worker-1", "worker-2"):
+            session = _worker_session(tmp_path, name)
+            session.record_period({"time": 1.0})
+            session.dump_flight("test-trigger")
+            session.close()
+        merged = merge_worker_dirs(tmp_path)
+        (dumps,) = merged["flight_dumps_total"]["values"]
+        assert dumps["value"] == 2
+        report = build_report(tmp_path)
+        section = report.split("## Flight-recorder dumps")[1]
+        lines = [line for line in section.splitlines()
+                 if line.startswith("- #")]
+        assert len(lines) == 2
+        assert "worker-1/flight-" in lines[0]
+        assert "worker-2/flight-" in lines[1]
+        assert "flight dumps: 2" in report
+
+
 class TestSessionFoldsWorkers:
     def test_parallel_campaign_under_a_live_session(self, tmp_path):
         """``--jobs N --telemetry DIR``: the session recording into the
