@@ -10,9 +10,7 @@ records them in ``BENCH_perf.json``:
    remaining bit-identical — equality of final time/energy/temperature is
    asserted here too.
 2. **Board bank** — B=16 lockstep aggregate steps/s vs one fast-path
-   board (floor: >= 4x), then the **fused-schedule B-sweep**:
-   ``run_schedule_bank`` over B in {4, 16, 64, 256}, whose best width
-   must beat the per-period bank rate by >= 3x.
+   board (floor: >= 4x).
 3. **Banked characterization** — the full excitation campaign (24
    campaigns, heavy per-period hotplug/placement churn) banked vs
    scalar, bit-identical and >= 1.5x.
@@ -197,80 +195,6 @@ def bench_bank(reps=3, periods=300):
     }
 
 
-SWEEP_WIDTHS = (4, 16, 64, 256)  # the ISSUE-pinned B-sweep
-SWEEP_QUICK_WIDTHS = (4, 16, 64)  # CI smoke drops the 256-lane point
-SWEEP_FLOOR = 3.0  # best-B fused aggregate vs the per-period B=16 bank
-
-
-def _sweep_schedule(periods):
-    """``_bank_actuate``'s schedule as explicit per-period command lists."""
-    fb = [0.8 + 0.1 * (p % 5) for p in range(periods)]
-    fl = [0.5 + 0.05 * (p % 4) for p in range(periods)]
-    return fb, fl
-
-
-def bench_bank_sweep(reps=3, periods=300, widths=SWEEP_WIDTHS):
-    """Fused-kernel aggregate steps/s across bank widths.
-
-    ``BoardBank.run_schedule_bank`` fuses whole blocks of the same DVFS
-    schedule ``bench_bank`` drives period-by-period, so lane 0 at every
-    width must finish bit-identical to the single fast-path reference —
-    asserted here along with ``fused_ticks`` actually covering the run
-    (a silently never-fusing kernel would still pass the identity check).
-    The floor is *relative*: the best width must beat the per-period
-    B=16 bank rate by ``SWEEP_FLOOR``x on the same machine, which holds
-    on a single core because fusion removes interpreted per-period
-    driver work rather than adding parallelism.
-    """
-    from repro.board import Board, BoardBank, default_xu3_spec
-    from repro.workloads import make_mix
-
-    steps_ref, _, ref_board = _single_run(periods)
-    fb, fl = _sweep_schedule(periods)
-    spec = default_xu3_spec()
-    points = []
-    for width in widths:
-        rate = 0.0
-        fused_frac = 0.0
-        lane0 = None
-        for _ in range(reps):
-            boards = [Board(make_mix("blmc"), spec, seed=7 + i,
-                            record=False) for i in range(width)]
-            bank = BoardBank(boards, telemetry=None)
-            gc.disable()
-            t0 = time.perf_counter()
-            try:
-                executed = bank.run_schedule_bank(fb, fl)
-                elapsed = time.perf_counter() - t0
-            finally:
-                gc.enable()
-            rate = max(rate, sum(executed) / elapsed)
-            fused_frac = bank.fused_ticks / max(1, bank.vector_ticks)
-            lane0 = boards[0]
-        assert lane0.time == ref_board.time, \
-            f"B={width} lane 0 time diverged"
-        assert lane0.energy == ref_board.energy, \
-            f"B={width} lane 0 energy diverged"
-        assert (
-            lane0.thermal.temperature == ref_board.thermal.temperature
-        ), f"B={width} lane 0 temperature diverged"
-        assert sum(executed) == steps_ref * width, \
-            f"B={width} step counts diverged"
-        assert fused_frac > 0.9, \
-            f"B={width} fused kernel covered only {fused_frac:.1%} of ticks"
-        points.append({"boards": width, "steps_per_sec": rate,
-                       "fused_frac": fused_frac})
-    best = max(points, key=lambda pt: pt["steps_per_sec"])
-    return {
-        "periods": periods,
-        "points": points,
-        "best_boards": best["boards"],
-        "best_steps_per_sec": best["steps_per_sec"],
-        "bit_identical": True,
-        "floor": SWEEP_FLOOR,
-    }
-
-
 CHAR_FLOOR = 1.5  # banked characterization vs the scalar campaign loop
 
 
@@ -283,7 +207,7 @@ def bench_characterize(samples=96, reps=2):
     bank's plan-cache warmup (shorter campaigns understate the
     steady-state rate the floor pins).  The excitation
     actuates cores *and* placement every period, so this measures the
-    churn-tolerant per-lane re-plan path, not the fused DVFS kernel.
+    churn-tolerant per-lane re-plan path.
     """
     import numpy as np
     from repro.board import default_xu3_spec
@@ -557,18 +481,6 @@ def main(argv=None):
           f"bank {results['bank']['bank_steps_per_sec']:,.0f} aggregate "
           f"steps/s -> {results['bank']['speedup']:.2f}x")
 
-    widths = SWEEP_QUICK_WIDTHS if args.quick else SWEEP_WIDTHS
-    print(f"== bank sweep: fused schedule kernel, B in {widths} ==")
-    results["bank_sweep"] = bench_bank_sweep(widths=widths)
-    for pt in results["bank_sweep"]["points"]:
-        print(f"  B={pt['boards']:>3}: {pt['steps_per_sec']:,.0f} aggregate "
-              f"steps/s (fused {pt['fused_frac']:.1%})")
-    sweep_x = (results["bank_sweep"]["best_steps_per_sec"]
-               / results["bank"]["bank_steps_per_sec"])
-    results["bank_sweep"]["speedup_vs_bank"] = sweep_x
-    print(f"  best B={results['bank_sweep']['best_boards']} -> "
-          f"{sweep_x:.2f}x the per-period B={BANK_BOARDS} bank")
-
     print("== characterize: banked vs scalar campaigns ==")
     results["characterize"] = bench_characterize()
     print(f"  scalar {results['characterize']['scalar_sec']:.2f}s, banked "
@@ -627,12 +539,6 @@ def main(argv=None):
         failures.append(
             f"bank speedup {results['bank']['speedup']:.2f}x < 4x at "
             f"B={results['bank']['boards']}"
-        )
-    if results["bank_sweep"]["speedup_vs_bank"] < SWEEP_FLOOR:
-        failures.append(
-            f"fused sweep best {results['bank_sweep']['speedup_vs_bank']:.2f}x"
-            f" < {SWEEP_FLOOR}x the per-period bank "
-            f"(B={results['bank_sweep']['best_boards']})"
         )
     if not results["characterize"]["bit_identical"]:
         failures.append("banked characterization diverged from scalar")

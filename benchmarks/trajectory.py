@@ -31,14 +31,6 @@ def _floors_perf(perf):
                f"{perf['stepping']['speedup']:.2f}x < 2x")
     if perf["bank"]["speedup"] < 4.0:
         yield f"perf: bank speedup {perf['bank']['speedup']:.2f}x < 4x"
-    sweep = perf.get("bank_sweep", {})
-    if sweep:
-        if not sweep.get("bit_identical", True):
-            yield "perf: fused bank sweep diverged from the fast path"
-        floor = sweep.get("floor", 3.0)
-        if sweep["speedup_vs_bank"] < floor:
-            yield (f"perf: fused sweep best {sweep['speedup_vs_bank']:.2f}x"
-                   f" < {floor}x the per-period bank")
     char = perf.get("characterize", {})
     if char:
         if not char.get("bit_identical", True):

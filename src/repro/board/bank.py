@@ -38,19 +38,10 @@ operating point (same spec object, effective frequencies, core counts,
 and per-core phase characteristics) reuse one window plan's math
 across lanes *and* across control periods.
 
-One kernel does all vectorized stepping: it advances a lane set through
-a list of segments (stretches of ticks under fixed plans), gathering
-board state once, stepping, and writing each lane back once, when it
-leaves.  :meth:`BoardBank.run_period_bank` hands it one segment and each
-lane's tick budget; lanes re-plan inside the window.
-:meth:`BoardBank.run_schedule_bank` *fuses* whole DVFS schedules: it
-validates and snaps up to ``block_periods`` upcoming frequency commands
-at once, plans every lane for every distinct operating point in the
-block, proves one no-trip temperature bound and one credit horizon for
-the whole block, and hands the kernel one segment per period — so no
-per-board Python actuation code runs between fused periods.  Blocks
-that cannot be proven quiet fall back to the exact per-period path one
-period at a time and retry fusing from the next period.
+One kernel does all vectorized stepping: it advances a lane set under
+one plan per lane, gathering board state once, stepping, and writing
+each lane back once, when it leaves.  :meth:`BoardBank.run_period_bank`
+hands it each lane's tick budget; lanes re-plan inside the window.
 
 Exactness contract
 ------------------
@@ -79,8 +70,7 @@ the existing scalar/fastpath machinery:
   whose re-plan is refused — its program finished, nothing runnable —
   leaves the window early (``events["lane_exit"]``); its column is
   written back and masked out, and the caller peels, finishes or drops
-  it.  The fused multi-period path proves its blocks free of all such
-  events up front.
+  it.
 """
 
 from __future__ import annotations
@@ -265,18 +255,6 @@ class _CreditSchedule:
         self.ws = np.concatenate([-w.T, w.T], axis=1)
         self.flat = self.vals.reshape(-1)
 
-    def share(self, base):
-        """Tick ``base``'s cell array if both hold the same cells."""
-        if self.vals.shape != base.vals.shape or any(
-            len(a.cells) != len(b.cells)
-            or any(x is not y for (_, x), (_, y) in zip(a.cells, b.cells))
-            for a, b in zip(self.lanes, base.lanes)
-        ):
-            return False
-        self.vals = base.vals
-        self.flat = base.flat
-        return True
-
     def horizons(self):
         """Each lane's safe tick count from now (``None``: unbounded)."""
         q = np.divide(self.vals, self.decs, out=np.full(self.vals.shape,
@@ -285,10 +263,6 @@ class _CreditSchedule:
         # Truncation is monotone, so int(min(v/d)) == min(int(v/d)).
         return [None if m == np.inf else max(int(m) - 3, 0)
                 for m in q.min(axis=1).tolist()]
-
-    def safe_ticks(self, max_ticks):
-        safe = [h for h in self.horizons() if h is not None]
-        return min(safe + [max_ticks])
 
     def tick(self):
         # ufunc.at applies its operands in index order, unbuffered.
@@ -350,48 +324,15 @@ class _CreditSchedule:
         return horizon
 
 
-class _Segment:
-    """A stretch of lockstep ticks under one set of per-lane plans.
-
-    ``freqs`` is the ``(big, little)`` frequency pair recorded on every
-    lane's trace, or ``None`` to record each board's own setting.
-    """
-
-    __slots__ = ("plans", "terms", "schedule", "ticks", "freqs")
-
-    def __init__(self, plans, terms, schedule, ticks, freqs):
-        self.plans = plans
-        self.terms = terms
-        self.schedule = schedule
-        self.ticks = ticks
-        self.freqs = freqs
-
-
-def _any_throttled(em):
-    """Is any lane's emergency firmware currently throttling?"""
-    for e in em:
-        state = e.state
-        if (
-            state.thermal_throttled
-            or state.power_throttled[BIG]
-            or state.power_throttled[LITTLE]
-        ):
-            return True
-    return False
-
-
 class BoardBank:
     """Advance ``B`` independent boards in vectorized lockstep.
 
     Every vectorized tick runs in one lane×tick kernel
-    (:meth:`_run_vector_window`) that advances a lane set through a list
-    of *segments* — stretches of ticks under fixed per-lane plans.
-    :meth:`run_period_bank` passes one segment and per-lane tick budgets,
-    with the emergency state machine, Python crediting past each lane's
-    credit horizon, membership guards and in-window re-plans live;
-    :meth:`run_schedule_bank` passes the ``K``
-    period segments of a block it has proven quiet.  One fixed-point
-    no-trip bound (:meth:`_no_trip_bound`, one cache) serves both.
+    (:meth:`_run_vector_window`) that advances a lane set under one plan
+    per lane, each lane with its own tick budget.  The emergency state
+    machine, Python crediting past each lane's credit horizon, membership
+    guards and in-window re-plans run inside it, unless a fixed-point
+    no-trip bound (:meth:`_no_trip_bound`) proves the firmware inert.
 
     ``track_violations`` additionally accumulates per-board seconds with
     the *true* die temperature above ``spec.temp_limit`` and big-cluster
@@ -438,18 +379,14 @@ class BoardBank:
         # board's _placement_epoch, so an unchanged epoch proves the
         # stall-peel pre-pass has nothing to drain and can be skipped.
         self._stall_free = [None] * n
-        # Validated/snapped schedule entries keyed by raw command pair,
-        # and proven no-trip temperature bounds keyed by lane set and
-        # operating-point set (see _no_trip_bound).
-        self._snap_cache = {}
+        # Proven no-trip temperature bounds keyed by lane set and lane
+        # terms (see _no_trip_bound).
         self._ub_cache = {}
         self._build_constants()
         # Introspection counters (mirrored into telemetry when enabled).
         self.vector_ticks = 0  # board-ticks executed by the vector kernel
         self.scalar_ticks = 0  # board-ticks finished via scalar/fastpath
         self.windows = 0  # vectorized windows executed (kernel calls)
-        self.fused_blocks = 0  # multi-period fused blocks executed
-        self.fused_ticks = 0  # board-ticks executed inside fused blocks
         self.events = {"emergency": 0, "membership": 0, "plan_refused": 0,
                        "stall_peel": 0, "lane_exit": 0}
 
@@ -557,8 +494,8 @@ class BoardBank:
             "vector_ticks": self.vector_ticks,
             "scalar_ticks": self.scalar_ticks,
             "windows": self.windows,
-            "fused_blocks": self.fused_blocks,
-            "fused_ticks": self.fused_ticks,
+            # The traced benchmark's board.fused_tick_frac reads this key.
+            "fused_ticks": 0,
             "events": dict(self.events),
         }
 
@@ -664,10 +601,9 @@ class BoardBank:
             # One window, each lane with its own tick budget: stall peels
             # de-sync lanes by a few ticks, and each board's float sequence
             # is independent of how lanes are grouped.
-            budgets = [remaining[i] for i in pending]
             ran = self._run_vector_window(
-                pending, [self._segment(tuple(pending), pending, plans,
-                                        max(budgets))], budgets,
+                pending, [plans[i] for i in pending],
+                [remaining[i] for i in pending],
             )
             # Only lanes whose in-window re-plan was refused come back
             # early: the next pass peels, finishes or drops them.
@@ -678,6 +614,50 @@ class BoardBank:
                 if remaining[i] > 0 and not self.boards[i].done:
                     survivors.append(i)
             pending = survivors + retry
+        return executed
+
+    def run_schedule_bank(self, freqs_big, freqs_little, only=None):
+        """Advance every selected board through a shared DVFS schedule.
+
+        ``freqs_big``/``freqs_little`` are per-period frequency commands
+        (GHz): period ``p`` issues ``set_cluster_frequency`` with both
+        values on every selected board, then one :meth:`run_period_bank`
+        period.  Returns the per-board executed tick counts.  The
+        end-to-end benchmark's span tracer wraps this method by name.
+        """
+        fb_list = list(freqs_big)
+        fl_list = list(freqs_little)
+        if len(fb_list) != len(fl_list):
+            raise ValueError(
+                f"schedule length mismatch: {len(fb_list)} big vs "
+                f"{len(fl_list)} little entries"
+            )
+        executed = [0] * len(self.boards)
+        if only is None:
+            selected = list(range(len(self.boards)))
+        else:
+            selected = list(only)
+        selected = [i for i in selected if not self.boards[i].done]
+        if not selected or not fb_list:
+            return executed
+        steps = {self.boards[i].spec.period_steps() for i in selected}
+        if len(steps) != 1:
+            raise ValueError(
+                f"lockstep schedule requires one shared period length, "
+                f"got {sorted(steps)}"
+            )
+        period_steps = steps.pop()
+        for fb, fl in zip(fb_list, fl_list):
+            if not selected:
+                break
+            for i in selected:
+                board = self.boards[i]
+                board.set_cluster_frequency(BIG, fb)
+                board.set_cluster_frequency(LITTLE, fl)
+            ran = self.run_period_bank(period_steps, only=selected)
+            for i in selected:
+                executed[i] += ran[i]
+            selected = [i for i in selected if not self.boards[i].done]
         return executed
 
     # ------------------------------------------------------------------
@@ -906,15 +886,16 @@ class BoardBank:
         self._slice_cache[key_boards] = S
         return S
 
-    def _lane_terms(self, key_boards, indices, plans):
+    def _lane_terms(self, key_boards, plans):
         """Per-lane step-invariant plan terms, clusters stacked on axis 0.
 
+        ``plans`` holds one plan per lane of ``key_boards``, in order.
         Cached against the identity of the (memo-owned) cluster plans;
         the cache entry holds references to those plans, so an id() match
         on live objects can only mean the very same plans.
         """
-        pb = [plans[i].big for i in indices]
-        pl = [plans[i].little for i in indices]
+        pb = [plan.big for plan in plans]
+        pl = [plan.little for plan in plans]
         lane_key = (key_boards, self._plan_gen,
                     tuple(map(id, pb)), tuple(map(id, pl)))
         lanes = self._lane_cache.get(lane_key)
@@ -945,354 +926,90 @@ class BoardBank:
             cells = plan.cells = _LaneCells(plan.credits)
         return cells
 
-    def _segment(self, key_boards, indices, plans, ticks, freqs=None):
-        """A :class:`_Segment` of ``ticks`` ticks under one set of plans."""
-        schedule = _CreditSchedule([self._cells(plans[i]) for i in indices])
-        return _Segment(plans, self._lane_terms(key_boards, indices, plans),
-                        schedule, ticks, freqs)
-
-    def _no_trip_bound(self, key_boards, S, terms_list, T):
+    def _no_trip_bound(self, key_boards, S, terms, T):
         """A temperature ceiling proving no lane can trip, or ``None``.
 
-        ``terms_list`` holds the lane terms of every operating point the
-        lanes may run under, in any order and mix.  Power is monotone
-        nondecreasing in temperature (spec constants and leakage terms
-        checked), so iterating ``X <- max(X, target(X))`` over the
-        elementwise max of every op's RC target yields an ``X`` with
-        ``target_e(X) <= X`` for every op, which by induction bounds the
-        temperature trajectory through any op sequence starting at or
-        below it.  If ``X`` and every op's power at ``X`` clear the trip
+        ``terms`` are the lanes' plan terms (:meth:`_lane_terms`).  Power
+        is monotone nondecreasing in temperature (spec constants and
+        leakage terms checked), so iterating ``X <- max(X, target(X))``
+        over the lanes' RC targets yields an ``X`` with
+        ``target(X) <= X``, which by induction bounds each lane's
+        temperature trajectory under these terms from any start at or
+        below it.  If ``X`` and the power at ``X`` clear the trip
         thresholds (with an absolute margin crushing per-tick rounding),
         the emergency firmware provably stays inert.
 
-        A proven bound is cached per lane set and op set: it stays a
+        A proven bound is cached per lane set and lane terms: it stays a
         valid ceiling for any later start at or below it, which skips the
         iteration entirely.  The key uses id() of the lane terms, so the
         cache entry keeps the terms alive — once the lane cache drops
         them, their ids cannot be recycled into a key that finds this
         (then stale) bound.
         """
-        if not self._const["monotone"] or not all(t[7] for t in terms_list):
+        if not self._const["monotone"] or not terms[7]:
             return None
-        key = (key_boards, self._plan_gen, tuple(map(id, terms_list)))
+        key = (key_boards, self._plan_gen, id(terms))
         cached = self._ub_cache.get(key)
         if cached is not None and bool((T <= cached[0]).all()):
             return cached[0]
         ambient = S["ambient"]
         resistance = S["resistance"]
         lweight = S["lweight"]
+        _, _, dyn_m, leak_m, ltc_m, idle_m, _, _ = terms
 
-        def powers(X):
-            out = []
-            for _, _, dyn_m, leak_m, ltc_m, idle_m, _, _ in terms_list:
-                factor = 1.0 + ltc_m * (X - _REFERENCE_TEMP)
-                out.append(dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m)
-            return out
+        def power(X):
+            factor = 1.0 + ltc_m * (X - _REFERENCE_TEMP)
+            return dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
 
-        def target(p_list):
-            out = None
-            for p_m in p_list:
-                t_e = ambient + resistance * (p_m[0] + lweight * p_m[1])
-                out = t_e if out is None else np.maximum(out, t_e)
-            return out
+        def target(p_m):
+            return ambient + resistance * (p_m[0] + lweight * p_m[1])
 
         X = T
         for _ in range(6):
-            p_list = powers(X)
-            t_max = target(p_list)
-            if (t_max <= X).all():
+            p_m = power(X)
+            t_e = target(p_m)
+            if (t_e <= X).all():
                 break
-            X = np.maximum(X, t_max)
+            X = np.maximum(X, t_e)
         else:
             # X was raised on the last pass, so re-verify there first.  If
             # float arithmetic still hasn't closed (the gap contracts
             # geometrically but float equality can take a dozen passes),
             # any X with target(X) <= X bounds the trajectory by the same
             # induction: pad past the fixed point and verify once.
-            p_list = powers(X)
-            t_max = target(p_list)
-            if not (t_max <= X).all():
-                gap = float((t_max - X).max())
+            p_m = power(X)
+            t_e = target(p_m)
+            if not (t_e <= X).all():
+                gap = float((t_e - X).max())
                 if not gap < 1e-3:
                     return None  # no contraction
                 X = X + 2.0 * gap + 1e-9
-                p_list = powers(X)
-                if not (target(p_list) <= X).all():
+                p_m = power(X)
+                if not (target(p_m) <= X).all():
                     return None
         if not (
             (X < S["temp_trip"] - 1e-9).all()
-            and all((p_m < S["thresh"] - 1e-9).all()
-                    and (p_m < S["limit"] - 1e-9).all() for p_m in p_list)
+            and (p_m < S["thresh"] - 1e-9).all()
+            and (p_m < S["limit"] - 1e-9).all()
         ):
             return None
         if len(self._ub_cache) > 256:
             self._ub_cache.clear()
-        self._ub_cache[key] = (X, terms_list)
+        self._ub_cache[key] = (X, terms)
         return X
-
-    # ------------------------------------------------------------------
-    # Fused multi-period kernel
-    # ------------------------------------------------------------------
-    def run_schedule_bank(self, freqs_big, freqs_little, only=None,
-                          block_periods=32):
-        """Advance every selected board through a shared DVFS schedule.
-
-        ``freqs_big``/``freqs_little`` are per-period frequency commands
-        (GHz): period ``p`` issues ``set_cluster_frequency`` with both
-        values on every selected board, then advances one control period
-        — exactly the campaign loop callers write by hand around
-        :meth:`run_period_bank`, with bit-identical resulting board state.
-
-        The win is *fusion*: the kernel precompiles up to ``block_periods``
-        upcoming periods at a time — actuation commands validated and
-        snapped once per distinct ``(big, little)`` pair, window plans
-        resolved per distinct operating point, per-core credit vectors and
-        the no-trip emergency bound proven for the whole block — and then
-        advances all lanes the whole block in one resident pass: board
-        state is gathered into the lane matrix once per block instead of
-        once per period, and no Python-level driver code runs between
-        periods.  Whenever a block cannot be proven quiet (a throttled
-        lane, a draining stall, an application within its phase-budget
-        horizon, a fault hook, mixed board specs, a non-finite command),
-        the kernel falls back to the per-period path for one period and
-        retries fusing from the next — per-lane re-plans, never full-bank
-        bailout.
-
-        Returns the per-board executed tick counts, like
-        :meth:`run_period_bank`.
-        """
-        fb_list = list(freqs_big)
-        fl_list = list(freqs_little)
-        if len(fb_list) != len(fl_list):
-            raise ValueError(
-                f"schedule length mismatch: {len(fb_list)} big vs "
-                f"{len(fl_list)} little entries"
-            )
-        P = len(fb_list)
-        executed = [0] * len(self.boards)
-        if only is None:
-            selected = list(range(len(self.boards)))
-        else:
-            selected = list(only)
-        selected = [i for i in selected if not self.boards[i].done]
-        if not selected or P == 0:
-            return executed
-        steps = {self.boards[i].spec.period_steps() for i in selected}
-        if len(steps) != 1:
-            raise ValueError(
-                f"lockstep schedule requires one shared period length, "
-                f"got {sorted(steps)}"
-            )
-        period_steps = steps.pop()
-        p = 0
-        while p < P and selected:
-            fused = 0
-            if block_periods > 0:
-                fused = self._run_fused_schedule(
-                    selected, fb_list, fl_list, p,
-                    min(block_periods, P - p), period_steps, executed,
-                )
-            if fused == 0:
-                # Exact per-period fallback: real actuation calls, then
-                # the (churn-tolerant) per-period vector path.
-                for i in selected:
-                    board = self.boards[i]
-                    board.set_cluster_frequency(BIG, fb_list[p])
-                    board.set_cluster_frequency(LITTLE, fl_list[p])
-                ran = self.run_period_bank(period_steps, only=selected)
-                for i in selected:
-                    executed[i] += ran[i]
-                p += 1
-            else:
-                p += fused
-            selected = [i for i in selected if not self.boards[i].done]
-        return executed
-
-    def _resolve_entry(self, spec, raw_big, raw_little):
-        """Replicate ``_validate_command`` + DVFS snap for one schedule
-        entry; returns ``(fb, fl, rejected_big, rejected_little)`` or
-        ``None`` for a non-finite command (which the exact path must
-        handle: the previous frequency survives, making the effective
-        schedule state-dependent)."""
-        key = (id(spec), raw_big, raw_little)
-        cached = self._snap_cache.get(key)
-        if cached is not None and cached[0] is spec:
-            return cached[1]
-        out = []
-        rej = []
-        for name, raw in ((BIG, raw_big), (LITTLE, raw_little)):
-            rng = spec.cluster(name).freq_range
-            try:
-                value = float(raw)
-                finite = bool(np.isfinite(value))
-            except (TypeError, ValueError):
-                finite = False
-            if not finite:
-                return None  # not cacheable: NaN keys never match
-            if value < rng.low - 1e-9 or value > rng.high + 1e-9:
-                rej.append(1)
-                value = float(min(max(value, rng.low), rng.high))
-            else:
-                rej.append(0)
-            out.append(rng.snap(value))
-        entry = (out[0], out[1], rej[0], rej[1])
-        if len(self._snap_cache) > 1024:
-            self._snap_cache.clear()
-        self._snap_cache[key] = (spec, entry)
-        return entry
-
-    def _set_frequency_raw(self, board, fb, fl):
-        """Write already-snapped frequencies with epoch semantics."""
-        for name, f in ((BIG, fb), (LITTLE, fl)):
-            runtime = board.clusters[name]
-            if f != runtime.frequency:
-                board._actuation_epoch += 1
-                runtime.frequency = f
-
-    def _run_fused_schedule(self, indices, fb_list, fl_list, p, K,
-                            period_steps, executed):
-        """Fuse up to ``K`` periods of the schedule starting at ``p``.
-
-        Returns the number of periods actually fused (0 = the caller must
-        fall back to the exact per-period path for period ``p``).  Only
-        mutates board state when it returns nonzero — except the
-        actuation/placement epochs and plan caches, which are
-        cache-bookkeeping and may tick conservatively during probing.
-        """
-        boards = self.boards
-        spec0 = boards[indices[0]].spec
-        for i in indices:
-            board = boards[i]
-            if (
-                board.spec is not spec0
-                or i in self._tick_hooks
-                or not board.enable_fast_path
-                or board.fault_hooks is not None
-            ):
-                return 0
-        key_boards = tuple(indices)
-        S = self._slices(key_boards, [boards[i] for i in indices])
-        if _any_throttled(S["em"]):
-            return 0
-
-        # --- resolve + dedup the block's schedule entries ---------------
-        entries = []
-        for q in range(p, p + K):
-            ent = self._resolve_entry(spec0, fb_list[q], fl_list[q])
-            if ent is None:
-                break  # non-finite command: exact path owns carry-forward
-            entries.append(ent)
-        if not entries:
-            return 0
-        op_index = {}
-        ops = []
-        op_of = []
-        for fb, fl, _, _ in entries:
-            okey = (fb, fl)
-            if okey not in op_index:
-                op_index[okey] = len(ops)
-                ops.append(okey)
-            op_of.append(op_index[okey])
-
-        f_initial = [
-            (boards[i].clusters[BIG].frequency,
-             boards[i].clusters[LITTLE].frequency)
-            for i in indices
-        ]
-        segments = self._probe_block(indices, key_boards, S, ops, op_of,
-                                     period_steps)
-        if not segments:
-            for i, (fb, fl) in zip(indices, f_initial):
-                self._set_frequency_raw(boards[i], fb, fl)
-            return 0
-
-        # --- commit: leave each board at the last fused period's op -----
-        k_fused = len(segments)
-        fb_last, fl_last = segments[-1].freqs
-        for i in indices:
-            self._set_frequency_raw(boards[i], fb_last, fl_last)
-        # Rejected-command bookkeeping, exactly one increment per clamped
-        # command per board per period (integer adds commute with the
-        # stepping, so batching them is exact).
-        rej_b = sum(entries[q][2] for q in range(k_fused))
-        rej_l = sum(entries[q][3] for q in range(k_fused))
-        if rej_b or rej_l:
-            for i in indices:
-                board = boards[i]
-                board.rejected_actuations["frequency"] += rej_b + rej_l
-                if board.telemetry is not None:
-                    board.telemetry.rejected.labels(kind="frequency").inc(
-                        rej_b + rej_l
-                    )
-
-        ticks = self._run_vector_window(indices, segments, quiet=True)[0]
-        self.fused_blocks += 1
-        self.fused_ticks += ticks * len(indices)
-        for i in indices:
-            executed[i] += ticks
-        return k_fused
-
-    def _probe_block(self, indices, key_boards, S, ops, op_of, period_steps):
-        """Plan a block at every operating point and prove it quiet.
-
-        Returns the block's per-period segments, cut to the credit
-        horizon, or ``[]`` when any lane refuses a plan or the block
-        cannot be proven emergency-quiet.  Planning needs each board *at*
-        the operating point, so probing writes the snapped frequencies
-        (epoch semantics preserved); the caller restores or commits them.
-        Plans come from the tier caches — after the first block a steady
-        schedule costs one dict hit per lane per distinct op.
-        """
-        boards = self.boards
-        plans_by_op = []
-        for fb, fl in ops:
-            plans = {}
-            for i in indices:
-                self._set_frequency_raw(boards[i], fb, fl)
-                plan = self._plan_for(i)
-                if plan is None:
-                    return []  # stall draining / membership refusal
-                plans[i] = plan
-            plans_by_op.append(plans)
-        by_op = [self._segment(key_boards, indices, plans, period_steps, op)
-                 for plans, op in zip(plans_by_op, ops)]
-
-        # One credit schedule per op; the cell lists are structurally
-        # identical (same threads, same placement — only the per-tick
-        # amounts differ with frequency), so they share one live value
-        # array and the most conservative horizon bounds the whole block.
-        total = len(op_of) * period_steps
-        base = by_op[0].schedule
-        safe = base.safe_ticks(total)
-        for seg in by_op[1:]:
-            if not seg.schedule.share(base):
-                return []  # structure diverged: stay exact per period
-            safe = min(safe, seg.schedule.safe_ticks(total))
-        k_fused = min(len(op_of), safe // period_steps)
-        if k_fused == 0:
-            return []
-        T0 = np.array([t.temperature for t in S["thermals"]])
-        if self._no_trip_bound(key_boards, S, [seg.terms for seg in by_op],
-                               T0) is None:
-            return []
-        return [by_op[e] for e in op_of[:k_fused]]
 
     # ------------------------------------------------------------------
     # The lane×tick kernel
     # ------------------------------------------------------------------
-    def _run_vector_window(self, indices, segments, budgets=None,
-                           quiet=None):
-        """Advance every lane through ``segments`` in vectorized lockstep.
+    def _run_vector_window(self, indices, plans, budgets):
+        """Advance every lane up to its tick budget in vectorized lockstep.
 
-        Each :class:`_Segment` is a stretch of ticks under fixed plans.
-        The per-period path passes one segment and each lane's tick
-        ``budgets``; the fused path passes one segment per period of a
-        block it has already proven emergency-quiet (``quiet=True``) and
-        inside the credit horizon, with every segment's schedule sharing
-        one live cell array.  Board state is gathered into the lane matrix
-        once, stepped tick by tick, and each lane's column is written back
-        once, when the lane leaves the window.  ``quiet=None`` proves (or
-        fails to prove) the no-trip bound here.
+        ``plans`` and ``budgets`` hold each lane's plan and tick budget,
+        in ``indices`` order.  Board state is gathered into the lane
+        matrix once, stepped tick by tick, and each lane's column is
+        written back once, when the lane leaves the window.  A proven
+        no-trip bound (:meth:`_no_trip_bound`) runs the window *quiet*,
+        without the emergency state machine.
 
         Events are lane-local.  When a lane's emergency firmware changes
         state or its membership guard fires, that lane alone re-plans
@@ -1386,26 +1103,20 @@ class BoardBank:
         inc[2:4] = sdt_m
         inc[4:7] = dt
 
+        # --- per-lane plans: terms, credit cells, crediting mode --------
+        plans = list(plans)
+        terms = self._lane_terms(key_boards, plans)
         # A proven no-trip bound collapses the per-tick firmware machine
         # to the under-limit clocks (already rows of ``g``).
-        if quiet is None:
-            quiet = not flags.any() and self._no_trip_bound(
-                key_boards, S, [seg.terms for seg in segments], T.copy()
-            ) is not None
-
-        # --- per-lane plans: terms, credit cells, crediting mode --------
-        seg_at = 0
-        seg = segments[0]
-        seg_end = seg.ticks
-        plans = [seg.plans[i] for i in indices]
+        quiet = not flags.any() and self._no_trip_bound(
+            key_boards, S, terms, T.copy()
+        ) is not None
         # dyn, leak, leak temp coefficient, idle and instructions, two
         # rows each: this window's own copy, so re-plans can splice.
-        P = np.concatenate(seg.terms[2:7])
+        P = np.concatenate(terms[2:7])
         dyn_m, leak_m, ltc_m, idle_m = P[0:2], P[2:4], P[4:6], P[6:8]
         inc[0:2] = P[8:10]
-        schedule = seg.schedule
-        if budgets is None:
-            budgets = [sum(s.ticks for s in segments)] * B
+        schedule = _CreditSchedule([self._cells(plan) for plan in plans])
         end = list(budgets)
         ran = [0] * B
         live = list(range(B))
@@ -1435,16 +1146,8 @@ class BoardBank:
                 "freq_big", "freq_little", "emergency",
             )}
             hist_from = [0] * B
-
-            def freq_rows(freqs):
-                if freqs is None:
-                    return (np.array([b.clusters[BIG].frequency
-                                      for b in boards]),
-                            np.array([b.clusters[LITTLE].frequency
-                                      for b in boards]))
-                return np.full(B, freqs[0]), np.full(B, freqs[1])
-
-            freq_b, freq_l = freq_rows(seg.freqs)
+            freq_b = np.array([b.clusters[BIG].frequency for b in boards])
+            freq_l = np.array([b.clusters[LITTLE].frequency for b in boards])
 
         def flush(col):
             """Append one recording lane's pending rows to its trace."""
@@ -1522,11 +1225,9 @@ class BoardBank:
         p_m = None
         any_active = None  # None while no lane is throttled
         while live:
-            stop = seg_end
+            stop = min(end[col] for col in live)
             vectorized = False
             for col in live:
-                if end[col] < stop:
-                    stop = end[col]
                 if schedule.vector[col]:
                     vectorized = True
                     if n_vec[col] < stop:
@@ -1671,7 +1372,7 @@ class BoardBank:
                 if replan:
                     break
 
-            # --- at tick t: re-plans, horizons, segments, departures ----
+            # --- at tick t: re-plans, horizons, departures ---------------
             leaving = [col for col in live if end[col] == t]
             for col in replan:
                 if end[col] == t:
@@ -1696,11 +1397,11 @@ class BoardBank:
                     leaving.append(col)
                     continue
                 plans[col] = plan
-                terms = self._lane_terms((i,), [i], {i: plan})
-                P[:, col] = np.concatenate(terms[2:7])[:, 0]
+                lane_terms = self._lane_terms((i,), [plan])
+                P[:, col] = np.concatenate(lane_terms[2:7])[:, 0]
                 inc[0:2, col] = P[8:10, col]
                 if quiet and self._no_trip_bound(
-                    (i,), self._slices((i,), [board]), [terms],
+                    (i,), self._slices((i,), [board]), lane_terms,
                     T[col:col + 1].copy(),
                 ) is None:
                     # The new terms may trip: run the firmware machine for
@@ -1720,19 +1421,6 @@ class BoardBank:
                     schedule.release(col)
                     python.append(col)
                     guards[col] = _MembershipGuard(plans[col])
-            if t == seg_end and seg_at + 1 < len(segments):
-                for col in live:
-                    flush(col)
-                seg_at += 1
-                seg = segments[seg_at]
-                seg_end += seg.ticks
-                plans = [seg.plans[i] for i in indices]
-                P = np.concatenate(seg.terms[2:7])
-                dyn_m, leak_m, ltc_m, idle_m = P[0:2], P[2:4], P[4:6], P[6:8]
-                inc[0:2] = P[8:10]
-                schedule = seg.schedule
-                if any_record:
-                    freq_b, freq_l = freq_rows(seg.freqs)
             if leaving:
                 for col in leaving:
                     if col in python:

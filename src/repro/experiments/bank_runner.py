@@ -34,10 +34,9 @@ controller, no coordinator) and is not banked; callers route it through
 :func:`run_workload` instead.
 
 Each cell's ``notes["bank"]`` carries the bank's full lockstep
-accounting (``vector_ticks`` / ``scalar_ticks`` / ``fused_blocks`` /
-``fused_ticks`` plus stall-peel and refusal events), so sweep summaries
-can report how much of a campaign actually rode the vector and fused
-kernels.
+accounting (``vector_ticks`` / ``scalar_ticks`` plus re-plan,
+stall-peel and refusal events), so sweep summaries can report how much
+of a campaign actually rode the vector kernel.
 """
 
 from __future__ import annotations

@@ -213,7 +213,7 @@ def run(context: DesignContext = None, quick=True, seed=7, jobs=None,
 
     ``batch=0`` swaps every campaign onto the scalar per-board stepping
     path (no :class:`~repro.board.bank.BoardBank`); any other value keeps
-    the bank's fused schedule kernel underneath.  Results are
+    the bank's per-period vector kernel underneath.  Results are
     bit-identical either way — that equivalence is exactly what
     ``repro verify``'s rack oracle enforces.
     """

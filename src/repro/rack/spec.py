@@ -274,8 +274,8 @@ def heterogeneous_rack_spec(n_boards=4, power_cap=None, sim_dt=0.05,
 
     Even lanes are stock XU3 boards; odd lanes run a hotter, slower-
     control-period variant — enough spec diversity to exercise every
-    heterogeneity path in the bank (per-spec plan memos, per-spec fused
-    schedule groups, per-lane thermal constants).
+    heterogeneity path in the bank (per-spec plan memos, one bank call
+    per tick count, per-lane thermal constants).
     """
     variants = [
         default_xu3_spec(sim_dt=sim_dt),

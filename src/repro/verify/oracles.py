@@ -47,7 +47,6 @@ __all__ = [
     "oracle_fastpath",
     "oracle_bank",
     "oracle_bank_matrix",
-    "oracle_bank_schedule",
     "oracle_parallel_matrix",
     "oracle_resume",
     "oracle_cache",
@@ -305,8 +304,8 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
     crediting past the credit horizon and its membership guards.  An
     extra ``blmc`` mix lane starts above the thermal trip under a pinned
     maximum-frequency command, which drives the emergency state
-    machine.  The oracle fails unless both kinds of window-ending event
-    actually fired.
+    machine.  The oracle fails unless both kinds of in-window lane
+    re-plan actually fired.
     """
     from ..board import BIG, LITTLE, Board, BoardBank, default_xu3_spec
     from ..rack.rack import instantiate_job_workload
@@ -384,8 +383,8 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
         for signal in sorted(trace_a):
             cmp.check_array(f"{loc}/{signal}", trace_a[signal],
                             trace_b[signal])
-    # Agreement without coverage proves nothing: a run that never ends a
-    # window early never exercises the emergency machine or the guards.
+    # Agreement without coverage proves nothing: a run that never
+    # re-plans a lane never exercises the emergency machine or the guards.
     events = bank.events
     cmp.check("coverage", "emergency_events_fired",
               float(events["emergency"] > 0), 1.0)
@@ -393,102 +392,6 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
               float(events["membership"] > 0), 1.0)
     return cmp.result("bank-vs-scalar", details={
         "boards": n, "periods": periods,
-        "counters": bank.counters(),
-    })
-
-
-def oracle_bank_schedule(spec=None, workloads=("blackscholes", "mcf",
-                                               "mix:blmc", "gamess",
-                                               "fluidanimate", "x264"),
-                         seed0=5, periods=40, schedule_seed=23,
-                         block_periods=16):
-    """Fused ``run_schedule_bank`` vs per-board fastpath; must be 0 ULP.
-
-    One shared DVFS schedule drives every lane through the fused
-    multi-period kernel.  The schedule deliberately includes
-    out-of-range commands (which must clamp *and* count as rejected on
-    every board) and one non-finite entry (which must fall back to the
-    exact per-period path so the previous frequency carries forward).
-    The reference boards replay the identical commands one period at a
-    time through ``run_period``.
-    """
-    from ..board import BIG, LITTLE, Board, BoardBank, default_xu3_spec
-    from ..workloads import make_application, make_mix
-
-    spec = spec or default_xu3_spec()
-    period_steps = spec.period_steps()
-    rng = np.random.default_rng(schedule_seed)
-    rb = spec.cluster(BIG).freq_range
-    rl = spec.cluster(LITTLE).freq_range
-    # Stay in the lower half of the grid so blocks are provably quiet
-    # (a hot operating point forces the exact per-period path — correct,
-    # but then the fused kernel itself would go untested); the below-low
-    # excursions exercise clamp-and-count inside fused blocks.
-    fb = [float(f) for f in rng.uniform(
-        rb.low - 0.3, rb.low + 0.55 * (rb.high - rb.low), periods)]
-    fl = [float(f) for f in rng.uniform(
-        rl.low - 0.3, rl.low + 0.55 * (rl.high - rl.low), periods)]
-    fb[periods // 2] = float("nan")  # carry-forward must stay exact
-
-    def _make_boards():
-        return [
-            Board(make_mix(w[4:]) if w.startswith("mix:")
-                  else make_application(w),
-                  spec=spec, seed=seed0 + k, record=True, telemetry=None)
-            for k, w in enumerate(workloads)
-        ]
-
-    banked = _make_boards()
-    bank = BoardBank(banked, telemetry=None)
-    bank.run_schedule_bank(fb, fl, block_periods=block_periods)
-
-    reference = _make_boards()
-    for board in reference:
-        for p in range(periods):
-            if board.done:
-                break
-            board.set_cluster_frequency(BIG, fb[p])
-            board.set_cluster_frequency(LITTLE, fl[p])
-            board.run_period(period_steps)
-
-    cmp = _Comparator(tolerance_ulp=0.0)
-    for k, (a, b) in enumerate(zip(banked, reference)):
-        loc = f"board {k}"
-        cmp.check(loc, "time", a.time, b.time)
-        cmp.check(loc, "energy", a.energy, b.energy)
-        cmp.check(loc, "temperature", a.thermal.temperature,
-                  b.thermal.temperature)
-        cmp.check(loc, "temp_sensor", a.temp_sensor.read(),
-                  b.temp_sensor.read())
-        cmp.check(loc, "rejected_frequency",
-                  a.rejected_actuations["frequency"],
-                  b.rejected_actuations["frequency"])
-        cmp.check(loc, "nonfinite_frequency",
-                  a.nonfinite_commands["frequency"],
-                  b.nonfinite_commands["frequency"])
-        for name in (BIG, LITTLE):
-            cmp.check(loc, f"instructions_{name}",
-                      a.perf_counters[name].read_cumulative(),
-                      b.perf_counters[name].read_cumulative())
-            cmp.check(loc, f"power_sensor_{name}",
-                      a.power_sensors[name].read(),
-                      b.power_sensors[name].read())
-            cmp.check(loc, f"frequency_{name}",
-                      a.clusters[name].frequency, b.clusters[name].frequency)
-        trace_a = a.trace.as_arrays()
-        trace_b = b.trace.as_arrays()
-        for signal in sorted(trace_a):
-            cmp.check_array(f"{loc}/{signal}", trace_a[signal],
-                            trace_b[signal])
-    # Agreement without coverage proves nothing: a kernel that silently
-    # never fuses would pass every comparison above.
-    cmp.check("schedule", "fused_kernel_engaged",
-              float(bank.fused_ticks > 0), 1.0)
-    return cmp.result("bank-schedule", details={
-        "boards": len(workloads), "periods": periods,
-        "block_periods": block_periods,
-        "fused_blocks": bank.fused_blocks,
-        "fused_ticks": bank.fused_ticks,
         "counters": bank.counters(),
     })
 
@@ -922,7 +825,7 @@ def oracle_rack(seed=3, max_time=120.0, n_boards=4):
 
     One heterogeneous rack (mixed board specs), a job stream, and both
     fault kinds (a board dropping offline, a power sensor dropping out)
-    run twice: once with the fused-schedule bank underneath, once
+    run twice: once with the per-period bank underneath, once
     stepping each board through scalar ``run_period``.  Every rack trace
     signal, every per-board budget row, and every board's physical end
     state must agree to the bit.  Non-vacuity: the banked run must have
@@ -962,11 +865,12 @@ def oracle_rack(seed=3, max_time=120.0, n_boards=4):
                     use_bank=use_bank, record=True, record_boards=True,
                     seed=seed, telemetry=None)
         if rack.bank is not None:
-            for name in ("run_period_bank", "run_schedule_bank"):
-                def counted(*args, _call=getattr(rack.bank, name), **kw):
-                    bank_calls.append(1)
-                    return _call(*args, **kw)
-                setattr(rack.bank, name, counted)
+            call = rack.bank.run_period_bank
+
+            def counted(*args, **kw):
+                bank_calls.append(1)
+                return call(*args, **kw)
+            rack.bank.run_period_bank = counted
         return rack, rack.run(max_time=max_time)
 
     rack_banked, banked = _run(True)

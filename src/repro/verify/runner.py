@@ -35,7 +35,6 @@ from .invariants import InvariantMonitor, activate_monitor, deactivate_monitor
 from .oracles import (
     oracle_bank,
     oracle_bank_matrix,
-    oracle_bank_schedule,
     oracle_cache,
     oracle_fastpath,
     oracle_lqg_reference,
@@ -169,11 +168,6 @@ def run_verify(quick=True, regen_golden=False, golden_dir=None, samples=None,
     _log("verify: oracle bank-vs-scalar...")
     report.oracles.append(
         oracle_bank(spec=context.spec, periods=15 if quick else 40)
-    )
-    _log("verify: oracle bank-schedule-vs-fastpath...")
-    report.oracles.append(
-        oracle_bank_schedule(spec=context.spec,
-                             periods=20 if quick else 48)
     )
     _log("verify: oracle bank-matrix-vs-serial...")
     report.oracles.append(
