@@ -50,17 +50,16 @@ the same order* as that board's scalar :meth:`Board.step` (equivalently
 the single-board fast path) would, so each board's resulting state —
 time, energy, temperatures, sensor windows, RNG stream, traces,
 application progress, emergency timers — is **bit-identical** to running
-the ``B`` boards independently.  Boards that diverge into scalar-only
-territory are masked out of the lockstep kernel and finished through
-the existing scalar/fastpath machinery:
+the ``B`` boards independently:
 
-* a lane with a draining hotplug/migration stall peels exactly the
-  stalled ticks through the scalar stepper, then rejoins the lockstep
-  kernel the moment the planner accepts it again (lanes whose placement
-  epoch is unchanged since their last stall-free check skip the scan
-  entirely);
+* a lane with a draining hotplug/migration stall runs that tick on the
+  planner's one-tick stall plan (``events["stall_tick"]``), crediting the
+  cells of the steady plan built with it, and switches to that plan at
+  the next tick inside the same window (while a stall remains it
+  re-plans instead);
 * boards with fault hooks or a registered per-tick hook (e.g. a fault
-  injector's ``advance``) always run the scalar per-tick loop;
+  injector's ``advance``) are masked out of the lockstep kernel and run
+  the scalar per-tick loop;
 * mid-window, the moment a board's emergency firmware changes state or
   an application's runnable-thread set changes, that lane alone re-plans
   after the offending tick (the tick itself is still exact): its
@@ -69,8 +68,8 @@ the existing scalar/fastpath machinery:
   Noise is unaffected (it does not depend on the plan).  Only a lane
   whose re-plan is refused — its program finished, nothing runnable —
   leaves the window early (``events["lane_exit"]``); its column is
-  written back and masked out, and the caller peels, finishes or drops
-  it.
+  written back and masked out, and the caller finishes it through the
+  scalar/fastpath machinery or drops it.
 """
 
 from __future__ import annotations
@@ -124,6 +123,17 @@ class _MembershipGuard:
                     if thread.remaining <= 0:
                         return True
         return False
+
+
+def _term_rows(big, little):
+    """One lane's plan terms in the window's row order.
+
+    Dynamic power, leakage base, leakage temperature coefficient, idle
+    power and instructions per tick, each big then little.
+    """
+    return (big.dyn, little.dyn, big.leak_base, little.leak_base,
+            big.leak_temp_coeff, little.leak_temp_coeff,
+            big.idle, little.idle, big.instructions, little.instructions)
 
 
 _THREAD = 0
@@ -268,6 +278,13 @@ class _CreditSchedule:
         # ufunc.at applies its operands in index order, unbuffered.
         np.add.at(self.flat, self.ids.reshape(-1), self.ws.reshape(-1))
 
+    def weigh(self, col, done):
+        """Credit a vectorized lane ``done`` per slot from the next tick."""
+        if self.vector[col]:
+            n = len(done)
+            self.ws[:n, col] = [-d for d in done]
+            self.ws[:n, len(self.lanes) + col] = done
+
     def release(self, col):
         """Hand one lane's crediting back to the live objects."""
         if self.vector[col]:
@@ -374,11 +391,6 @@ class BoardBank:
         self._plan_gen = 0
         self._lane_cache = {}
         self._slice_cache = {}
-        # Last placement epoch at which each lane was verified stall-free:
-        # every stall-charging path (hotplug, placement apply) bumps the
-        # board's _placement_epoch, so an unchanged epoch proves the
-        # stall-peel pre-pass has nothing to drain and can be skipped.
-        self._stall_free = [None] * n
         # Proven no-trip temperature bounds keyed by lane set and lane
         # terms (see _no_trip_bound).
         self._ub_cache = {}
@@ -388,7 +400,7 @@ class BoardBank:
         self.scalar_ticks = 0  # board-ticks finished via scalar/fastpath
         self.windows = 0  # vectorized windows executed (kernel calls)
         self.events = {"emergency": 0, "membership": 0, "plan_refused": 0,
-                       "stall_peel": 0, "lane_exit": 0}
+                       "stall_tick": 0, "lane_exit": 0}
 
     def _build_constants(self):
         """Per-board spec/model constants, gathered once as full arrays."""
@@ -485,7 +497,6 @@ class BoardBank:
         set.
         """
         self._replan_cache.pop(index, None)
-        self._stall_free[index] = None
 
     def counters(self):
         """Snapshot of the bank's lockstep/fallback accounting."""
@@ -498,6 +509,12 @@ class BoardBank:
             "fused_ticks": 0,
             "events": dict(self.events),
         }
+
+    def _event(self, reason, n=1):
+        """Count ``n`` lane events of one kind (and mirror to telemetry)."""
+        self.events[reason] += n
+        if self.telemetry is not None:
+            self.telemetry.bank_events.labels(reason=reason).inc(n)
 
     def step_bank(self):
         """Advance every unfinished board by exactly one tick."""
@@ -513,107 +530,42 @@ class BoardBank:
         resulting board state.
         """
         executed = [0] * len(self.boards)
+        if n_steps < 1:
+            return executed  # a stall plan drains as it plans: plan nothing
         if only is None:
             selected = range(len(self.boards))
         else:
             selected = list(only)
+        memo = self._plan_memo
+        if len(memo) > 4096:  # runaway-key backstop; plans re-memoize
+            memo.clear()
+            self._plan_gen += 1
+            self._replan_cache.clear()
+            self._lane_cache.clear()
         pending = []
-        remaining = {}
+        plans = []
         for i in selected:
             board = self.boards[i]
             if board.done:
                 continue
-            if i in self._tick_hooks or not board.enable_fast_path:
+            plan = None
+            if i not in self._tick_hooks and board.enable_fast_path:
+                plan = self._plan_for(i)
+                if plan is None:
+                    self._event("plan_refused")
+            if plan is None:
                 executed[i] = self._run_scalar(i, n_steps)
             else:
                 pending.append(i)
-                remaining[i] = n_steps
-        while pending:
-            # Stall-peel pre-pass: a draining hotplug/migration stall would
-            # refuse a plan for only a tick or two, so drain it with single
-            # scalar ticks *before* planning — the peeled lanes then rejoin
-            # the same vector window as everyone else (keeping the window's
-            # lane set stable for the slice and lane-term caches) instead
-            # of dropping to the scalar path for the whole call.
-            still = []
-            stall_free = self._stall_free
-            for i in pending:
-                board = self.boards[i]
-                # Stalls are only ever charged by paths that bump the
-                # board's _placement_epoch, so a lane verified stall-free
-                # at its current epoch needs no scan at all.
-                if stall_free[i] != board._placement_epoch:
-                    while (
-                        remaining[i] > 0
-                        and not board.done
-                        and self._transient_refusal(i)
-                    ):
-                        self.events["plan_refused"] += 1
-                        self.events["stall_peel"] += 1
-                        if self.telemetry is not None:
-                            self.telemetry.bank_events.labels(
-                                reason="plan_refused"
-                            ).inc()
-                        executed[i] += self._peel_tick(i)
-                        remaining[i] -= 1
-                    if remaining[i] > 0 or board.done:
-                        # (remaining == 0 means the loop may have exited
-                        # with the stall still draining — don't record.)
-                        stall_free[i] = board._placement_epoch
-                if remaining[i] > 0 and not board.done:
-                    still.append(i)
-            pending = still
-            plans = {}
-            memo = self._plan_memo
-            if len(memo) > 4096:  # runaway-key backstop; plans re-memoize
-                memo.clear()
-                self._plan_gen += 1
-                self._replan_cache.clear()
-                self._lane_cache.clear()
-            retry = []
-            for i in pending:
-                plan = self._plan_for(i)
-                if plan is None:
-                    self.events["plan_refused"] += 1
-                    if self.telemetry is not None:
-                        self.telemetry.bank_events.labels(
-                            reason="plan_refused"
-                        ).inc()
-                    if self._transient_refusal(i):
-                        # A draining hotplug/migration stall refuses a plan
-                        # for only a tick or two: peel exactly one scalar
-                        # tick (which drains min(stall, dt)) and retry the
-                        # planner, instead of condemning the lane to the
-                        # scalar path for the whole call.
-                        self.events["stall_peel"] += 1
-                        executed[i] += self._peel_tick(i)
-                        remaining[i] -= 1
-                        if remaining[i] > 0 and not self.boards[i].done:
-                            retry.append(i)
-                    else:
-                        executed[i] += self._run_scalar(i, remaining[i])
-                else:
-                    plans[i] = plan
-            pending = [i for i in pending if i in plans]
-            if not pending:
-                pending = retry  # only peeled lanes left: re-plan them
-                continue
-            # One window, each lane with its own tick budget: stall peels
-            # de-sync lanes by a few ticks, and each board's float sequence
-            # is independent of how lanes are grouped.
-            ran = self._run_vector_window(
-                pending, [plans[i] for i in pending],
-                [remaining[i] for i in pending],
-            )
+                plans.append(plan)
+        if pending:
+            ran = self._run_vector_window(pending, plans, n_steps)
             # Only lanes whose in-window re-plan was refused come back
-            # early: the next pass peels, finishes or drops them.
-            survivors = []
+            # early; the scalar path finishes them.
             for i, r in zip(pending, ran):
-                executed[i] += r
-                remaining[i] -= r
-                if remaining[i] > 0 and not self.boards[i].done:
-                    survivors.append(i)
-            pending = survivors + retry
+                executed[i] = r
+                if r < n_steps and not self.boards[i].done:
+                    executed[i] += self._run_scalar(i, n_steps - r)
         return executed
 
     def run_schedule_bank(self, freqs_big, freqs_little, only=None):
@@ -671,22 +623,29 @@ class BoardBank:
         (which determine the effective frequency/core caps), (c) placement
         membership — invalidated through :attr:`_replan_cache` eviction the
         moment a membership guard fires — and (d) the absence of fault
-        hooks and draining stalls, re-checked here because they can appear
-        without an actuation call.  Two reuse tiers, then a full replan:
+        hooks, re-checked here because they can appear without an
+        actuation call.  Two reuse tiers, then a full replan:
 
         1. nothing changed → return the previous plan object;
         2. only the operating point changed (DVFS and/or emergency caps,
-           same placement and core counts) → return this entry's plan for
-           that operating point, or rebuild the key from the cached
-           placement layout and hit the value memo, reassembling credits
+           same placement) → return this entry's plan for that operating
+           point, or rebuild the key from the entry's placement layout at
+           these core counts and hit the value memo, reassembling credits
            from live thread objects;
         3. otherwise → full :func:`plan_window` (which re-derives refusal
-           conditions and performs the placement-membership refresh).
+           conditions and performs the placement-membership refresh).  At
+           an unchanged placement epoch the entry keeps its operating-point
+           variants and layouts, so emergency core-cap toggles (the cap
+           changes the effective big core count) find them again.
 
         Every reused plan lives in this board's :attr:`_replan_cache`
         entry, which a membership change evicts; no plan is looked up by
         thread values, so threads re-created on a phase entry never match
-        a plan built for their predecessors.
+        a plan built for their predecessors.  A one-tick stall plan
+        (``events["stall_tick"]``) is returned but never cached; its
+        ``then`` plan is, because every later call comes after the stall
+        tick ran.  Every cached plan was built stall-free, and stalls only
+        drain within a placement epoch, so cached plans stay stall-free.
         """
         board = self.boards[index]
         entry = self._replan_cache.get(index)
@@ -713,113 +672,66 @@ class BoardBank:
                 cb = board._effective_cores(BIG)
                 fl = board._effective_frequency(LITTLE)
                 cl = board._effective_cores(LITTLE)
-                if (cb, cl) == entry["cores"]:
-                    # Operating points recur (DVFS sweeps cycle a small
-                    # set): a plan rebuilt here earlier is valid verbatim
-                    # as long as this entry lives — membership, placement,
-                    # and thread identity are unchanged by construction —
-                    # so keep the rebuilt plans keyed by operating point.
-                    vkey = (fb, fl, cb, cl, ems)
-                    variants = entry["variants"]
-                    vplan = variants.get(vkey)
-                    if vplan is not None:
-                        entry["plan"] = vplan
-                        entry["epoch"] = board._actuation_epoch
-                        return vplan
-                    layout = plan.layout
+                # Operating points recur (DVFS sweeps cycle a small set,
+                # the emergency core cap toggles): a plan built earlier
+                # under this entry is valid verbatim as long as the entry
+                # lives — membership, placement, and thread identity are
+                # unchanged by construction.
+                vkey = (fb, fl, cb, cl, ems)
+                variants = entry["variants"]
+                vplan = variants.get(vkey)
+                if vplan is not None:
+                    entry["plan"] = vplan
+                    entry["epoch"] = board._actuation_epoch
+                    return vplan
+                layout = entry["layouts"].get((cb, cl))
+                cached = None
+                if layout is not None:
                     key = (id(board.spec), fb, cb, layout[BIG][1],
                            fl, cl, layout[LITTLE][1])
                     cached = self._plan_memo.get(key)
-                    if cached is not None and cached[0] is board.spec:
-                        _, cplans, bips, works = cached
-                        credits = []
-                        for name in (BIG, LITTLE):
-                            for pairs, work in zip(layout[name][0],
-                                                   works[name]):
-                                for (thread, app), done in zip(pairs, work):
-                                    credits.append((app, thread, done))
-                        new_plan = WindowPlan(
-                            big=cplans[BIG],
-                            little=cplans[LITTLE],
-                            credits=credits,
-                            bips=bips,
-                            apps=plan.apps,
-                            emergency_snapshot=ems,
-                            works=works,
-                            layout=layout,
-                        )
-                        entry["plan"] = new_plan
-                        entry["epoch"] = board._actuation_epoch
-                        variants[vkey] = new_plan
-                        return new_plan
+                if cached is not None and cached[0] is board.spec:
+                    _, cplans, bips, works = cached
+                    credits = []
+                    for name in (BIG, LITTLE):
+                        for pairs, work in zip(layout[name][0],
+                                               works[name]):
+                            for (thread, app), done in zip(pairs, work):
+                                credits.append((app, thread, done))
+                    new_plan = WindowPlan(
+                        big=cplans[BIG],
+                        little=cplans[LITTLE],
+                        credits=credits,
+                        bips=bips,
+                        apps=plan.apps,
+                        emergency_snapshot=ems,
+                        works=works,
+                        layout=layout,
+                    )
+                    entry["plan"] = new_plan
+                    entry["epoch"] = board._actuation_epoch
+                    variants[vkey] = new_plan
+                    return new_plan
         plan = plan_window(board, memo=self._plan_memo)
-        if plan is None:
+        steady = plan
+        if plan is not None and plan.stall_tick:
+            self._event("stall_tick")
+            steady = plan.then
+        if steady is None:
             self._replan_cache.pop(index, None)
-            return None
-        self._replan_cache[index] = {
-            "plan": plan,
-            "epoch": board._actuation_epoch,
-            "pepoch": board._placement_epoch,
-            "cores": (
-                board._effective_cores(BIG),
-                board._effective_cores(LITTLE),
-            ),
-            "variants": {},
-        }
+            return plan
+        cores = (board._effective_cores(BIG), board._effective_cores(LITTLE))
+        if entry is None or entry["pepoch"] != board._placement_epoch:
+            entry = {"pepoch": board._placement_epoch, "variants": {},
+                     "layouts": {}}
+            self._replan_cache[index] = entry
+        entry["plan"] = steady
+        entry["epoch"] = board._actuation_epoch
+        entry["variants"][(board._effective_frequency(BIG),
+                           board._effective_frequency(LITTLE), *cores,
+                           steady.emergency_snapshot)] = steady
+        entry["layouts"][cores] = steady.layout
         return plan
-
-    def _transient_refusal(self, index):
-        """Was this plan refusal caused only by a draining stall?
-
-        Hotplug stalls drain by ``min(stall, dt)`` per tick and migration
-        stalls drain inside ``core_execution`` the same way, so a refusal
-        caused by either clears within a tick or two — unlike fault hooks
-        (installed for a whole faulted region) or an empty runnable set
-        (which no amount of stepping resolves until an app event).
-        """
-        board = self.boards[index]
-        if board.fault_hooks is not None:
-            return False
-        if board.temp_sensor.fault_hook is not None:
-            return False
-        sensors = board.power_sensors
-        if sensors[BIG].fault_hook is not None:
-            return False
-        if sensors[LITTLE].fault_hook is not None:
-            return False
-        stalled = (
-            board.clusters[BIG].pending_hotplug_stall > 0
-            or board.clusters[LITTLE].pending_hotplug_stall > 0
-        )
-        migrating = False
-        runnable = False
-        for app in board.applications:
-            if app.done:
-                continue
-            for thread in app.runnable_threads():
-                runnable = True
-                if thread.migration_stall > 0:
-                    migrating = True
-                    break
-            if migrating:
-                break
-        return runnable and (stalled or migrating)
-
-    def _peel_tick(self, index):
-        """Advance one board exactly one scalar tick (stall drain)."""
-        self._replan_cache.pop(index, None)
-        board = self.boards[index]
-        board.step()
-        if self.track_violations:
-            spec = board.spec
-            if board.thermal.temperature > spec.temp_limit:
-                self.temp_violation_time[index] += spec.sim_dt
-            if board._instant_power[BIG] > spec.power_limit_big:
-                self.power_violation_time[index] += spec.sim_dt
-        self.scalar_ticks += 1
-        if self.telemetry is not None:
-            self.telemetry.bank_scalar_ticks.inc(1)
-        return 1
 
     # ------------------------------------------------------------------
     # Scalar fallback
@@ -900,19 +812,9 @@ class BoardBank:
                     tuple(map(id, pb)), tuple(map(id, pl)))
         lanes = self._lane_cache.get(lane_key)
         if lanes is None:
-            leak_arr = np.array([[p.leak_base for p in pb],
-                                 [p.leak_base for p in pl]])
-            lanes = (
-                pb, pl,
-                np.array([[p.dyn for p in pb], [p.dyn for p in pl]]),
-                leak_arr,
-                np.array([[p.leak_temp_coeff for p in pb],
-                          [p.leak_temp_coeff for p in pl]]),
-                np.array([[p.idle for p in pb], [p.idle for p in pl]]),
-                np.array([[p.instructions for p in pb],
-                          [p.instructions for p in pl]]),
-                bool((leak_arr >= 0.0).all()),
-            )
+            M = np.array(list(zip(*map(_term_rows, pb, pl))))  # (10, B)
+            lanes = (pb, pl, M[0:2], M[2:4], M[4:6], M[6:8], M[8:10],
+                     bool((M[2:4] >= 0.0).all()))
             if len(self._lane_cache) > self.lane_cache_limit:
                 self._lane_cache.clear()
             self._lane_cache[lane_key] = lanes
@@ -920,7 +822,15 @@ class BoardBank:
 
     @staticmethod
     def _cells(plan):
-        """The plan's :class:`_LaneCells`, built on first use."""
+        """The plan's :class:`_LaneCells`, built on first use.
+
+        A stall plan uses its ``then`` plan's (the same credit layout);
+        without one it has none and credits through Python.
+        """
+        if plan.stall_tick:
+            if plan.then is None:
+                return _LaneCells(())
+            plan = plan.then
         cells = plan.cells
         if cells is None:
             cells = plan.cells = _LaneCells(plan.credits)
@@ -1001,24 +911,25 @@ class BoardBank:
     # ------------------------------------------------------------------
     # The lane×tick kernel
     # ------------------------------------------------------------------
-    def _run_vector_window(self, indices, plans, budgets):
-        """Advance every lane up to its tick budget in vectorized lockstep.
+    def _run_vector_window(self, indices, plans, n_steps):
+        """Advance every lane up to ``n_steps`` ticks in vectorized lockstep.
 
-        ``plans`` and ``budgets`` hold each lane's plan and tick budget,
-        in ``indices`` order.  Board state is gathered into the lane
-        matrix once, stepped tick by tick, and each lane's column is
-        written back once, when the lane leaves the window.  A proven
-        no-trip bound (:meth:`_no_trip_bound`) runs the window *quiet*,
-        without the emergency state machine.
+        ``plans`` holds each lane's plan, in ``indices`` order.  Board
+        state is gathered into the lane matrix once, stepped tick by tick,
+        and each lane's column is written back once, when the lane leaves
+        the window.  A proven no-trip bound (:meth:`_no_trip_bound`) runs
+        the window *quiet*, without the emergency state machine.
 
         Events are lane-local.  When a lane's emergency firmware changes
         state or its membership guard fires, that lane alone re-plans
         after the offending tick (exactly where scalar stepping would):
         its emergency state and credit cells are written back, the new
         plan's terms and cells are spliced into its column, and every lane
-        runs on.  A lane leaves the window when its budget is spent or its
-        re-plan is refused (program finished, nothing runnable); its
-        column is then written back and masked out.
+        runs on.  A lane on a one-tick stall plan switches to the plan's
+        ``then`` after that tick (it re-plans the same way if it has
+        none).  A lane leaves the window early only when its re-plan is
+        refused (program finished, nothing runnable); its column is then
+        written back and masked out.
 
         Returns the number of ticks each lane executed, in ``indices``
         order.
@@ -1117,7 +1028,6 @@ class BoardBank:
         dyn_m, leak_m, ltc_m, idle_m = P[0:2], P[2:4], P[4:6], P[6:8]
         inc[0:2] = P[8:10]
         schedule = _CreditSchedule([self._cells(plan) for plan in plans])
-        end = list(budgets)
         ran = [0] * B
         live = list(range(B))
         alive = np.ones(B, dtype=bool)  # left lanes keep computing, masked
@@ -1127,11 +1037,18 @@ class BoardBank:
         guards = [None] * B
         python = []
         for col, h in enumerate(schedule.horizons()):
-            n_vec[col] = end[col] if h is None else min(h, end[col])
+            plan = plans[col]
+            if plan.stall_tick and plan.then is None:
+                h = 0
+            n_vec[col] = n_steps if h is None else min(h, n_steps)
             if n_vec[col] == 0:
                 schedule.release(col)
                 python.append(col)
-                guards[col] = _MembershipGuard(plans[col])
+                guards[col] = _MembershipGuard(plan)
+            elif plan.stall_tick:
+                # The stall tick's own, smaller amounts on the cells of
+                # the plan after it: the horizon stays conservative.
+                schedule.weigh(col, [done for _, _, done in plan.credits])
 
         track = self.track_violations
         temp_limit = S["temp_limit"] if track else None
@@ -1145,17 +1062,29 @@ class BoardBank:
                 "power", "temperature", "time",
                 "freq_big", "freq_little", "emergency",
             )}
-            hist_from = [0] * B
+            # (first row, bips) of each plan a lane ran, in order.
+            bips_runs = [[(0, plan.bips)] for plan in plans]
             freq_b = np.array([b.clusters[BIG].frequency for b in boards])
             freq_l = np.array([b.clusters[LITTLE].frequency for b in boards])
 
-        def flush(col):
-            """Append one recording lane's pending rows to its trace."""
-            board = boards[col]
-            if any_record and board.trace is not None:
-                self._extend_trace(board, col, hist, hist_from[col],
-                                   plans[col])
-                hist_from[col] = len(hist["time"])
+        def install(col, plan):
+            """Switch one lane to a new plan's terms from this tick on."""
+            nonlocal quiet
+            plans[col] = plan
+            if any_record:
+                bips_runs[col].append((len(hist["time"]), plan.bips))
+            P[:, col] = _term_rows(plan.big, plan.little)
+            inc[0:2, col] = P[8:10, col]
+            i = indices[col]
+            if quiet and self._no_trip_bound(
+                (i,), self._slices((i,), [boards[col]]),
+                self._lane_terms((i,), [plan]), T[col:col + 1].copy(),
+            ) is None:
+                # The new terms may trip: run the firmware machine for
+                # everyone from here (every quiet tick so far zeroed the
+                # over-threshold timers).
+                quiet = False
+                over_m[...] = 0.0
 
         def leave(cols):
             """Write lanes back into their boards; they leave the window."""
@@ -1165,9 +1094,10 @@ class BoardBank:
             powers = p_m[:, cols].T.tolist()
             noise_rms = S["noise_rms"][cols].tolist()
             for j, col in enumerate(cols):
-                flush(col)
                 schedule.release(col)
                 board = boards[col]
+                if any_record and board.trace is not None:
+                    self._extend_trace(board, col, hist, bips_runs[col])
                 (temp, energy_k, acc_b, acc_l, latch_b, latch_l, instr_b,
                  instr_l, elap_b, elap_l, time_k, under_b, under_l,
                  over_b, over_l, hold_b, hold_l, throttled_s) = G[j]
@@ -1225,9 +1155,11 @@ class BoardBank:
         p_m = None
         any_active = None  # None while no lane is throttled
         while live:
-            stop = min(end[col] for col in live)
+            stop = n_steps
             vectorized = False
             for col in live:
+                if plans[col].stall_tick:
+                    stop = t + 1
                 if schedule.vector[col]:
                     vectorized = True
                     if n_vec[col] < stop:
@@ -1351,32 +1283,35 @@ class BoardBank:
                     hist["temperature"].append(T.copy())
                     hist["time"].append(time_arr.copy())
                 if replan:
-                    self.events["emergency"] += len(replan)
-                    if self.telemetry is not None:
-                        self.telemetry.bank_events.labels(
-                            reason="emergency"
-                        ).inc(len(replan))
+                    self._event("emergency", len(replan))
                 # Membership can only change once a lane credits through
                 # Python: its horizon proves no budget hits its clamp or
                 # advance threshold before then.
                 for col in python:
                     if guards[col].changed():
                         self._replan_cache.pop(indices[col], None)
-                        self.events["membership"] += 1
-                        if self.telemetry is not None:
-                            self.telemetry.bank_events.labels(
-                                reason="membership"
-                            ).inc()
+                        self._event("membership")
                         if col not in replan:
                             replan.append(col)
                 if replan:
                     break
 
-            # --- at tick t: re-plans, horizons, departures ---------------
-            leaving = [col for col in live if end[col] == t]
+            # --- at tick t: departures, re-plans, horizons ---------------
+            if t == n_steps:
+                leave(list(live))  # the caller's next plan sees any event
+                break
+            # A stall plan is spent after its one tick: the lane moves on
+            # to the plan built with it, or re-plans while a stall remains.
+            for col in live:
+                plan = plans[col]
+                if plan.stall_tick and col not in replan:
+                    if plan.then is None:
+                        replan.append(col)
+                    else:
+                        install(col, plan.then)
+                        schedule.weigh(col, schedule.lanes[col].done)
+            leaving = []
             for col in replan:
-                if end[col] == t:
-                    continue  # the caller's next plan sees the event
                 i = indices[col]
                 board = boards[col]
                 # Write back what the planner reads, and re-plan.
@@ -1386,38 +1321,21 @@ class BoardBank:
                 state = em[col].state
                 (state.thermal_throttled, state.power_throttled[BIG],
                  state.power_throttled[LITTLE]) = flags[:, col].tolist()
-                flush(col)
                 plan = None if board.done else self._plan_for(i)
                 if plan is None:
-                    self.events["lane_exit"] += 1
-                    if self.telemetry is not None:
-                        self.telemetry.bank_events.labels(
-                            reason="lane_exit"
-                        ).inc()
+                    self._event("lane_exit")
                     leaving.append(col)
                     continue
-                plans[col] = plan
-                lane_terms = self._lane_terms((i,), [plan])
-                P[:, col] = np.concatenate(lane_terms[2:7])[:, 0]
-                inc[0:2, col] = P[8:10, col]
-                if quiet and self._no_trip_bound(
-                    (i,), self._slices((i,), [board]), lane_terms,
-                    T[col:col + 1].copy(),
-                ) is None:
-                    # The new terms may trip: run the firmware machine for
-                    # everyone from here (every quiet tick so far zeroed
-                    # the over-threshold timers).
-                    quiet = False
-                    over_m[...] = 0.0
-                horizon = schedule.splice(col, self._cells(plan))
-                n_vec[col] = end[col] if horizon is None else min(
-                    t + horizon, end[col])
+                install(col, plan)
+                horizon = 0 if plan.stall_tick else schedule.splice(
+                    col, self._cells(plan))
+                n_vec[col] = n_steps if horizon is None else min(
+                    t + horizon, n_steps)
                 if not schedule.vector[col]:
                     python.append(col)
                     guards[col] = _MembershipGuard(plan)
-                self._stall_free[i] = board._placement_epoch
             for col in live:
-                if schedule.vector[col] and n_vec[col] == t and end[col] > t:
+                if schedule.vector[col] and n_vec[col] == t:
                     schedule.release(col)
                     python.append(col)
                     guards[col] = _MembershipGuard(plans[col])
@@ -1436,31 +1354,33 @@ class BoardBank:
         return ran
 
     @staticmethod
-    def _extend_trace(board, lane, hist, start, plan):
-        """Append one lane's history rows from ``start`` to its trace."""
+    def _extend_trace(board, lane, hist, bips_runs):
+        """Append one lane's history rows to its trace.
+
+        ``bips_runs`` holds ``(first row, bips)`` for each plan the lane
+        ran in the window, in order.
+        """
         trace = board.trace
-        times = hist["time"][start:]
+        times = hist["time"]
         ticks = len(times)
         trace.times.extend(float(row[lane]) for row in times)
-        power = hist["power"][start:]
+        power = hist["power"]
         trace.power_big.extend(float(row[0][lane]) for row in power)
         trace.power_little.extend(float(row[1][lane]) for row in power)
         trace.temperature.extend(
-            float(row[lane]) for row in hist["temperature"][start:]
+            float(row[lane]) for row in hist["temperature"]
         )
-        bips_big = plan.bips[BIG]
-        bips_little = plan.bips[LITTLE]
-        trace.bips_big.extend([bips_big] * ticks)
-        trace.bips_little.extend([bips_little] * ticks)
-        trace.bips_total.extend([bips_big + bips_little] * ticks)
-        trace.freq_big.extend(
-            float(row[lane]) for row in hist["freq_big"][start:]
-        )
+        ends = [start for start, _ in bips_runs[1:]] + [ticks]
+        for (start, bips), end in zip(bips_runs, ends):
+            bips_big = bips[BIG]
+            bips_little = bips[LITTLE]
+            trace.bips_big.extend([bips_big] * (end - start))
+            trace.bips_little.extend([bips_little] * (end - start))
+            trace.bips_total.extend([bips_big + bips_little] * (end - start))
+        trace.freq_big.extend(float(row[lane]) for row in hist["freq_big"])
         trace.freq_little.extend(
-            float(row[lane]) for row in hist["freq_little"][start:]
+            float(row[lane]) for row in hist["freq_little"]
         )
         trace.cores_big.extend([board.clusters[BIG].cores_on] * ticks)
         trace.cores_little.extend([board.clusters[LITTLE].cores_on] * ticks)
-        trace.emergency.extend(
-            bool(row[lane]) for row in hist["emergency"][start:]
-        )
+        trace.emergency.extend(bool(row[lane]) for row in hist["emergency"])

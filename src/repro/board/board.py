@@ -389,10 +389,11 @@ class Board:
     def run_period(self, n_steps):
         """Advance up to ``n_steps`` ticks (typically one control period).
 
-        Uses the vectorized fast path of :mod:`repro.board.fastpath`
-        whenever the board state permits, falling back to scalar
-        :meth:`step` around faults, draining stalls, emergency-firmware
-        transitions, and application phase changes.  The resulting board
+        Uses the vectorized fast path of :mod:`repro.board.fastpath`,
+        re-planning at emergency-firmware transitions and application
+        phase changes and running a draining stall's tick on its own
+        one-tick plan; only fault hooks (or nothing runnable) fall back to
+        scalar :meth:`step`.  The resulting board
         state is bit-identical to calling :meth:`step` ``n_steps`` times
         (stopping when all applications finish); returns the number of
         ticks actually executed.

@@ -18,15 +18,23 @@ Exactness contract
 ``run_window`` performs, per tick, the *same floating-point operations in
 the same order* as ``Board.step`` would, so the resulting board state —
 time, energy, temperatures, sensor windows, RNG stream, traces, application
-progress — is bit-identical to scalar stepping.  Whenever that cannot be
-guaranteed the planner refuses (returns ``None``) and the caller falls back
-to scalar ``step()``:
+progress — is bit-identical to scalar stepping.
 
-* a fault-injection hook is installed (sensor or actuator);
-* a hotplug or thread-migration stall is still draining;
-* and, mid-window, the moment an application changes phase / finishes a
-  thread or the emergency firmware changes state, the window ends and the
-  next tick is re-planned (the tick that *caused* the change is still exact:
+* A tick that drains a hotplug or thread-migration stall gets a one-tick
+  plan (``WindowPlan.stall_tick``): the planner applies the drains scalar
+  stepping applies at the top of that tick (``pending_hotplug_stall`` per
+  cluster, ``migration_stall`` inside ``core_execution``) and computes its
+  rates with the same arithmetic.  Such a plan is never memoized, and
+  ``run_window`` runs it for exactly one tick.  Nothing that tick changes
+  feeds the ordinary plan after it, so when no stall remains the planner
+  builds that plan in the same call (``WindowPlan.then``) and
+  ``run_window`` carries on under it.
+* Whenever exactness cannot be guaranteed — a fault-injection hook is
+  installed (sensor or actuator), or nothing is runnable — the planner
+  refuses (returns ``None``) and the caller falls back to scalar ``step()``.
+* Mid-window, the moment an application changes phase / finishes a thread
+  or the emergency firmware changes state, the window ends and the next
+  tick is re-planned (the tick that *caused* the change is still exact:
   scalar stepping reads rates at the top of the tick too).
 """
 
@@ -63,6 +71,11 @@ class WindowPlan:
     bips: dict  # the constant _instant_bips payload
     apps: list  # [(app, runnable-thread snapshot), ...] membership guard
     emergency_snapshot: tuple  # (thermal, power big, power little) throttles
+    # True for a one-tick plan whose arithmetic already drained a stall;
+    # then: the plan for the ticks after it, built with it (None while a
+    # stall remains after this tick).
+    stall_tick: bool = False
+    then: object = None
     # Plan-reuse metadata (consumed by BoardBank._plan_for):
     # works: the memo-cached per-cluster credit amounts this plan's credits
     # were built from; layout: {cluster: (per-core [(thread, app)], sig)};
@@ -100,6 +113,13 @@ def plan_window(board, memo=None):
     board-specific credit list, membership snapshot, and emergency
     snapshot are rebuilt.  Cache hits are exact by construction: the
     cached numbers are pure functions of the key.
+
+    When a hotplug stall is pending, or a thread on a computed core has a
+    migration stall, the plan is a one-tick stall plan: planning drains
+    the stalls exactly as the top of ``Board.step`` would, so the plan
+    must be run, for one tick, right away.  If no stall remains after
+    that tick, the plan's ``then`` is the ordinary plan for the ticks
+    after it.
     """
     # Any installed fault hook means per-tick fault semantics may apply;
     # stay on the scalar path for the whole faulted region.
@@ -109,9 +129,6 @@ def plan_window(board, memo=None):
         return None
     if any(s.fault_hook is not None for s in board.power_sensors.values()):
         return None
-    for runtime in board.clusters.values():
-        if runtime.pending_hotplug_stall > 0:
-            return None
     board._refresh_placement_membership()
     phase_of = {}
     apps = []
@@ -121,13 +138,10 @@ def plan_window(board, memo=None):
         runnable = app.runnable_threads()
         apps.append((app, runnable))
         for thread in runnable:
-            if thread.migration_stall > 0:
-                return None
             phase_of[thread] = (app, app.current_phase)
     if not phase_of:
         return None
     spec = board.spec
-    dt = spec.sim_dt
     # Collect the live (thread, phase) placement per computed core — the
     # basis of both the memo key and (on a miss) the plan arithmetic.
     # Cores at index >= cores_active contribute exactly 0.0 activity and
@@ -149,6 +163,39 @@ def plan_window(board, memo=None):
                 (p.cpi_scale, p.mpki, p.activity) for _, p in core_threads
             ))
         layout[name] = (freq, cores_active, per_core, tuple(sig))
+    if not _stall_pending(board, layout):
+        return _build(board, layout, phase_of, apps, memo)
+    # A stall tick's arithmetic holds for this tick only: never memoized.
+    plan = _build(board, layout, phase_of, apps, None, stall_tick=True)
+    if not _stall_pending(board, layout):
+        # The stall tick changes nothing the ordinary plan reads, so the
+        # plan for the ticks after it can be built now.
+        plan.then = _build(board, layout, phase_of, apps, memo)
+    return plan
+
+
+def _stall_pending(board, layout):
+    """Does the next tick drain a hotplug or a computed thread's migration?"""
+    runtimes = board.clusters
+    if (runtimes[BIG].pending_hotplug_stall > 0
+            or runtimes[LITTLE].pending_hotplug_stall > 0):
+        return True
+    for name in (BIG, LITTLE):
+        for core in layout[name][2]:
+            for thread, _ in core:
+                if thread.migration_stall > 0:
+                    return True
+    return False
+
+
+def _build(board, layout, phase_of, apps, memo, stall_tick=False):
+    """The plan arithmetic of :func:`plan_window` for one placement layout.
+
+    ``stall_tick`` applies the stall drains ``Board.step`` applies at the
+    top of a tick and plans that one tick (``memo`` must be ``None``).
+    """
+    spec = board.spec
+    dt = spec.sim_dt
     cached = None
     key = None
     if memo is not None:
@@ -205,12 +252,20 @@ def plan_window(board, memo=None):
                     for (thread, _), done in zip(core_threads, work):
                         credits.append((phase_of[thread][0], thread, done))
                 continue
+            tick_dt = dt
+            if stall_tick:
+                # Board.step drains min(stall, dt) of the hotplug stall at
+                # the top of the tick; core_execution drains migrations.
+                runtime = board.clusters[name]
+                drained = min(runtime.pending_hotplug_stall, dt)
+                runtime.pending_hotplug_stall -= drained
+                tick_dt = dt - drained
             busy_activity = []
             instructions = 0.0
             cluster_works = []
             for core_threads in per_core:
                 work, busy, activity = core_execution(
-                    cspec, freq, core_threads, dt,
+                    cspec, freq, core_threads, tick_dt,
                     spec.mem_latency_ns, bw_scale,
                 )
                 cluster_works.append(tuple(work))
@@ -251,6 +306,7 @@ def plan_window(board, memo=None):
         bips=bips,
         apps=apps,
         emergency_snapshot=_emergency_snapshot(board),
+        stall_tick=stall_tick,
         works=works if memo is not None else None,
         layout={
             name: (
@@ -282,7 +338,8 @@ def run_window(board, plan, max_steps):
 
     Stops early (after completing the offending tick, exactly like scalar
     stepping would) when an application event or an emergency-firmware
-    state change invalidates the plan.
+    state change invalidates the plan.  A stall plan runs one tick, then
+    its ``then`` plan (or stops, if it has none).
     """
     spec = board.spec
     dt = spec.sim_dt
@@ -341,4 +398,10 @@ def run_window(board, plan, max_steps):
             break
         if _membership_changed(plan.apps):
             break
+        if plan.stall_tick:
+            plan = plan.then
+            if plan is None:
+                break
+            pb, pl = plan.big, plan.little
+            credits = plan.credits
     return steps

@@ -191,10 +191,9 @@ def characterize_board(
     rows — and therefore every downstream model fit and deviation bound —
     are bit-identical to the per-campaign scalar loop (``banked=False``,
     kept as the differential reference).  The excitation re-actuates
-    cores and placement every control period, so lanes continuously
-    leave and re-enter the vector kernel; the bank peels each lane's
-    hotplug-stall ticks through the scalar stepper and re-plans only
-    the churned lane, which keeps the campaign >= 1.5x faster than the
+    cores and placement every control period; the bank runs each lane's
+    stall tick on a one-tick plan inside the vector window and re-plans
+    only the churned lane, which keeps the campaign >= 1.5x faster than the
     scalar loop at this default width (floor measured by
     ``benchmarks/bench_perf.py``).
     """

@@ -35,7 +35,7 @@ controller, no coordinator) and is not banked; callers route it through
 
 Each cell's ``notes["bank"]`` carries the bank's full lockstep
 accounting (``vector_ticks`` / ``scalar_ticks`` plus re-plan,
-stall-peel and refusal events), so sweep summaries can report how much
+stall-tick and refusal events), so sweep summaries can report how much
 of a campaign actually rode the vector kernel.
 """
 

@@ -293,9 +293,7 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
                 seed0=3, periods=30, schedule_seed=11):
     """Replay one bank run against per-board ``run_period``; must be 0 ULP.
 
-    Every board gets its own workload, seed, and actuation schedule; the
-    bank advances them in vectorized lockstep while the reference boards
-    advance one at a time through the scalar/fastpath machinery.  The
+    Every board gets its own workload, seed, and actuation schedule.  The
     first divergence is located by (board, step, signal) with its ULP
     distance.  Workload names take an optional ``@<scale>`` suffix.
 
@@ -305,7 +303,9 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
     extra ``blmc`` mix lane starts above the thermal trip under a pinned
     maximum-frequency command, which drives the emergency state
     machine.  The oracle fails unless both kinds of in-window lane
-    re-plan actually fired.
+    re-plan actually fired, and unless a hotplug or migration stall
+    tick ran in the vector window (the schedules re-actuate cores and
+    placement every period).
     """
     from ..board import BIG, LITTLE, Board, BoardBank, default_xu3_spec
     from ..rack.rack import instantiate_job_workload
@@ -390,6 +390,8 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
               float(events["emergency"] > 0), 1.0)
     cmp.check("coverage", "membership_events_fired",
               float(events["membership"] > 0), 1.0)
+    cmp.check("coverage", "stall_ticks_in_window",
+              float(events["stall_tick"] > 0), 1.0)
     return cmp.result("bank-vs-scalar", details={
         "boards": n, "periods": periods,
         "counters": bank.counters(),

@@ -179,10 +179,11 @@ class TestBankBitIdentity:
         counters = bank.counters()
         assert counters["vector_ticks"] > 0, "vector path never engaged"
 
-    def test_hotplug_churn_falls_back_bit_identically(self):
-        """Per-period core/placement churn keeps the planner refusing
-        (hotplug + migration stalls) — everything rides the scalar
-        fallback, and must still be bit-identical."""
+    def test_hotplug_churn_stays_vectorized_bit_identically(self):
+        """Per-period core/placement churn charges hotplug and migration
+        stalls every period; each stall tick runs on a one-tick plan in
+        the vector window, so no tick falls back to scalar stepping, and
+        every board must still be bit-identical."""
         spec = default_xu3_spec()
         workloads = ["blackscholes", "mcf", "mix:blmc", "gamess"]
         schedules = [_actuation_schedule(spec, 25, 100 + k)
@@ -190,7 +191,25 @@ class TestBankBitIdentity:
         bank, banked, reference = _run_pair(spec, workloads, schedules, 25)
         for k, (a, b) in enumerate(zip(banked, reference)):
             _assert_boards_identical(a, b, label=f"board {k}")
-        assert bank.counters()["events"]["plan_refused"] > 0
+        counters = bank.counters()
+        assert counters["events"]["stall_tick"] > 0
+        assert counters["scalar_ticks"] == 0
+
+    def test_multi_tick_stalls_stay_vectorized(self):
+        """Migration stalls longer than a thread's share of a tick take
+        several one-tick plans in a row; the lane re-plans after each."""
+        spec = dataclasses.replace(default_xu3_spec(), migration_cost_s=0.07)
+        workloads = ["blackscholes", "mcf", "mix:blmc"]
+        schedules = [_actuation_schedule(spec, 12, 60 + k)
+                     for k in range(len(workloads))]
+        bank, banked, reference = _run_pair(spec, workloads, schedules, 12)
+        for k, (a, b) in enumerate(zip(banked, reference)):
+            _assert_boards_identical(a, b, label=f"board {k}")
+        counters = bank.counters()
+        assert counters["scalar_ticks"] == 0
+        # More stall ticks than (lane, period) pairs: some stalls drained
+        # over consecutive ticks.
+        assert counters["events"]["stall_tick"] > 12 * len(workloads)
 
     def test_hot_emergency_windows(self):
         """Pin max-frequency boards so the emergency firmware trips."""
@@ -240,6 +259,26 @@ class TestBankBitIdentity:
         for _ in range(10):
             executed = bank.run_period_bank(spec.period_steps())
             assert executed[0] == solo.run_period(spec.period_steps())
+
+    def test_zero_steps_leave_a_stalled_board_alone(self):
+        """Planning a stall tick drains the stall, so a zero-tick call
+        must not plan: the board stays exactly as a reference that was
+        not stepped."""
+        spec = default_xu3_spec()
+
+        def make():
+            board = Board(make_mix("blmc"), spec=spec, seed=2, record=True,
+                          telemetry=None)
+            board.set_active_cores(BIG, 2)
+            board.set_placement_knobs(6.0, 2.0, 2.0)
+            return board
+
+        board, reference = make(), make()
+        bank = BoardBank([board], telemetry=None)
+        assert bank.run_period_bank(0) == [0]
+        bank.run_period_bank(spec.period_steps())
+        reference.run_period(spec.period_steps())
+        _assert_boards_identical(board, reference)
 
     def test_only_restricts_stepping(self):
         spec = default_xu3_spec()
@@ -509,11 +548,13 @@ class TestBankCounters:
             for k in live:
                 _actuate(boards[k], schedules[k][p])
             bank.run_period_bank(spec.period_steps(), only=live)
+        # Every stall tick runs on a one-tick plan inside the window, so
+        # no tick is left to the scalar path.
         assert bank.counters() == {
-            "boards": 4, "vector_ticks": 589, "scalar_ticks": 45,
+            "boards": 4, "vector_ticks": 634, "scalar_ticks": 0,
             "windows": 20, "fused_ticks": 0,
-            "events": {"emergency": 1, "membership": 2, "plan_refused": 45,
-                       "stall_peel": 45, "lane_exit": 1},
+            "events": {"emergency": 2, "membership": 2, "plan_refused": 0,
+                       "stall_tick": 45, "lane_exit": 1},
         }
 
 

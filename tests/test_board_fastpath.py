@@ -86,8 +86,42 @@ class TestRunPeriodEquivalence:
 
         scalar, fast = _pair()
         _drive(scalar, False, 90.0, actuate)
+        scalar_steps = []
+
+        def step():
+            scalar_steps.append(fast.time)
+            Board.step(fast)
+
+        fast.step = step
         _drive(fast, True, 90.0, actuate)
         _assert_identical(scalar, fast)
+        # Stall ticks run on one-tick plans: the fast board never steps.
+        assert scalar_steps == []
+
+    def test_multi_tick_migration_stall(self, monkeypatch):
+        """A migration stall longer than a thread's share of a tick drains
+        over several ticks: each gets its own one-tick plan."""
+        import repro.board.board as board_module
+
+        spec = dataclasses.replace(default_xu3_spec(), migration_cost_s=0.07)
+        kinds = []
+
+        def plan(board, memo=None):
+            result = plan_window(board, memo)
+            kinds.append(result is not None and result.stall_tick)
+            return result
+
+        monkeypatch.setattr(board_module, "plan_window", plan)
+
+        def actuate(board, i):
+            board.set_active_cores(BIG, 2 + i % 3)
+            board.set_placement_knobs(4 + i % 4, 1.0 + 0.5 * (i % 2), 2.0)
+
+        scalar, fast = _pair(spec=spec)
+        _drive(scalar, False, 30.0, actuate)
+        _drive(fast, True, 30.0, actuate)
+        _assert_identical(scalar, fast)
+        assert any(a and b for a, b in zip(kinds, kinds[1:]))
 
     def test_emergency_trips(self):
         # Force both thermal and power trips mid-window: the fast path has
