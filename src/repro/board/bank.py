@@ -804,7 +804,9 @@ class BoardBank:
         ``plans`` holds one plan per lane of ``key_boards``, in order.
         Cached against the identity of the (memo-owned) cluster plans;
         the cache entry holds references to those plans, so an id() match
-        on live objects can only mean the very same plans.
+        on live objects can only mean the very same plans.  A stall plan's
+        cluster plans are built fresh for one tick and no later window
+        can match them, so terms over one are never cached.
         """
         pb = [plan.big for plan in plans]
         pl = [plan.little for plan in plans]
@@ -815,6 +817,8 @@ class BoardBank:
             M = np.array(list(zip(*map(_term_rows, pb, pl))))  # (10, B)
             lanes = (pb, pl, M[0:2], M[2:4], M[4:6], M[6:8], M[8:10],
                      bool((M[2:4] >= 0.0).all()))
+            if any(plan.stall_tick for plan in plans):
+                return lanes
             if len(self._lane_cache) > self.lane_cache_limit:
                 self._lane_cache.clear()
             self._lane_cache[lane_key] = lanes
@@ -836,7 +840,7 @@ class BoardBank:
             cells = plan.cells = _LaneCells(plan.credits)
         return cells
 
-    def _no_trip_bound(self, key_boards, S, terms, T):
+    def _no_trip_bound(self, key_boards, S, terms, T, cache=True):
         """A temperature ceiling proving no lane can trip, or ``None``.
 
         ``terms`` are the lanes' plan terms (:meth:`_lane_terms`).  Power
@@ -854,12 +858,13 @@ class BoardBank:
         iteration entirely.  The key uses id() of the lane terms, so the
         cache entry keeps the terms alive — once the lane cache drops
         them, their ids cannot be recycled into a key that finds this
-        (then stale) bound.
+        (then stale) bound.  ``cache=False`` (terms over a stall plan,
+        which nothing can hit again) neither reads nor stores the cache.
         """
         if not self._const["monotone"] or not terms[7]:
             return None
         key = (key_boards, self._plan_gen, id(terms))
-        cached = self._ub_cache.get(key)
+        cached = self._ub_cache.get(key) if cache else None
         if cached is not None and bool((T <= cached[0]).all()):
             return cached[0]
         ambient = S["ambient"]
@@ -903,9 +908,10 @@ class BoardBank:
             and (p_m < S["limit"] - 1e-9).all()
         ):
             return None
-        if len(self._ub_cache) > 256:
-            self._ub_cache.clear()
-        self._ub_cache[key] = (X, terms)
+        if cache:
+            if len(self._ub_cache) > 256:
+                self._ub_cache.clear()
+            self._ub_cache[key] = (X, terms)
         return X
 
     # ------------------------------------------------------------------
@@ -1020,7 +1026,8 @@ class BoardBank:
         # A proven no-trip bound collapses the per-tick firmware machine
         # to the under-limit clocks (already rows of ``g``).
         quiet = not flags.any() and self._no_trip_bound(
-            key_boards, S, terms, T.copy()
+            key_boards, S, terms, T.copy(),
+            cache=not any(plan.stall_tick for plan in plans),
         ) is not None
         # dyn, leak, leak temp coefficient, idle and instructions, two
         # rows each: this window's own copy, so re-plans can splice.
@@ -1079,6 +1086,7 @@ class BoardBank:
             if quiet and self._no_trip_bound(
                 (i,), self._slices((i,), [boards[col]]),
                 self._lane_terms((i,), [plan]), T[col:col + 1].copy(),
+                cache=not plan.stall_tick,
             ) is None:
                 # The new terms may trip: run the firmware machine for
                 # everyone from here (every quiet tick so far zeroed the

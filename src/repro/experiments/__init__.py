@@ -23,15 +23,10 @@ from . import (
     three_layer,
 )
 from .bank_runner import bankable_scheme, run_cells_banked
-from .engine import parallel_map, resolve_jobs, run_matrix
+from .engine import parallel_map, resolve_jobs, run_matrix, run_scheme_matrix
 from .metrics import RunMetrics, normalize_to, oscillation_stats
 from .report import render_bars, render_series, render_table
-from .runner import (
-    instantiate_workload,
-    run_scheme_matrix,
-    run_workload,
-    workload_name,
-)
+from .runner import drive, instantiate_workload, run_workload, workload_name
 from .schemes import (
     COORDINATED_HEURISTIC,
     DECOUPLED_HEURISTIC,
@@ -68,6 +63,7 @@ __all__ = [
     "render_table",
     "render_bars",
     "render_series",
+    "drive",
     "run_workload",
     "run_scheme_matrix",
     "bankable_scheme",

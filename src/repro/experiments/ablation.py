@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..board import Board
-from ..core import MultilayerCoordinator
-from .metrics import RunMetrics, oscillation_stats
+from .metrics import oscillation_stats
 from .report import render_table
-from .runner import instantiate_workload
+from .runner import cell_metrics, drive, instantiate_workload
 from .schemes import YUKTA_HW_SSV_OS_SSV, DesignContext, build_session
 
 __all__ = ["AblationResult", "run", "FrozenExternalsController"]
@@ -91,29 +90,14 @@ class AblationResult:
 
 def _run(context, workload, freeze, seed, max_time=600.0):
     session = build_session(YUKTA_HW_SSV_OS_SSV, context)
-    hw, sw = session.hw_controller, session.sw_controller
     if freeze:
-        hw = FrozenExternalsController(hw)
-        sw = FrozenExternalsController(sw)
-    coordinator = MultilayerCoordinator(
-        hw, sw, session.hw_optimizer, session.sw_optimizer
-    )
+        session.hw_controller = FrozenExternalsController(session.hw_controller)
+        session.sw_controller = FrozenExternalsController(session.sw_controller)
+    coordinator = session.coordinator()
     board = Board(instantiate_workload(workload), spec=context.spec, seed=seed)
-    period_steps = context.spec.period_steps()
-    while not board.done and board.time < max_time:
-        board.run_period(period_steps)
-        if board.done:
-            break
-        coordinator.control_step(board, period_steps)
-    trace = board.trace.as_arrays()
-    return RunMetrics(
-        scheme="frozen" if freeze else "coordinated",
-        workload=str(workload),
-        execution_time=board.time,
-        energy=board.energy,
-        completed=board.done,
-        trace=trace,
-    )
+    drive(board, coordinator.control_step, max_time)
+    return cell_metrics("frozen" if freeze else "coordinated", workload,
+                        board, coordinator, record=True)
 
 
 def run(context: DesignContext = None,

@@ -42,11 +42,9 @@ of a campaign actually rode the vector kernel.
 from __future__ import annotations
 
 from ..board import Board, BoardBank
-from ..core import MultilayerCoordinator
 from ..core.controller import STACK_MIN_LANES, RuntimeController, step_stacked
 from ..telemetry import NULL_SPAN, active_session
-from .metrics import RunMetrics
-from .runner import instantiate_workload
+from .runner import cell_metrics, instantiate_workload, workload_name
 from .schemes import MONOLITHIC_LQG, build_session
 
 __all__ = ["bankable_scheme", "run_cells_banked"]
@@ -102,14 +100,7 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
         boards.append(Board(instantiate_workload(workload),
                             spec=context.spec, seed=seed, record=record,
                             telemetry=tel))
-        coordinators.append(MultilayerCoordinator(
-            session.hw_controller,
-            session.sw_controller,
-            session.hw_optimizer,
-            session.sw_optimizer,
-            telemetry=tel,
-            monitor=mon,
-        ))
+        coordinators.append(session.coordinator(telemetry=tel, monitor=mon))
     bank = BoardBank(boards, telemetry=tel)
     period_steps = context.spec.period_steps()
     failed = {}
@@ -124,11 +115,8 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
             from ..runtime import CellFailure
 
             scheme, workload, seed = cells[i]
-            name = workload if isinstance(workload, str) else "+".join(
-                a.name for a in boards[i].applications
-            )
             failed[i] = CellFailure(
-                index=i, label=f"{scheme}:{name}:s{seed}",
+                index=i, label=f"{scheme}:{workload_name(workload)}:s{seed}",
                 reason="exception", attempts=1,
                 error=f"{type(exc).__name__}: {exc}",
                 elapsed=boards[i].time)
@@ -164,7 +152,7 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
             out.update(zip(idx, results))
         return out
 
-    # Mirror run_workload's loop per board: the while-condition check,
+    # Mirror runner.drive's loop per board: the while-condition check,
     # run_period, the post-period done check, then control_step's three
     # phases.  The bank advances every live board's period at once, and
     # each layer steps once per design group instead of once per lane;
@@ -191,32 +179,7 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
                     hw_u[i], sw_u.get(i))
         active = [i for i in ok(live)
                   if not boards[i].done and boards[i].time < max_time]
-    metrics = []
-    for i, ((scheme, workload, seed), board, coordinator) in enumerate(zip(
-        cells, boards, coordinators
-    )):
-        if i in failed:
-            metrics.append(failed[i])
-            continue
-        session_hw = coordinator.hw_controller
-        name = workload if isinstance(workload, str) else "+".join(
-            a.name for a in board.applications
-        )
-        trace = board.trace.as_arrays() if record and board.trace else {}
-        notes = {
-            "emergency_trips": board.emergency.state.trip_count,
-            "coordinator_records": len(coordinator.records),
-            "bank": bank.counters(),
-        }
-        if hasattr(session_hw, "guardband_exhausted"):
-            notes["guardband_exhausted"] = session_hw.guardband_exhausted
-        metrics.append(RunMetrics(
-            scheme=scheme,
-            workload=name,
-            execution_time=board.time,
-            energy=board.energy,
-            completed=board.done,
-            trace=trace,
-            notes=notes,
-        ))
-    return metrics
+    return [failed[i] if i in failed else
+            cell_metrics(scheme, workload, boards[i], coordinators[i], record,
+                         bank=bank.counters())
+            for i, (scheme, workload, _seed) in enumerate(cells)]

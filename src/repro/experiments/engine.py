@@ -1,19 +1,18 @@
-"""Parallel experiment engine: fan the evaluation matrix across processes.
+"""The experiment engine: every campaign's cells on one supervised pool.
 
 The paper's evaluation is embarrassingly parallel — every (scheme ×
 workload × seed) cell is an independent closed-loop simulation — but each
 cell takes seconds, and the full matrix is hundreds of cells.  This module
 runs every cell on the supervised worker pool
-(:func:`repro.runtime.executor.supervised_map`) while keeping the three
-properties the serial harness guarantees:
+(:func:`repro.runtime.executor.supervised_map`), serial campaigns
+included, with three properties:
 
 * **Determinism** — the fully-primed :class:`DesignContext` is pickled once
   and shipped to every worker (workers never re-synthesize), and each cell
-  carries its own explicit seed, so a parallel run is *bit-identical* to
-  the serial run of the same cells.
+  carries its own explicit seed, so a parallel or banked run is
+  *bit-identical* to the serial run of the same cells.
 * **Ordered collection** — results are reassembled in task-submission
-  order regardless of completion order; callers see the same shapes the
-  serial loops produce.
+  order regardless of completion order.
 * **Telemetry** — each worker process activates its own
   :class:`~repro.telemetry.TelemetrySession` under
   ``<telemetry_dir>/worker-<pid>/``; the per-worker directories are
@@ -24,13 +23,15 @@ properties the serial harness guarantees:
 ``jobs=None``, ``jobs=1`` or a single cell runs on the calling thread
 against the live context (no pickling, no worker process), so every
 caller can expose a ``--jobs`` knob without special-casing.
+:func:`run_matrix` (also named ``run_scheme_matrix``) is the one matrix
+path every figure, oracle and benchmark takes.
 
 Fault tolerance (``repro.runtime``) rides on the same pool:
 ``checkpoint``/``resume`` journal completed cells and replay them on
 restart; ``cell_timeout``/``max_retries``/``backoff``/``chaos`` arm the
 supervisor's deadlines, retries and fault injection; a worker that dies
-costs only the cell it was running; ``on_error="collect"`` turns a cell
-that ultimately fails into a structured
+costs only the cell it was running; ``on_error="collect"`` (the matrix
+default) turns a cell that ultimately fails into a structured
 :class:`~repro.runtime.executor.CellFailure` in its result slot instead of
 an exception that discards every completed sibling.  Unset knobs fall back
 to the process-wide :class:`~repro.runtime.policy.ExecutionPolicy`
@@ -44,7 +45,13 @@ import os
 from ..telemetry import active_session
 from .runner import run_workload, workload_name
 
-__all__ = ["parallel_map", "run_matrix", "resolve_jobs", "execute_task"]
+__all__ = [
+    "parallel_map",
+    "run_matrix",
+    "run_scheme_matrix",
+    "resolve_jobs",
+    "execute_task",
+]
 
 
 def resolve_jobs(jobs):
@@ -296,25 +303,33 @@ def run_matrix(schemes, workloads, context, seed=7, max_time=600.0,
                batch=None, on_error="collect", checkpoint=None, resume=None,
                cell_timeout=None, max_retries=None, backoff=None,
                chaos=None):
-    """Parallel counterpart of :func:`runner.run_scheme_matrix`.
+    """Run every (scheme, workload) cell; ``{workload: {scheme: metrics}}``.
 
-    Same nested ``{workload: {scheme: RunMetrics}}`` dict, same cell seeds,
-    assembled in the serial loop's (workload, scheme) order.
+    The one matrix path (also exported as ``run_scheme_matrix``): every
+    cell runs through :func:`parallel_map`, on the calling thread with
+    ``jobs`` ≤ 1 and on the supervised pool otherwise, with its own
+    explicit seed.  The result dict is keyed by workload name (resolved
+    up front, so empty scheme lists are safe) in (workload, scheme)
+    order, and ``progress`` receives each cell's result once, in that
+    order, as soon as the cell and every earlier one have finished.
 
-    ``batch`` > 1 additionally packs up to that many layered-scheme cells
-    into one :class:`~repro.board.bank.BoardBank` per engine task, so the
-    simulators advance in vectorized lockstep (monolithic-LQG cells keep
-    their own loop and run as plain cells).  Banking composes with
+    ``batch`` > 1 packs up to that many layered-scheme cells into one
+    :class:`~repro.board.bank.BoardBank` per engine task, so the
+    simulators advance in vectorized lockstep; monolithic-LQG cells keep
+    their own loop and run as one-cell tasks.  Banking composes with
     ``jobs``: each bank is one task, fanned across the pool like any
-    other.  Results stay bit-identical to the serial path — the bank's
-    per-board exactness contract composes with per-cell independence
-    (asserted by the ``bank-matrix-vs-serial`` oracle).
+    other.  Every route is bit-identical: same context, same per-cell
+    seeds, and the bank's per-board exactness contract composes with
+    per-cell independence (asserted by the ``bank-matrix-vs-serial`` and
+    ``parallel-vs-serial`` oracles).
 
-    Campaign cells default to ``on_error="collect"``: one raising cell no
-    longer discards its completed siblings — it lands in the result dict as
-    a :class:`~repro.runtime.CellFailure`.  The checkpoint/supervision
-    knobs pass straight through to :func:`parallel_map`.
+    Campaign cells default to ``on_error="collect"``: a raising cell lands
+    in the result dict as a :class:`~repro.runtime.CellFailure` and its
+    siblings complete.  The checkpoint/supervision knobs pass straight
+    through to :func:`parallel_map`.
     """
+    from .bank_runner import bankable_scheme
+
     schemes = list(schemes)
     workloads = list(workloads)
     order = [
@@ -323,65 +338,54 @@ def run_matrix(schemes, workloads, context, seed=7, max_time=600.0,
         for scheme in schemes
     ]
     batch = int(batch) if batch else 0
+    banked = []
     if batch > 1:
-        from .bank_runner import bankable_scheme
-
         bankable = [k for k, (s, _) in enumerate(order) if bankable_scheme(s)]
-        tasks = []
-        slots = []  # per task: list of original cell indices it produces
-        for start in range(0, len(bankable), batch):
-            group = bankable[start:start + batch]
+        banked = [bankable[i:i + batch]
+                  for i in range(0, len(bankable), batch)]
+    in_bank = {k for group in banked for k in group}
+    # One slot per engine task: the cells it produces, ordered by its
+    # first cell so that results stream in cell order.
+    slots = sorted(banked + [[k] for k in range(len(order))
+                             if k not in in_bank])
+    tasks = []
+    for slot in slots:
+        if slot[0] in in_bank:
             tasks.append(("call", (_bank_group, (
-                [(order[k][0], order[k][1], seed) for k in group],
+                [(order[k][0], order[k][1], seed) for k in slot],
                 max_time, record,
             ), {"on_error": on_error})))
-            slots.append(group)
-        for k, (scheme, workload) in enumerate(order):
-            if not bankable_scheme(scheme):
-                tasks.append(
-                    ("cell", (scheme, workload, seed, max_time, record))
-                )
-                slots.append([k])
-        flat = parallel_map(tasks, context, jobs=jobs,
-                            telemetry_dir=telemetry_dir, prime=schemes,
-                            on_error=on_error,
-                            checkpoint=checkpoint, resume=resume,
-                            cell_timeout=cell_timeout,
-                            max_retries=max_retries, backoff=backoff,
-                            chaos=chaos)
-        from ..runtime import CellFailure
+        else:
+            scheme, workload = order[slot[0]]
+            tasks.append(("cell", (scheme, workload, seed, max_time, record)))
 
-        by_cell = [None] * len(order)
-        for group, result in zip(slots, flat):
-            if isinstance(result, CellFailure):
-                # The whole bank task failed: every cell it carried gets
-                # the structured failure, so no slot is silently lost.
-                group_results = [result] * len(group)
-            elif isinstance(result, list):
-                group_results = result
-            else:
-                group_results = [result]
-            for k, metrics in zip(group, group_results):
-                by_cell[k] = metrics
-        if progress is not None:
-            for metrics in by_cell:
-                progress(metrics)
-        it = iter(by_cell)
-    else:
-        tasks = [
-            ("cell", (scheme, workload, seed, max_time, record))
-            for scheme, workload in order
-        ]
-        flat = parallel_map(tasks, context, jobs=jobs,
-                            telemetry_dir=telemetry_dir, progress=progress,
-                            prime=schemes, on_error=on_error, checkpoint=checkpoint,
-                            resume=resume, cell_timeout=cell_timeout,
-                            max_retries=max_retries, backoff=backoff,
-                            chaos=chaos)
-        it = iter(flat)
-    results = {}
-    for workload in workloads:
-        results[workload_name(workload)] = {
-            scheme: next(it) for scheme in schemes
-        }
-    return results
+    by_cell = [None] * len(order)  # a cell's result, once its task is done
+    pending = iter(slots)
+    delivered = 0
+
+    def _collect(result):
+        # A bank returns one result per cell; a failed task (bank or
+        # plain) fills every slot it carried with its CellFailure.
+        nonlocal delivered
+        slot = next(pending)
+        values = result if isinstance(result, list) else [result] * len(slot)
+        for k, value in zip(slot, values):
+            by_cell[k] = value
+        while delivered < len(order) and by_cell[delivered] is not None:
+            if progress is not None:
+                progress(by_cell[delivered])
+            delivered += 1
+
+    parallel_map(tasks, context, jobs=jobs, telemetry_dir=telemetry_dir,
+                 progress=_collect, prime=schemes, on_error=on_error,
+                 checkpoint=checkpoint, resume=resume,
+                 cell_timeout=cell_timeout, max_retries=max_retries,
+                 backoff=backoff, chaos=chaos)
+    it = iter(by_cell)
+    return {
+        workload_name(workload): {scheme: next(it) for scheme in schemes}
+        for workload in workloads
+    }
+
+
+run_scheme_matrix = run_matrix

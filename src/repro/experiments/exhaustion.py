@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..board import Board
-from ..core import MultilayerCoordinator
 
 # The one-shot injection helpers now live in the fault subsystem
 # (repro.faults.library), reimplemented as immediate permanent campaigns
@@ -34,6 +33,7 @@ from ..core import MultilayerCoordinator
 from ..faults import inject_heatsink_fault, inject_sensor_fault
 from ..workloads import make_application
 from .report import render_table
+from .runner import drive
 from .schemes import YUKTA_HW_SSV_OS_SSV, DesignContext, build_session
 
 __all__ = [
@@ -73,35 +73,25 @@ class ExhaustionResult:
 
 def _run_once(context, fault_fn, workload="gamess", max_time=200.0, seed=11):
     session = build_session(YUKTA_HW_SSV_OS_SSV, context)
-    coordinator = MultilayerCoordinator(
-        session.hw_controller, session.sw_controller,
-        session.hw_optimizer, session.sw_optimizer,
-    )
+    coordinator = session.coordinator()
     board = Board(make_application(workload), spec=context.spec, seed=seed,
                   record=False)
-    period_steps = context.spec.period_steps()
     fault_time = max_time / 3.0 if fault_fn else None
-    faulted = False
     fault_period = -1
     flag_period = -1
-    period = 0
-    temps = []
-    while not board.done and board.time < max_time:
-        for _ in range(period_steps):
-            board.step()
-            if board.done:
-                break
-        if board.done:
-            break
-        if fault_fn and not faulted and board.time >= fault_time:
+    temps = []  # true die temperature after each control period
+
+    def control(board, period_steps):
+        nonlocal fault_period, flag_period
+        if fault_fn and fault_period < 0 and board.time >= fault_time:
             fault_fn(board)
-            faulted = True
-            fault_period = period
+            fault_period = len(temps)
         coordinator.control_step(board, period_steps)
         temps.append(board.thermal.temperature)
-        period += 1
         if session.hw_controller.guardband_exhausted and flag_period < 0:
-            flag_period = period
+            flag_period = len(temps)
+
+    drive(board, control, max_time)
     flagged = session.hw_controller.guardband_exhausted
     delay = (
         flag_period - fault_period

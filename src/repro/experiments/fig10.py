@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .engine import run_scheme_matrix
 from .metrics import oscillation_stats
 from .report import render_series, render_table
-from .runner import run_scheme_matrix
 from .schemes import DesignContext
 from .fig9 import TABLE_IV_SCHEMES
 

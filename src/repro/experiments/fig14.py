@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..workloads import mix_names
+from .engine import run_scheme_matrix
 from .metrics import normalize_to
 from .report import render_table
-from .runner import run_scheme_matrix
 from .schemes import COORDINATED_HEURISTIC, SCHEMES, DesignContext
 
 __all__ = ["Fig14Result", "run"]

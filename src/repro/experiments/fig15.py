@@ -19,7 +19,7 @@ from ..core import MultilayerCoordinator
 from ..workloads import make_application
 from .metrics import normalize_to
 from .report import render_series, render_table
-from .runner import run_workload
+from .runner import drive, run_workload
 from .schemes import (
     COORDINATED_HEURISTIC,
     YUKTA_HW_SSV_OS_SSV,
@@ -54,12 +54,7 @@ def run_fixed_targets(context, workload="blackscholes", max_time=150.0, seed=7):
     session.sw_controller.set_targets(SW_FIXED_TARGETS)
     coordinator = MultilayerCoordinator(session.hw_controller, session.sw_controller)
     board = Board(make_application(workload), spec=context.spec, seed=seed)
-    period_steps = context.spec.period_steps()
-    while not board.done and board.time < max_time:
-        board.run_period(period_steps)
-        if board.done:
-            break
-        coordinator.control_step(board, period_steps)
+    drive(board, coordinator.control_step, max_time)
     times = np.array([r.time for r in coordinator.records])
     perf = np.array([r.outputs_hw[0] for r in coordinator.records])
     return times, perf, coordinator.records

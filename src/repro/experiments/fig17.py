@@ -17,6 +17,7 @@ from ..core import MultilayerCoordinator
 from ..workloads import make_application
 from .fig15 import HW_FIXED_TARGETS, SW_FIXED_TARGETS
 from .report import render_series, render_table
+from .runner import drive
 from .schemes import YUKTA_HW_SSV_OS_SSV, DesignContext, build_session
 
 __all__ = ["Fig17Result", "run", "INPUT_WEIGHTS"]
@@ -72,12 +73,7 @@ def _weight_cell(context, weight, workload, max_time, seed):
         session.hw_controller, session.sw_controller
     )
     board = Board(make_application(workload), spec=variant.spec, seed=seed)
-    period_steps = variant.spec.period_steps()
-    while not board.done and board.time < max_time:
-        board.run_period(period_steps)
-        if board.done:
-            break
-        coordinator.control_step(board, period_steps)
+    drive(board, coordinator.control_step, max_time)
     times = np.array([r.time for r in coordinator.records])
     power = np.array([r.outputs_hw[1] for r in coordinator.records])
     actuation = np.array(

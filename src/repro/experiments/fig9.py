@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..workloads import program_names
+from .engine import run_scheme_matrix
 from .metrics import normalize_to
 from .report import render_table
-from .runner import run_scheme_matrix
 from .schemes import (
     COORDINATED_HEURISTIC,
     DECOUPLED_HEURISTIC,

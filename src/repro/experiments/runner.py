@@ -1,29 +1,35 @@
 """The experiment runner: one workload under one scheme on the board.
 
-The runner instantiates the workload, wires a scheme session to a fresh
-board, drives the 500 ms control loop until completion, and packages the
-resulting :class:`~repro.experiments.metrics.RunMetrics`.  The monolithic
-LQG scheme gets its own loop (single controller over both layers).
+:func:`drive` is the closed loop every experiment shares: advance the
+board one 500 ms control period, then hand it to a per-period control
+function (a coordinator's ``control_step``, the monolithic LQG step, or
+an experiment's own wrapper around one).  :func:`run_workload`
+instantiates the workload, wires a scheme session to a fresh board,
+drives it until completion and packages the result through
+:func:`cell_metrics`, which the bank runner shares.  Whole matrices run
+through :func:`repro.experiments.engine.run_matrix`.
 """
 
 from __future__ import annotations
 
 import time
+import types
 
 import numpy as np
 
 from ..board import BIG, LITTLE, Board
-from ..core import MultilayerCoordinator, exd_metric
+from ..core import exd_metric
 from ..core.characterize import sample_signals
 from ..core.layer import HW_OUTPUTS, SW_OUTPUTS
 from ..telemetry import active_session
 from ..workloads import make_application, make_mix
 from .metrics import RunMetrics
-from .schemes import DesignContext, SchemeSession, build_session
+from .schemes import DesignContext, build_session
 
 __all__ = [
+    "cell_metrics",
+    "drive",
     "run_workload",
-    "run_scheme_matrix",
     "instantiate_workload",
     "workload_name",
 ]
@@ -46,35 +52,39 @@ def workload_name(workload):
     return "+".join(a.name for a in instantiate_workload(workload))
 
 
-def _simulate_period(board, period_steps, tel):
-    """Advance the board one control period (optionally under a span)."""
-    if tel is None:
-        board.run_period(period_steps)
-        return
-    t0 = time.perf_counter()
-    with tel.span("sim", cat="period", board_time=board.time):
-        board.run_period(period_steps)
-    tel.sim_period_hist.observe(time.perf_counter() - t0)
+def drive(board, control, max_time, telemetry=None):
+    """Run the 500 ms closed loop until the board finishes or ``max_time``.
+
+    Each period opens on ``telemetry`` (if given), advances the board with
+    :meth:`~repro.board.Board.run_period` and, unless that finished the
+    workload, calls ``control(board, period_steps)``.
+    """
+    period_steps = board.spec.period_steps()
+    while not board.done and board.time < max_time:
+        if telemetry is None:
+            board.run_period(period_steps)
+        else:
+            telemetry.begin_period(board.time)
+            t0 = time.perf_counter()
+            with telemetry.span("sim", cat="period", board_time=board.time):
+                board.run_period(period_steps)
+            telemetry.sim_period_hist.observe(time.perf_counter() - t0)
+        if board.done:
+            break
+        control(board, period_steps)
 
 
-def _monolithic_loop(board, session, period_steps, max_time, telemetry=None,
-                     monitor=None):
-    """Control loop for the single-controller (monolithic LQG) scheme."""
-    import types
-
+def _monolithic_control(session, telemetry=None, monitor=None):
+    """The per-period step of the single-controller (monolithic LQG) scheme."""
     mono = session.monolithic
     hw_opt, sw_opt = session.hw_optimizer, session.sw_optimizer
     tel = telemetry
     # The invariant monitor inspects optimizers through coordinator-shaped
-    # attribute access; the monolithic loop has no coordinator, so hand it
-    # a shim carrying the same two attributes.
+    # attribute access; the monolithic scheme has no coordinator, so hand
+    # it a shim carrying the same two attributes.
     opt_shim = types.SimpleNamespace(hw_optimizer=hw_opt, sw_optimizer=sw_opt)
-    while not board.done and board.time < max_time:
-        if tel is not None:
-            tel.begin_period(board.time)
-        _simulate_period(board, period_steps, tel)
-        if board.done:
-            break
+
+    def control(board, period_steps):
         if tel is not None:
             with tel.span("sample", board_time=board.time):
                 signals = sample_signals(board, period_steps)
@@ -108,6 +118,36 @@ def _monolithic_loop(board, session, period_steps, max_time, telemetry=None,
             monitor.check_period(board, coordinator=opt_shim,
                                  signals=signals)
 
+    return control
+
+
+def cell_metrics(scheme, workload, board, coordinator, record, bank=None):
+    """One finished cell's :class:`RunMetrics`, as every runner reports it.
+
+    ``coordinator`` is ``None`` for the monolithic scheme.  ``bank`` (the
+    bank runner's lockstep counters) lands in ``notes["bank"]``.
+    """
+    notes = {
+        "emergency_trips": board.emergency.state.trip_count,
+        "coordinator_records": (len(coordinator.records)
+                                if coordinator is not None else 0),
+    }
+    if bank is not None:
+        notes["bank"] = bank
+    hw = getattr(coordinator, "hw_controller", None)
+    if hasattr(hw, "guardband_exhausted"):
+        notes["guardband_exhausted"] = hw.guardband_exhausted
+    return RunMetrics(
+        scheme=scheme,
+        workload=workload if isinstance(workload, str) else "+".join(
+            a.name for a in board.applications),
+        execution_time=board.time,
+        energy=board.energy,
+        completed=board.done,
+        trace=board.trace.as_arrays() if record and board.trace else {},
+        notes=notes,
+    )
+
 
 def run_workload(
     scheme_name,
@@ -133,92 +173,13 @@ def run_workload(
     tel = telemetry if telemetry is not None else active_session()
     mon = monitor if monitor is not None else active_monitor()
     session = build_session(scheme_name, context)
-    apps = instantiate_workload(workload)
-    board = Board(apps, spec=context.spec, seed=seed, record=record,
-                  telemetry=tel)
-    period_steps = context.spec.period_steps()
+    board = Board(instantiate_workload(workload), spec=context.spec,
+                  seed=seed, record=record, telemetry=tel)
     if session.monolithic is not None:
-        _monolithic_loop(board, session, period_steps, max_time,
-                         telemetry=tel, monitor=mon)
         coordinator = None
+        control = _monolithic_control(session, telemetry=tel, monitor=mon)
     else:
-        coordinator = MultilayerCoordinator(
-            session.hw_controller,
-            session.sw_controller,
-            session.hw_optimizer,
-            session.sw_optimizer,
-            telemetry=tel,
-            monitor=mon,
-        )
-        while not board.done and board.time < max_time:
-            if tel is not None:
-                tel.begin_period(board.time)
-            _simulate_period(board, period_steps, tel)
-            if board.done:
-                break
-            coordinator.control_step(board, period_steps)
-    name = workload if isinstance(workload, str) else "+".join(
-        a.name for a in apps
-    )
-    trace = board.trace.as_arrays() if record and board.trace else {}
-    notes = {
-        "emergency_trips": board.emergency.state.trip_count,
-        "coordinator_records": len(coordinator.records) if coordinator else 0,
-    }
-    if hasattr(session.hw_controller, "guardband_exhausted"):
-        notes["guardband_exhausted"] = session.hw_controller.guardband_exhausted
-    return RunMetrics(
-        scheme=scheme_name,
-        workload=name,
-        execution_time=board.time,
-        energy=board.energy,
-        completed=board.done,
-        trace=trace,
-        notes=notes,
-    )
-
-
-def run_scheme_matrix(schemes, workloads, context, seed=7, max_time=600.0,
-                      record=False, progress=None, jobs=None, batch=None):
-    """Run every (scheme, workload) pair; returns nested dict of metrics.
-
-    ``jobs`` > 1 fans the matrix cells across worker processes through the
-    parallel experiment engine — results are bit-identical to the serial
-    path (same context, same per-cell seeds).  ``batch`` > 1 packs
-    layered-scheme cells into lockstep board banks (also bit-identical;
-    see :func:`~repro.experiments.engine.run_matrix`).  The result dict is
-    keyed by workload name (resolved up front, so empty scheme lists are
-    safe).
-
-    A process-wide :class:`~repro.runtime.ExecutionPolicy` (installed by
-    the CLI's ``--resume``/``--checkpoint-dir``/``--cell-timeout`` flags)
-    also routes through the engine, so checkpointing and worker
-    supervision cover serial campaigns too.
-    """
-    from ..runtime.policy import active_policy
-
-    policy = active_policy()
-    if (
-        (jobs is not None and jobs != 1)
-        or (batch is not None and batch > 1)
-        or policy is not None
-    ):
-        from .engine import run_matrix
-
-        return run_matrix(schemes, workloads, context, seed=seed,
-                          max_time=max_time, record=record,
-                          progress=progress, jobs=jobs, batch=batch)
-    results = {}
-    for workload in workloads:
-        name = workload_name(workload)
-        per_scheme = {}
-        for scheme in schemes:
-            metrics = run_workload(
-                scheme, workload, context, seed=seed, max_time=max_time,
-                record=record,
-            )
-            per_scheme[scheme] = metrics
-            if progress is not None:
-                progress(metrics)
-        results[name] = per_scheme
-    return results
+        coordinator = session.coordinator(telemetry=tel, monitor=mon)
+        control = coordinator.control_step
+    drive(board, control, max_time, telemetry=tel)
+    return cell_metrics(scheme_name, workload, board, coordinator, record)

@@ -19,7 +19,7 @@ import numpy as np
 from ..board import Board
 from ..core import MultilayerCoordinator
 from .report import render_table
-from .runner import instantiate_workload, run_workload
+from .runner import drive, instantiate_workload, run_workload
 from .schemes import (
     COORDINATED_HEURISTIC,
     YUKTA_HW_SSV_OS_SSV,
@@ -69,15 +69,7 @@ def _run_scheduled(context, gs_design, workload, seed=7, max_time=600.0):
     )
     board = Board(instantiate_workload(workload), spec=context.spec, seed=seed,
                   record=False)
-    period_steps = context.spec.period_steps()
-    while not board.done and board.time < max_time:
-        for _ in range(period_steps):
-            board.step()
-            if board.done:
-                break
-        if board.done:
-            break
-        coordinator.control_step(board, period_steps)
+    drive(board, coordinator.control_step, max_time)
     return board.energy * board.time, hw.switches
 
 

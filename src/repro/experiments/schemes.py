@@ -28,6 +28,7 @@ from ..board import default_xu3_spec
 from ..cache import DesignCache, fingerprint
 from ..core import (
     ExDOptimizer,
+    MultilayerCoordinator,
     TargetChannel,
     characterize_board,
     design_layer,
@@ -287,6 +288,14 @@ class SchemeSession:
     hw_optimizer: object = None
     sw_optimizer: object = None
     monolithic: object = None  # MonolithicLQGAdapter, if applicable
+
+    def coordinator(self, telemetry=None, monitor=None):
+        """A :class:`~repro.core.MultilayerCoordinator` over this session."""
+        return MultilayerCoordinator(
+            self.hw_controller, self.sw_controller,
+            self.hw_optimizer, self.sw_optimizer,
+            telemetry=telemetry, monitor=monitor,
+        )
 
 
 # Which lazy designs each scheme pulls in (heuristic schemes need none).

@@ -20,8 +20,8 @@ import copy
 from dataclasses import dataclass, field
 
 from ..board import Board
-from ..core import MultilayerCoordinator
 from .report import render_table
+from .runner import drive
 from .schemes import YUKTA_HW_SSV_OS_SSV, DesignContext, build_session
 
 __all__ = ["ThreeLayerResult", "run"]
@@ -57,10 +57,7 @@ def _run_stack(context, app_design, heartbeat_target, total_items=600,
     app = make_qos_application(total_items=total_items)
     board = Board(app, spec=context.spec, seed=seed)
     session = build_session(YUKTA_HW_SSV_OS_SSV, context)
-    two = MultilayerCoordinator(
-        session.hw_controller, session.sw_controller,
-        session.hw_optimizer, session.sw_optimizer,
-    )
+    two = session.coordinator()
     if app_design is None:
         coordinator = two
     else:
@@ -69,15 +66,7 @@ def _run_stack(context, app_design, heartbeat_target, total_items=600,
             heartbeat_target=heartbeat_target,
         )
         coordinator = ThreeLayerCoordinator(two, runtime)
-    period_steps = context.spec.period_steps()
-    while not board.done and board.time < max_time:
-        for _ in range(period_steps):
-            board.step()
-            if board.done:
-                break
-        if board.done:
-            break
-        coordinator.control_step(board, period_steps)
+    drive(board, coordinator.control_step, max_time)
     avg_heartbeat = app.items_completed / max(board.time, 1e-9)
     return avg_heartbeat, app.quality, board.energy, board.time
 

@@ -406,7 +406,7 @@ def oracle_bank_matrix(context, schemes=None, workloads=None, seed=7,
     bank, so three or more lanes share each SSV design and step as one
     stacked group (``core.controller.step_stacked``).
     """
-    from ..experiments.runner import run_scheme_matrix
+    from ..experiments.engine import run_scheme_matrix
 
     schemes = list(schemes or ["coordinated-heuristic", "decoupled-heuristic",
                                "yukta-hwssv-osheur", "yukta-hwssv-osssv"])
@@ -430,7 +430,7 @@ def oracle_bank_matrix(context, schemes=None, workloads=None, seed=7,
 def oracle_parallel_matrix(context, schemes=None, workloads=None, seed=7,
                            max_time=10.0, jobs=2):
     """Run the same matrix serially and through the pool; must be 0 ULP."""
-    from ..experiments.runner import run_scheme_matrix
+    from ..experiments.engine import run_scheme_matrix
 
     schemes = list(schemes or ["coordinated-heuristic", "decoupled-heuristic"])
     workloads = list(workloads or ["blackscholes"])
@@ -462,8 +462,7 @@ def oracle_resume(context, schemes=None, workloads=None, seed=7,
     """
     import tempfile
 
-    from ..experiments.engine import run_matrix
-    from ..experiments.runner import run_scheme_matrix
+    from ..experiments.engine import run_matrix, run_scheme_matrix
     from ..runtime import (
         CellFailure,
         ChaosPolicy,

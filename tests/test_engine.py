@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import (
     COORDINATED_HEURISTIC,
+    MONOLITHIC_LQG,
     YUKTA_HW_SSV_OS_SSV,
     run_scheme_matrix,
 )
@@ -75,6 +76,55 @@ class TestMatrixDeterminism:
         result = run_scheme_matrix([], WORKLOADS, design_context)
         assert list(result) == WORKLOADS
         assert all(result[w] == {} for w in WORKLOADS)
+
+
+class TestOneMatrixPath:
+    def test_serial_matrix_collects_a_raising_cell(self, design_context,
+                                                    monkeypatch):
+        from repro.experiments import runner
+        from repro.runtime import CellFailure
+
+        real = runner.instantiate_workload
+
+        def sabotaged(workload):
+            if workload == "gamess":
+                raise RuntimeError("sabotaged workload")
+            return real(workload)
+
+        monkeypatch.setattr(runner, "instantiate_workload", sabotaged)
+        matrix = run_scheme_matrix(SCHEMES, WORKLOADS, design_context,
+                                   max_time=MAX_TIME)
+        for scheme in SCHEMES:
+            good = matrix["blackscholes"][scheme]
+            assert not isinstance(good, CellFailure)
+            assert good.execution_time > 0
+            bad = matrix["gamess"][scheme]
+            assert isinstance(bad, CellFailure)
+            assert "sabotaged workload" in bad.error
+
+    def test_banked_progress_streams_in_cell_order(self, design_context,
+                                                   monkeypatch):
+        from repro.experiments import engine
+
+        events = []
+        real = engine._bank_group
+
+        def logged(*args, **kwargs):
+            out = real(*args, **kwargs)
+            events.append("bank")
+            return out
+
+        monkeypatch.setattr(engine, "_bank_group", logged)
+        schemes = [COORDINATED_HEURISTIC, MONOLITHIC_LQG]
+        workloads = ["blackscholes", "gamess", "mcf"]
+        run_scheme_matrix(schemes, workloads, design_context, max_time=20.0,
+                          batch=2, progress=lambda m: events.append(
+                              (m.workload, m.scheme)))
+        cells = [e for e in events if e != "bank"]
+        assert cells == [(w, s) for w in workloads for s in schemes]
+        assert events.count("bank") == 2
+        last_bank = len(events) - 1 - events[::-1].index("bank")
+        assert events.index(cells[0]) < last_bank
 
 
 def _double(context, value):

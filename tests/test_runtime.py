@@ -636,8 +636,7 @@ class TestChaosMatrix:
 
     def test_matrix_survives_kills_and_corruption(self, design_context,
                                                   tmp_path):
-        from repro.experiments.engine import run_matrix
-        from repro.experiments.runner import run_scheme_matrix
+        from repro.experiments.engine import run_matrix, run_scheme_matrix
 
         ckpt = tmp_path / "ckpt"
         try:
