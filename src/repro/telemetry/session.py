@@ -140,6 +140,10 @@ class TelemetrySession:
             "bank_window_events_total",
             "lane events of lockstep windows: re-plans, refusals, exits",
             labels=("reason",))
+        self.bank_plans = reg.counter(
+            "bank_plans_total",
+            "BoardBank lane plans by how they were obtained",
+            labels=("tier",))
         self.cell_retries = reg.counter(
             "cell_retries_total",
             "campaign cell attempts re-queued by the supervised executor",
