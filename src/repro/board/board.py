@@ -16,6 +16,7 @@ instances concurrently and records full traces for the experiment harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,7 +166,7 @@ class Board:
         """
         try:
             value = float(value)
-            finite = np.isfinite(value)
+            finite = math.isfinite(value)
         except (TypeError, ValueError):
             finite = False
         if not finite:

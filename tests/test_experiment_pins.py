@@ -43,6 +43,23 @@ class TestExperimentPins:
             heatsink_stable=True, sensor_flagged=False,
             fault_time=66.66666666666667, sensor_detection_delay=-1)
 
+    def test_exhaustion_leaves_the_context_alone(self, context):
+        """The heatsink fault ages a board-local spec, never the context's:
+        a cell re-run after ``exhaustion.run`` matches the run before it."""
+        from repro.experiments import run_workload
+        from repro.verify.oracles import _Comparator, compare_runs
+
+        def cell():
+            return run_workload("coordinated-heuristic", "blackscholes",
+                                context, max_time=20.0)
+
+        before = cell()
+        exhaustion.run(context)
+        after = cell()
+        cmp = compare_runs(_Comparator(), [("blackscholes", "heuristic")],
+                           [before], [after])
+        assert cmp.first is None, cmp.first
+
     def test_three_layer(self, context):
         result = three_layer.run(context, targets=(3.5,), app_samples=60)
         assert result.rows_data == [
