@@ -108,6 +108,32 @@ class TestInstrumentedRun:
         assert sum(r["name"] == "sample" for r in spans) == 4 * periods
         assert session.registry.value("control_periods_total") == 4 * periods
 
+    def test_bank_plans_mirror_to_metrics(self):
+        """``BoardBank.counters()["plans"]`` mirrors to
+        ``bank_plans_total``, and each planning pass is one
+        ``board.plan`` span."""
+        from repro.board import BoardBank
+
+        session = TelemetrySession()
+        boards = [Board(make_application(w), spec=default_xu3_spec(),
+                        seed=k, record=False, telemetry=session)
+                  for k, w in enumerate(("gamess", "mcf"))]
+        bank = BoardBank(boards, telemetry=session)
+        for p in range(6):
+            for board in boards:
+                board.set_cluster_frequency(BIG, 1.0 + 0.1 * (p % 3))
+                board.set_placement_knobs(2.0 + p % 2, 1.0, 1.0)
+            bank.run_period_bank(10)
+        plans = bank.counters()["plans"]
+        assert plans["revisit"] > 0 and plans["stall"] > 0
+        for tier, count in plans.items():
+            assert session.registry.value("bank_plans_total",
+                                          tier=tier) == count, tier
+        spans = [r for r in session.tracer.spans if r["name"] == "board.plan"]
+        assert len(spans) == 6
+        session.close()
+
+
 # ----------------------------------------------------------------------
 # Board actuation-health counters (public accessor + metrics surface)
 # ----------------------------------------------------------------------
