@@ -52,18 +52,20 @@ class EmergencyManager:
 
     def frequency_cap(self, cluster_name):
         """Current emergency frequency cap for a cluster (GHz, or None)."""
+        thermal = self.state.thermal_throttled and cluster_name == BIG
+        power = self.state.power_throttled[cluster_name]
+        if not (thermal or power):
+            return None  # the common case: every planner asks every period
         spec = self._spec.cluster(cluster_name)
         caps = []
-        if self.state.thermal_throttled and cluster_name == BIG:
+        if thermal:
             caps.append(self._spec.emergency_throttle_freq)
-        if self.state.power_throttled[cluster_name]:
+        if power:
             # Power emergencies clamp deep into the range: firmware is
             # deliberately conservative, which is exactly what costs the
             # decoupled scheme its Fig. 10(b) valleys.
             caps.append(spec.freq_range.snap(spec.freq_range.low
                                              + 0.3 * spec.freq_range.span))
-        if not caps:
-            return None
         return min(caps)
 
     def core_cap(self, cluster_name):

@@ -106,8 +106,8 @@ class TestRunPeriodEquivalence:
         spec = dataclasses.replace(default_xu3_spec(), migration_cost_s=0.07)
         kinds = []
 
-        def plan(board, memo=None):
-            result = plan_window(board, memo)
+        def plan(board):
+            result = plan_window(board)
             kinds.append(result is not None and result.stall_tick)
             return result
 
