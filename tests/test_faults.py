@@ -135,6 +135,7 @@ class TestFaultInjector:
 
     def test_transient_heatsink_restores_plant(self):
         board = _board()
+        spec0 = board.spec
         r0 = board.thermal.resistance
         ceff0 = board.spec.big.ceff_dynamic
         campaign = heatsink_detachment(start=0.0, duration=1.0)
@@ -142,11 +143,14 @@ class TestFaultInjector:
         injector.advance()
         assert board.thermal.resistance == pytest.approx(2.0 * r0)
         assert board.spec.big.ceff_dynamic == pytest.approx(1.6 * ceff0)
+        # The aging lands on a board-local spec, never the shared one.
+        assert board.spec is not spec0 and spec0.big.ceff_dynamic == ceff0
         for _ in range(25):
             board.step()
         injector.advance()
         assert board.thermal.resistance == pytest.approx(r0)
         assert board.spec.big.ceff_dynamic == pytest.approx(ceff0)
+        assert board.spec is spec0
 
     def test_dvfs_ignored_blocks_frequency_writes(self):
         board = _board()
