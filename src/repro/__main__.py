@@ -200,7 +200,7 @@ def main(argv=None):
                          help="listen port (0 = ephemeral; default 8752)")
     p_serve.add_argument("--batch-wait", type=float, default=0.02,
                          metavar="S",
-                         help="how long to hold a bankable cell for "
+                         help="how long to hold a run cell for "
                               "co-arrivals before dispatching (default "
                               "0.02 s)")
     p_serve.add_argument("--queue-limit", type=int, default=64,

@@ -77,9 +77,13 @@ def core_execution(cluster: ClusterSpec, freq_ghz, threads_phases, dt,
     giga-instructions executed per thread, ``busy_fraction`` is the fraction
     of the step the core was busy, and ``activity`` is the
     switching-activity factor for the power model (stall cycles switch less).
+    A zero-length step (a hotplug stall that drains the whole tick) does
+    no work and keeps the core idle.
     """
     if not threads_phases or freq_ghz <= 0:
         return [], 0.0, 0.0
+    if dt <= 0:
+        return [0.0] * len(threads_phases), 0.0, 0.0
     n = len(threads_phases)
     share = 1.0 / n
     work = []

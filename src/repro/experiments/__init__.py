@@ -22,7 +22,7 @@ from . import (
     tables,
     three_layer,
 )
-from .bank_runner import bankable_scheme, run_cells_banked
+from .bank_runner import run_cells_banked
 from .engine import parallel_map, resolve_jobs, run_matrix, run_scheme_matrix
 from .metrics import RunMetrics, normalize_to, oscillation_stats
 from .report import render_bars, render_series, render_table
@@ -66,7 +66,6 @@ __all__ = [
     "drive",
     "run_workload",
     "run_scheme_matrix",
-    "bankable_scheme",
     "run_cells_banked",
     "instantiate_workload",
     "workload_name",

@@ -1,12 +1,12 @@
 """Banked matrix execution: many experiment cells on one :class:`BoardBank`.
 
 The experiment engine's unit of work is one (scheme, workload, seed) cell —
-an independent closed-loop simulation.  Cells that use a *layered* scheme
-all share the same control-loop shape (``run_period`` then
-``coordinator.control_step``, every 500 ms), so ``B`` of them can advance
-through one :class:`~repro.board.bank.BoardBank` in vectorized lockstep:
-one bank window replaces ``B`` separate fast-path windows, amortizing the
-per-tick Python overhead across boards.
+an independent closed-loop simulation.  Every scheme shares the same
+control-loop shape (``run_period`` then one control step, every 500 ms),
+so ``B`` cells of any schemes can advance through one
+:class:`~repro.board.bank.BoardBank` in vectorized lockstep: one bank
+window replaces ``B`` separate fast-path windows, amortizing the per-tick
+Python overhead across boards.
 
 Exactness contract
 ------------------
@@ -23,15 +23,13 @@ oracle assert the composition.
 The controllers are banked too.  Each period runs the coordinator's
 phases (:meth:`~repro.core.MultilayerCoordinator.sense`, the layer
 steps, :meth:`~repro.core.MultilayerCoordinator.finish`) for every live
-board, and each layer steps once per *design group*: lanes whose SSV
-controllers share a design (:meth:`~repro.core.RuntimeController.
+layered board, and each layer steps once per *design group*: lanes whose
+SSV controllers share a design (:meth:`~repro.core.RuntimeController.
 fresh_copy`) step in one :func:`~repro.core.controller.step_stacked`
 pass when there are ``STACK_MIN_LANES`` or more of them, bit-identical
-to stepping each alone; heuristic and LQG controllers step per lane.
-
-The monolithic-LQG scheme drives a different loop (single fused
-controller, no coordinator) and is not banked; callers route it through
-:func:`run_workload` instead.
+to stepping each alone; heuristic and LQG controllers step per lane.  A
+monolithic-LQG lane has no coordinator: its single fused controller
+runs the same per-period ``control`` step :func:`run_workload` drives.
 
 Each cell's ``notes["bank"]`` carries the bank's full lockstep
 accounting (``vector_ticks`` / ``scalar_ticks`` plus re-plan,
@@ -44,10 +42,15 @@ from __future__ import annotations
 from ..board import Board, BoardBank
 from ..core.controller import STACK_MIN_LANES, RuntimeController, step_stacked
 from ..telemetry import NULL_SPAN, active_session
-from .runner import cell_metrics, instantiate_workload, workload_name
-from .schemes import MONOLITHIC_LQG, build_session
+from .runner import (
+    _monolithic_control,
+    cell_metrics,
+    instantiate_workload,
+    workload_name,
+)
+from .schemes import build_session
 
-__all__ = ["bankable_scheme", "run_cells_banked"]
+__all__ = ["run_cells_banked"]
 
 
 def _design_groups(lanes, controllers):
@@ -65,18 +68,13 @@ def _design_groups(lanes, controllers):
     return list(groups.values())
 
 
-def bankable_scheme(scheme_name):
-    """Whether a scheme's control loop can ride the lockstep bank."""
-    return scheme_name != MONOLITHIC_LQG
-
-
 def run_cells_banked(cells, context, max_time=600.0, record=False,
                      telemetry=None, on_error="raise"):
-    """Run layered-scheme cells as one bank; ordered ``RunMetrics`` list.
+    """Run cells as one bank; ordered ``RunMetrics`` list.
 
-    ``cells`` is an iterable of ``(scheme, workload, seed)`` tuples, each
-    a layered scheme (:func:`bankable_scheme`).  All boards share the
-    context's spec, so they bank together regardless of workload.
+    ``cells`` is an iterable of ``(scheme, workload, seed)`` tuples of
+    any schemes.  All boards share the context's spec, so they bank
+    together regardless of workload.
 
     With ``on_error="collect"`` a board whose controller raises is dropped
     from the bank and its result slot becomes a
@@ -89,18 +87,18 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
 
     mon = active_monitor()
     boards = []
-    coordinators = []
+    coordinators = []  # None for a monolithic lane
+    controls = []  # a monolithic lane's per-period step, else None
     for scheme, workload, seed in cells:
-        if not bankable_scheme(scheme):
-            raise ValueError(
-                f"{scheme!r} drives the monolithic loop and cannot be "
-                "banked; route it through run_workload"
-            )
         session = build_session(scheme, context)
         boards.append(Board(instantiate_workload(workload),
                             spec=context.spec, seed=seed, record=record,
                             telemetry=tel))
-        coordinators.append(session.coordinator(telemetry=tel, monitor=mon))
+        mono = session.monolithic is not None
+        coordinators.append(None if mono else
+                            session.coordinator(telemetry=tel, monitor=mon))
+        controls.append(_monolithic_control(session, telemetry=tel,
+                                            monitor=mon) if mono else None)
     bank = BoardBank(boards, telemetry=tel)
     period_steps = context.spec.period_steps()
     failed = {}
@@ -153,10 +151,11 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
         return out
 
     # Mirror runner.drive's loop per board: the while-condition check,
-    # run_period, the post-period done check, then control_step's three
-    # phases.  The bank advances every live board's period at once, and
-    # each layer steps once per design group instead of once per lane;
-    # every lane still sees its own phases in control_step's order.
+    # run_period, the post-period done check, then the control step --
+    # a monolithic lane's ``control``, or control_step's three phases.
+    # The bank advances every live board's period at once, and each layer
+    # steps once per design group instead of once per lane; every lane
+    # still sees its own phases in control_step's order.
     active = [i for i, b in enumerate(boards)
               if not b.done and b.time < max_time]
     while active:
@@ -164,17 +163,23 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
             tel.begin_period(boards[active[0]].time)
         bank.run_period_bank(period_steps, only=active)
         live = [i for i in active if not boards[i].done]
+        layered = []
+        for i in live:
+            if controls[i] is None:
+                layered.append(i)
+            else:
+                attempt(i, controls[i], boards[i], period_steps)
         periods = {i: attempt(i, coordinators[i].sense, boards[i],
-                              period_steps) for i in live}
-        hw_u = step_layer("hw", ok(live), periods)
-        for i in ok(live):
+                              period_steps) for i in layered}
+        hw_u = step_layer("hw", ok(layered), periods)
+        for i in ok(layered):
             attempt(i, coordinators[i].actuate_hw, boards[i], hw_u[i])
-        for i in ok(live):
+        for i in ok(layered):
             attempt(i, coordinators[i].observe_threads, boards[i])
-        sw_u = step_layer("sw", [i for i in ok(live) if
+        sw_u = step_layer("sw", [i for i in ok(layered) if
                                  coordinators[i].sw_controller is not None],
                           periods)
-        for i in ok(live):
+        for i in ok(layered):
             attempt(i, coordinators[i].finish, boards[i], periods[i],
                     hw_u[i], sw_u.get(i))
         active = [i for i in ok(live)

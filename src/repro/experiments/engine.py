@@ -291,7 +291,7 @@ def parallel_map(tasks, context, jobs=None, telemetry_dir=None,
 
 
 def _bank_group(context, cells, max_time, record, on_error="raise"):
-    """Engine task: run several layered-scheme cells as one board bank."""
+    """Engine task: run several cells as one board bank."""
     from .bank_runner import run_cells_banked
 
     return run_cells_banked(cells, context, max_time=max_time, record=record,
@@ -313,14 +313,14 @@ def run_matrix(schemes, workloads, context, seed=7, max_time=600.0,
     order, and ``progress`` receives each cell's result once, in that
     order, as soon as the cell and every earlier one have finished.
 
-    ``batch`` > 1 packs up to that many layered-scheme cells into one
-    :class:`~repro.board.bank.BoardBank` per engine task, so the
-    simulators advance in vectorized lockstep; monolithic-LQG cells keep
-    their own loop and run as one-cell tasks.  Banking composes with
-    ``jobs``: each bank is one task, fanned across the pool like any
-    other.  Every route is bit-identical: same context, same per-cell
-    seeds, and the bank's per-board exactness contract composes with
-    per-cell independence (asserted by the ``bank-matrix-vs-serial`` and
+    ``batch`` > 1 packs each run of up to that many consecutive cells,
+    of any schemes, into one :class:`~repro.board.bank.BoardBank` per
+    engine task, so the simulators advance in vectorized lockstep;
+    otherwise each cell is one task.  Banking composes with ``jobs``:
+    each bank is one task, fanned across the pool like any other.  Every
+    route is bit-identical: same context, same per-cell seeds, and the
+    bank's per-board exactness contract composes with per-cell
+    independence (asserted by the ``bank-matrix-vs-serial`` and
     ``parallel-vs-serial`` oracles).
 
     Campaign cells default to ``on_error="collect"``: a raising cell lands
@@ -328,8 +328,6 @@ def run_matrix(schemes, workloads, context, seed=7, max_time=600.0,
     siblings complete.  The checkpoint/supervision knobs pass straight
     through to :func:`parallel_map`.
     """
-    from .bank_runner import bankable_scheme
-
     schemes = list(schemes)
     workloads = list(workloads)
     order = [
@@ -337,51 +335,36 @@ def run_matrix(schemes, workloads, context, seed=7, max_time=600.0,
         for workload in workloads
         for scheme in schemes
     ]
-    batch = int(batch) if batch else 0
-    banked = []
-    if batch > 1:
-        bankable = [k for k, (s, _) in enumerate(order) if bankable_scheme(s)]
-        banked = [bankable[i:i + batch]
-                  for i in range(0, len(bankable), batch)]
-    in_bank = {k for group in banked for k in group}
-    # One slot per engine task: the cells it produces, ordered by its
-    # first cell so that results stream in cell order.
-    slots = sorted(banked + [[k] for k in range(len(order))
-                             if k not in in_bank])
-    tasks = []
-    for slot in slots:
-        if slot[0] in in_bank:
-            tasks.append(("call", (_bank_group, (
-                [(order[k][0], order[k][1], seed) for k in slot],
-                max_time, record,
-            ), {"on_error": on_error})))
-        else:
-            scheme, workload = order[slot[0]]
-            tasks.append(("cell", (scheme, workload, seed, max_time, record)))
-
-    by_cell = [None] * len(order)  # a cell's result, once its task is done
-    pending = iter(slots)
-    delivered = 0
+    size = max(int(batch or 1), 1)
+    # One engine task per chunk of consecutive cells, so that results
+    # stream in cell order.
+    chunks = [order[i:i + size] for i in range(0, len(order), size)]
+    if size > 1:
+        tasks = [("call", (_bank_group, (
+            [(scheme, workload, seed) for scheme, workload in chunk],
+            max_time, record,
+        ), {"on_error": on_error})) for chunk in chunks]
+    else:
+        tasks = [("cell", (scheme, workload, seed, max_time, record))
+                 for scheme, workload in order]
+    sizes = iter(map(len, chunks))
+    results = []
 
     def _collect(result):
         # A bank returns one result per cell; a failed task (bank or
-        # plain) fills every slot it carried with its CellFailure.
-        nonlocal delivered
-        slot = next(pending)
-        values = result if isinstance(result, list) else [result] * len(slot)
-        for k, value in zip(slot, values):
-            by_cell[k] = value
-        while delivered < len(order) and by_cell[delivered] is not None:
+        # plain) fills every cell it carried with its CellFailure.
+        n = next(sizes)
+        for value in result if isinstance(result, list) else [result] * n:
+            results.append(value)
             if progress is not None:
-                progress(by_cell[delivered])
-            delivered += 1
+                progress(value)
 
     parallel_map(tasks, context, jobs=jobs, telemetry_dir=telemetry_dir,
                  progress=_collect, prime=schemes, on_error=on_error,
                  checkpoint=checkpoint, resume=resume,
                  cell_timeout=cell_timeout, max_retries=max_retries,
                  backoff=backoff, chaos=chaos)
-    it = iter(by_cell)
+    it = iter(results)
     return {
         workload_name(workload): {scheme: next(it) for scheme in schemes}
         for workload in workloads

@@ -82,7 +82,7 @@ def run(context: DesignContext = None, quick=True, seed=7,
         jobs=None, batch=None) -> Fig9Result:
     """Regenerate Figure 9.  ``quick`` restricts the workload list.
 
-    ``batch`` packs layered-scheme cells into lockstep board banks
+    ``batch`` packs the matrix cells into lockstep board banks
     (bit-identical results; see :func:`run_scheme_matrix`).
     """
     context = context or DesignContext.create()

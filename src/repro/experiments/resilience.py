@@ -20,7 +20,7 @@ pairs and has nothing to degrade a single fused controller *to*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..board import BIG, Board
 from ..core import MultilayerCoordinator, Supervisor, SupervisorConfig
@@ -128,16 +128,13 @@ def supervised_run(context, scheme, campaign=None, workload="gamess",
                    telemetry=None):
     """Run one workload under one scheme, supervised, with optional faults.
 
-    The board gets its own shallow spec copy so plant-parameter faults
-    (capacitance aging mutates ``spec.big``) cannot leak into the shared
-    :class:`DesignContext` across runs.  ``telemetry`` defaults to the
-    process-wide session; when enabled, supervisor transitions and fault
-    edges trigger flight-recorder dumps.
+    ``telemetry`` defaults to the process-wide session; when enabled,
+    supervisor transitions and fault edges trigger flight-recorder dumps.
     """
     from ..telemetry import active_session
 
     tel = telemetry if telemetry is not None else active_session()
-    spec = replace(context.spec)
+    spec = context.spec
     session = build_session(scheme, context)
     if session.monolithic is not None:
         raise ValueError(
@@ -215,10 +212,10 @@ def supervised_runs_banked(context, scheme, campaigns, workload="gamess",
     boards = []
     supervisors = []
     onsets = []
-    period_steps = context.spec.period_steps()
+    spec = context.spec
+    period_steps = spec.period_steps()
     bank_entries = []
     for campaign in campaigns:
-        spec = replace(context.spec)
         session = build_session(scheme, context)
         if session.monolithic is not None:
             raise ValueError(

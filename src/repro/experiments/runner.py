@@ -6,8 +6,9 @@ function (a coordinator's ``control_step``, the monolithic LQG step, or
 an experiment's own wrapper around one).  :func:`run_workload`
 instantiates the workload, wires a scheme session to a fresh board,
 drives it until completion and packages the result through
-:func:`cell_metrics`, which the bank runner shares.  Whole matrices run
-through :func:`repro.experiments.engine.run_matrix`.
+:func:`cell_metrics`, which the bank runner shares along with the
+monolithic-LQG per-period step.  Whole matrices run through
+:func:`repro.experiments.engine.run_matrix`.
 """
 
 from __future__ import annotations

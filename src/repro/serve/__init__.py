@@ -3,7 +3,7 @@
 ``python -m repro serve`` starts an asyncio HTTP service that accepts
 experiment requests, coalesces identical ones onto a single execution
 (keyed by the checkpoint journal's SHA-256 task fingerprints), packs
-bankable cells from *different* concurrent requests into shared
+run cells from *different* concurrent requests into shared
 :class:`~repro.board.bank.BoardBank` lanes, and answers warm repeats from
 a persistent :class:`~repro.cache.DesignCache` result store.  See
 ``docs/SERVING.md``.

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..experiments.bank_runner import bankable_scheme
 from ..experiments.runner import instantiate_workload, workload_name
 from ..experiments.schemes import SCHEMES
 from ..runtime.executor import CellFailure
@@ -94,11 +93,6 @@ class ServeRequest:
     nonce: str = ""  # sleep kind only
     deadline_s: float = None  # admission + completion deadline
     no_cache: bool = False  # skip the persistent result store (still coalesces)
-
-    @property
-    def bankable(self):
-        """Whether this request's cell can ride a shared BoardBank."""
-        return self.kind == "run" and bankable_scheme(self.scheme)
 
     @property
     def bank_group(self):

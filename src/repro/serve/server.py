@@ -12,7 +12,7 @@ keep throughput scaling with load instead of degrading:
    execution; completed results persist in a
    :class:`~repro.cache.DesignCache` result store, so warm requests are
    answered from disk without touching a worker.
-2. **Cross-request bank batching** — bankable cells from *different*
+2. **Cross-request bank batching** — run cells from *different*
    concurrent requests are packed into one
    :func:`~repro.experiments.bank_runner.run_cells_banked` group, which
    steps all of them per control period through
@@ -278,7 +278,7 @@ class ExperimentServer:
     # Batcher + dispatch
     # ------------------------------------------------------------------
     async def _batch_loop(self):
-        """Pull admitted work; pack compatible bankable cells together.
+        """Pull admitted work; pack run cells that share a bank group.
 
         Natural dynamic batching: while the pool is busy, requests pile
         up in the queue, so later pulls see full batches.  ``batch_wait``
@@ -289,7 +289,7 @@ class ExperimentServer:
         while True:
             work = await self._queue.get()
             group = [work]
-            if self.batch > 1 and work.request.bankable:
+            if self.batch > 1 and work.request.kind == "run":
                 hold_until = loop.time() + self.batch_wait
                 while len(group) < self.batch:
                     remaining = hold_until - loop.time()
@@ -300,7 +300,7 @@ class ExperimentServer:
                             self._queue.get(), max(remaining, 0.0))
                     except asyncio.TimeoutError:
                         break
-                    if (nxt.request.bankable
+                    if (nxt.request.kind == "run"
                             and nxt.request.bank_group
                             == work.request.bank_group):
                         group.append(nxt)

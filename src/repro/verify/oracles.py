@@ -408,17 +408,20 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
 
 
 def oracle_bank_matrix(context, schemes=None, workloads=None, seed=7,
-                       max_time=10.0, batch=12):
+                       max_time=10.0, batch=18):
     """Run the same matrix serially and banked (``--batch``); must be 0 ULP.
 
-    The defaults put every layered scheme on three programs into one
-    bank, so three or more lanes share each SSV design and step as one
-    stacked group (``core.controller.step_stacked``).
+    The defaults put every scheme on three programs into one bank, so
+    monolithic-LQG lanes ride it beside the layered ones, and three or
+    more lanes share each SSV design and step as one stacked group
+    (``core.controller.step_stacked``).  The oracle refuses to pass
+    vacuously: it fails unless every banked cell carries the bank's
+    ``notes["bank"]``, i.e. rode a bank rather than a one-cell task.
     """
     from ..experiments.engine import run_scheme_matrix
+    from ..experiments.schemes import SCHEMES
 
-    schemes = list(schemes or ["coordinated-heuristic", "decoupled-heuristic",
-                               "yukta-hwssv-osheur", "yukta-hwssv-osssv"])
+    schemes = list(schemes or SCHEMES)
     workloads = list(workloads or ["blackscholes", "mcf", "gamess"])
     serial = run_scheme_matrix(schemes, workloads, context, seed=seed,
                                max_time=max_time, record=True, jobs=None)
@@ -426,8 +429,13 @@ def oracle_bank_matrix(context, schemes=None, workloads=None, seed=7,
                                max_time=max_time, record=True, jobs=None,
                                batch=batch)
     cmp = _compare_matrices(serial, banked)
+    unbanked = sum("bank" not in getattr(m, "notes", ())
+                   for per_scheme in banked.values()
+                   for m in per_scheme.values())
+    cmp.check("coverage", "cells_outside_a_bank", float(unbanked), 0.0)
     return cmp.result("bank-matrix-vs-serial", details={
         "schemes": schemes, "workloads": workloads, "batch": batch,
+        "unbanked": unbanked,
         "incomplete": sum(not m.completed for per_scheme in serial.values()
                           for m in per_scheme.values()),
     })
@@ -568,7 +576,7 @@ def oracle_serve(context, schemes=None, workloads=None, seed=7,
 
     The burst is fired from parallel client threads so the service's
     concurrent machinery genuinely engages: cells queue together, the
-    batcher packs bankable cells from *different* requests into shared
+    batcher packs run cells from *different* requests into shared
     BoardBank lanes, and a duplicated request exercises the coalescing /
     result-store path.  Afterwards one cell is re-requested warm and must
     come back from the store bit-identical.  The oracle refuses to pass

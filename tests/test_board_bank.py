@@ -639,6 +639,29 @@ class TestPlanReuse:
         plans = bank.counters()["plans"]
         assert plans["stall"] > 12 and plans["full"] < plans["stall"]
 
+    def test_hotplug_draining_a_whole_tick(self):
+        """With ``sim_dt`` equal to the hotplug cost, a hotplug drains the
+        whole next tick, leaving it no time to execute.  ``Board.step``,
+        ``run_period`` and a two-lane bank all run that tick with no work
+        and stay bit-identical."""
+        spec = default_xu3_spec(sim_dt=0.01)
+        assert spec.hotplug_cost_s == spec.sim_dt
+        workloads = ["mix:blmc", "mcf"]
+        schedules = [[{"freq_big": 1.6, "freq_little": 1.2,
+                       "cores_big": (4, 2, 3, 1)[(p + k) % 4],
+                       "cores_little": (4, 3)[p % 2],
+                       "placement": (4.0, 2.0, 2.0)} for p in range(8)]
+                     for k in range(len(workloads))]
+        bank, banked, fast = _run_pair(spec, workloads, schedules, 8)
+        _, _, scalar = _run_pair(spec, workloads, schedules, 8,
+                                 reference_fast_path=False)
+        for k, board in enumerate(banked):
+            _assert_boards_identical(board, fast[k], label=f"fast {k}")
+            _assert_boards_identical(board, scalar[k], label=f"scalar {k}")
+        counters = bank.counters()
+        assert counters["events"]["stall_tick"] > 0
+        assert counters["scalar_ticks"] == 0
+
     def test_phase_entry_never_matches_a_cached_placement(self):
         """A pool phase followed by one with the same thread count but
         other characteristics: the new phase's threads equal the old ones
@@ -854,22 +877,27 @@ class TestBankIntegration:
 
     def test_collect_mode_fails_only_the_raising_lane(self, design_context,
                                                       monkeypatch):
-        """One lane's actuation raises mid-run under ``on_error="collect"``:
-        that lane alone becomes a CellFailure, and its siblings -- stacked
-        SSV lanes whose groups shrink around it -- stay bit-identical to
-        their solo runs."""
+        """The gamess lanes' actuation raises mid-run under
+        ``on_error="collect"``: those lanes alone -- one coordinated, one
+        monolithic-LQG -- become CellFailures, and their siblings --
+        stacked SSV lanes whose groups shrink around them, and a
+        monolithic-LQG lane -- stay bit-identical to their solo runs."""
         from repro.experiments import run_workload
         from repro.experiments.bank_runner import run_cells_banked
+        from repro.experiments.schemes import MONOLITHIC_LQG
         from repro.runtime import CellFailure
 
         cells = [("yukta-hwssv-osssv", w, 5)
                  for w in ("blackscholes", "gamess", "x264")]
         cells += [("yukta-hwssv-osheur", "mcf", 5),
-                  ("coordinated-heuristic", "bodytrack", 5)]
-        victim = 1  # gamess: leaves a 3-lane hw and a 2-lane sw group
+                  ("coordinated-heuristic", "bodytrack", 5),
+                  (MONOLITHIC_LQG, "blackscholes", 5),
+                  (MONOLITHIC_LQG, "gamess", 5)]
+        # gamess: leaves a 3-lane hw and a 2-lane sw group
+        victims = (1, 6)
         solo = {i: run_workload(*cell[:2], design_context, seed=5,
                                 max_time=12.0, record=True)
-                for i, cell in enumerate(cells) if i != victim}
+                for i, cell in enumerate(cells) if i not in victims}
 
         actuate = Board.set_active_cores
 
@@ -881,10 +909,11 @@ class TestBankIntegration:
         monkeypatch.setattr(Board, "set_active_cores", flaky)
         banked = run_cells_banked(cells, design_context, max_time=12.0,
                                   record=True, on_error="collect")
-        failure = banked[victim]
-        assert isinstance(failure, CellFailure)
-        assert "injected actuation fault" in failure.error
-        assert 4.0 <= failure.elapsed < 12.0
+        for victim in victims:
+            failure = banked[victim]
+            assert isinstance(failure, CellFailure), cells[victim]
+            assert "injected actuation fault" in failure.error
+            assert 4.0 <= failure.elapsed < 12.0
         for i, ref in solo.items():
             got = banked[i]
             assert got.execution_time == ref.execution_time, cells[i]
@@ -894,14 +923,24 @@ class TestBankIntegration:
                 assert np.array_equal(ref.trace[signal], got.trace[signal]), (
                     cells[i], signal)
 
-    def test_monolithic_cells_are_rejected_by_bank_runner(self):
-        from repro.experiments import bankable_scheme, run_cells_banked
+    def test_bank_of_only_monolithic_lanes_matches_solo_runs(
+            self, design_context):
+        """A bank with no coordinator lane at all: every lane runs the
+        monolithic-LQG step, bit-identical to its solo run, and reports
+        the bank's counters."""
+        from repro.experiments import run_cells_banked, run_workload
         from repro.experiments.schemes import MONOLITHIC_LQG
+        from repro.verify.oracles import _Comparator, compare_runs
 
-        assert bankable_scheme("coordinated-heuristic")
-        assert not bankable_scheme(MONOLITHIC_LQG)
-        with pytest.raises(ValueError, match="monolithic"):
-            run_cells_banked([(MONOLITHIC_LQG, "mcf", 7)], context=None)
+        cells = [(MONOLITHIC_LQG, w, 3) for w in ("mcf", "blmc")]
+        banked = run_cells_banked(cells, design_context, max_time=10.0,
+                                  record=True)
+        solo = [run_workload(s, w, design_context, seed=3, max_time=10.0,
+                             record=True) for s, w, _seed in cells]
+        assert all("bank" in m.notes for m in banked)
+        result = compare_runs(_Comparator(), [c[:2] for c in cells], solo,
+                              banked).result("monolithic-bank")
+        assert result.agree, result.render()
 
     def test_banked_resilience_matches_solo_runs(self, design_context):
         from repro.experiments.resilience import (

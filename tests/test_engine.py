@@ -122,7 +122,8 @@ class TestOneMatrixPath:
                               (m.workload, m.scheme)))
         cells = [e for e in events if e != "bank"]
         assert cells == [(w, s) for w in workloads for s in schemes]
-        assert events.count("bank") == 2
+        # Six cells in chunks of two: the monolithic-LQG cells bank too.
+        assert events.count("bank") == 3
         last_bank = len(events) - 1 - events[::-1].index("bank")
         assert events.index(cells[0]) < last_bank
 

@@ -7,9 +7,6 @@ to the last bit at a small size, so a change to the loop, to the stepping
 kernel under it or to the coordinators shows up here.
 """
 
-import copy
-import dataclasses
-
 import pytest
 
 from repro.experiments import (
@@ -23,15 +20,13 @@ from repro.experiments import (
 
 @pytest.fixture
 def context(design_context):
-    """The shared design context over a private copy of its board spec.
+    """The shared design context, with the SSV designs primed.
 
-    The heatsink fault of ``exhaustion`` ages the capacitance of the spec
-    its board runs on, which is the context's own, and never reverts it;
-    a private copy keeps that from reaching any other test.
+    Plant faults age a board-local spec, never the context's, so the
+    tests share the context's own spec.
     """
     prime_designs(design_context, [YUKTA_HW_SSV_OS_SSV])
-    return dataclasses.replace(design_context,
-                               spec=copy.deepcopy(design_context.spec))
+    return design_context
 
 
 @pytest.mark.slow
@@ -55,6 +50,39 @@ class TestExperimentPins:
 
         before = cell()
         exhaustion.run(context)
+        after = cell()
+        cmp = compare_runs(_Comparator(), [("blackscholes", "heuristic")],
+                           [before], [after])
+        assert cmp.first is None, cmp.first
+
+    def test_resilience_leaves_the_context_alone(self, context):
+        """A capacitance-aging fault ages a board-local spec, never the
+        context's: a cell re-run after a one-campaign resilience sweep, on
+        both of its paths, matches the run before it."""
+        from repro.board import BIG
+        from repro.experiments import run_workload
+        from repro.experiments.resilience import (
+            supervised_run,
+            supervised_runs_banked,
+        )
+        from repro.faults import FaultCampaign, FaultEvent
+        from repro.verify.oracles import _Comparator, compare_runs
+
+        def cell():
+            return run_workload("coordinated-heuristic", "blackscholes",
+                                context, max_time=20.0)
+
+        def aging():
+            return FaultCampaign([FaultEvent(
+                "capacitance-aging", start=2.0, cluster=BIG, magnitude=1.5)])
+
+        before = cell()
+        big = context.spec.big
+        supervised_run(context, "coordinated-heuristic", aging(),
+                       max_time=10.0)
+        supervised_runs_banked(context, "coordinated-heuristic", [aging()],
+                               max_time=10.0)
+        assert context.spec.big is big
         after = cell()
         cmp = compare_runs(_Comparator(), [("blackscholes", "heuristic")],
                            [before], [after])

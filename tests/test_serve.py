@@ -44,7 +44,6 @@ class TestProtocol:
         assert request.seed == 3
         assert request.max_time == 12.5
         assert request.record is True
-        assert request.bankable
         assert request.bank_group == (12.5, True)
         assert request.task() == ("cell", ("coordinated-heuristic", "mcf",
                                            3, 12.5, True))
@@ -309,6 +308,35 @@ class TestBatchingAndLoadgen:
             after = probe.stats()
         assert after["bank_batches"] > before["bank_batches"]
         assert after["banked_cells"] - before["banked_cells"] >= 2
+
+    def test_monolithic_request_packs_with_layered_cells(self,
+                                                         design_context):
+        """A monolithic-LQG request rides one bank with a layered one and
+        answers bit-identically to its direct run."""
+        from repro.experiments import run_workload
+
+        requests = [{"kind": "run", "scheme": scheme, "workload": "mcf",
+                     "seed": 31, "max_time": 2.0}
+                    for scheme in ("monolithic-lqg", "coordinated-heuristic")]
+        with serve_background(design_context, jobs=0, batch=2,
+                              batch_wait=30.0, cache=None) as handle:
+            def _fire(request):
+                with ServeClient(handle.url, timeout=60.0) as c:
+                    return c.run(request, timeout=60.0)
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                responses = list(pool.map(_fire, requests))
+            with ServeClient(handle.url) as c:
+                stats = c.stats()
+        assert [r["status"] for r in responses] == [200, 200]
+        assert stats["bank_batches"] == 1 and stats["banked_cells"] == 2
+        assert stats["solo_cells"] == 0
+        direct = run_workload("monolithic-lqg", "mcf", design_context,
+                              seed=31, max_time=2.0, record=False)
+        back = metrics_from_wire(responses[0]["result"])
+        assert back.scheme == "monolithic-lqg"
+        assert back.execution_time == direct.execution_time
+        assert back.energy == direct.energy
 
     def test_duplicate_heavy_loadgen_coalesces(self, server):
         report = run_loadgen(server.url, requests=20, rate=0.0,
