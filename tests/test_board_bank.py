@@ -893,8 +893,7 @@ class TestBankIntegration:
                   ("coordinated-heuristic", "bodytrack", 5),
                   (MONOLITHIC_LQG, "blackscholes", 5),
                   (MONOLITHIC_LQG, "gamess", 5)]
-        # gamess: leaves a 3-lane hw and a 2-lane sw group
-        victims = (1, 6)
+        victims = (1, 6)  # gamess: leaves a 3-lane hw and a 2-lane sw group
         solo = {i: run_workload(*cell[:2], design_context, seed=5,
                                 max_time=12.0, record=True)
                 for i, cell in enumerate(cells) if i not in victims}
