@@ -27,6 +27,12 @@ records them in ``BENCH_perf.json``:
 7. **SSV synthesis** — cold ``get_hw_design``/``get_sw_design`` seconds
    and ms per ``linf_norm_grid``/``mu_bounds_over_frequency`` call, the
    frequency sweeps inside the D-K iterations.  Recorded, no floor.
+8. **Banked-period ledger** — µs per lane-period of one ``sweep``-shaped
+   28-lane ``run_cells_banked`` bank, split layer by layer: bank
+   planning, window set-up, tick loop, write-back, each control phase
+   and the runner around them.  The parts add back to the
+   uninstrumented total within 5 % (``adds_up``; a warning otherwise).
+   Recorded, no floor.
 
 Runs standalone (the CI perf-smoke job) as well as manually:
 
@@ -341,6 +347,190 @@ def bench_synthesis(context, reps=3):
     }
 
 
+LEDGER_SCHEMES = ("coordinated-heuristic", "decoupled-heuristic",
+                  "yukta-hwssv-osheur", "yukta-hwssv-osssv")
+LEDGER_MAX_TIME = 30.0  # simulated seconds per lane: 60 control periods
+LEDGER_TOLERANCE = 0.05  # parts vs uninstrumented total
+
+
+class _Ledger:
+    """Exclusive wall time per part, from timed calls.
+
+    :meth:`time` replaces ``owner.name`` with a timed twin that charges
+    its part with its own time minus that of timed calls nested inside
+    it, so every second lands in exactly one part; :meth:`restore` puts
+    the originals back.
+    """
+
+    def __init__(self):
+        self.parts = {}
+        self.calls = {}
+        self._stack = []
+        self._undo = []
+
+    def time(self, owner, name, part):
+        original = vars(owner)[name]
+        static = isinstance(original, staticmethod)
+        func = original.__func__ if static else original
+        parts, calls, stack = self.parts, self.calls, self._stack
+        clock = time.perf_counter
+        parts.setdefault(part, 0.0)
+        calls.setdefault(name, 0)
+
+        def timed(*args, **kwargs):
+            # A raise ends the benchmark, so no try/finally: the timers'
+            # own cost is part of what the ledger must keep small.
+            stack.append(0.0)
+            t0 = clock()
+            result = func(*args, **kwargs)
+            elapsed = clock() - t0
+            parts[part] += elapsed - stack.pop()
+            calls[name] += 1
+            if stack:
+                stack[-1] += elapsed
+            return result
+
+        setattr(owner, name, staticmethod(timed) if static else timed)
+        self._undo.append((owner, name, original))
+
+    def overhead(self, n=20000, reps=5):
+        """Seconds a timed call adds around its callee: a nested call of
+        a two-argument method, as most timed calls are (best of ``reps``).
+        """
+        class Probe:
+            def noop(self, a, b):
+                return None
+
+        def loop():
+            probe = Probe()
+            t0 = time.perf_counter()
+            for _ in range(n):
+                probe.noop(1, 2)
+            return time.perf_counter() - t0
+
+        plain = min(loop() for _ in range(reps))
+        ledger = _Ledger()
+        ledger.time(Probe, "noop", "probe")
+        ledger._stack.append(0.0)  # inside a timed call, as in a run
+        timed = min(loop() for _ in range(reps))
+        return max(timed - plain, 0.0) / n
+
+    def restore(self):
+        for owner, name, original in reversed(self._undo):
+            setattr(owner, name, original)
+        self._undo.clear()
+
+
+def _ledger_timers(ledger):
+    """Time every layer of a banked period (see :func:`bench_ledger`)."""
+    from repro.baselines import heuristics
+    from repro.board import bank
+    from repro.core import controller
+    from repro.core.coordinator import MultilayerCoordinator
+    from repro.experiments import bank_runner
+
+    B, C = bank.BoardBank, bank._CreditSchedule
+    for owner, name, part in (
+        (bank_runner, "run_cells_banked", "runner"),
+        (bank_runner, "build_session", "cell_setup"),
+        (bank_runner, "Board", "cell_setup"),
+        (bank_runner, "BoardBank", "cell_setup"),
+        (B, "run_period_bank", "bank_dispatch"),
+        (B, "_plan_pass", "planning"),
+        (B, "_slices", "window_setup"),
+        (B, "_gather", "window_setup"),
+        (B, "_window_inputs", "window_setup"),
+        (B, "_quiet", "window_setup"),
+        (C, "horizons", "window_setup"),
+        (C, "splice", "window_setup"),
+        (B, "_run_vector_window", "tick_loop"),
+        (B, "_write_back", "write_back"),
+        (B, "_extend_trace", "write_back"),
+        (MultilayerCoordinator, "sense", "control.sense"),
+        (bank_runner, "step_stacked", "control.layer_steps"),
+        (controller.RuntimeController, "step", "control.layer_steps"),
+        (MultilayerCoordinator, "actuate_hw", "control.actuate"),
+        (MultilayerCoordinator, "finish", "control.finish"),
+    ):
+        ledger.time(owner, name, part)
+    for cls in vars(heuristics).values():
+        if isinstance(cls, type) and "step" in vars(cls):
+            ledger.time(cls, "step", "control.layer_steps")
+
+
+def bench_ledger(context, seed=7, reps=3):
+    """Where one banked control period's time goes, per lane.
+
+    One ``sweep``-shaped bank: the 4 layered schemes x every other
+    evaluation program (28 lanes) through ``run_cells_banked`` for
+    ``LEDGER_MAX_TIME`` simulated seconds.  The best of ``reps`` plain
+    runs gives the total; the best of ``reps`` runs under
+    :class:`_Ledger` gives the parts, each the exclusive time of the
+    calls timed for it (``tick_loop`` is what ``_run_vector_window``
+    spends outside its timed calls, ``runner`` the same for
+    ``run_cells_banked``: the per-period glue and the result metrics).
+    The parts also carry the timers' own cost, calibrated on a no-op
+    (:meth:`_Ledger.overhead`) and recorded as ``timers``; ``adds_up``
+    records whether the parts less that cost come within
+    ``LEDGER_TOLERANCE`` of the total.  A timed call costs more in a
+    run than on the no-op, so they land a few per cent above it.
+    Re-plans inside a window count in ``tick_loop``, and
+    ``observe_threads`` (one thread count per lane) in ``runner``: timing
+    them would cost more than they do.
+    """
+    from repro.experiments import prime_designs
+    from repro.experiments import bank_runner
+    from repro.workloads.library import program_names
+
+    prime_designs(context, LEDGER_SCHEMES)
+    programs = program_names("evaluation")[0::2]
+    cells = [(scheme, program, seed) for program in programs
+             for scheme in LEDGER_SCHEMES]
+
+    def run():
+        gc.collect()
+        t0 = time.perf_counter()
+        results = bank_runner.run_cells_banked(cells, context,
+                                               max_time=LEDGER_MAX_TIME)
+        return time.perf_counter() - t0, results
+
+    total, reference = min((run() for _ in range(reps)),
+                           key=lambda r: r[0])
+    best = None
+    for _ in range(reps):
+        ledger = _Ledger()
+        _ledger_timers(ledger)
+        try:
+            elapsed, results = run()
+        finally:
+            ledger.restore()
+        assert [(r.execution_time, r.energy) for r in results] == [
+            (r.execution_time, r.energy) for r in reference
+        ], "the timed run diverged"
+        if best is None or elapsed < best[0]:
+            best = (elapsed, ledger)
+    ledger = best[1]
+    lane_periods = ledger.calls["sense"]
+    per = 1e6 / lane_periods
+    parts = {part: seconds * per for part, seconds in ledger.parts.items()}
+    timers_us = ledger.overhead() * sum(ledger.calls.values()) * per
+    total_us = total * per
+    gap = (sum(parts.values()) - timers_us) / total_us - 1.0
+    return {
+        "lanes": len(cells),
+        "schemes": list(LEDGER_SCHEMES),
+        "max_time": LEDGER_MAX_TIME,
+        "lane_periods": lane_periods,
+        "windows": ledger.calls["_run_vector_window"],
+        "total_us_per_lane_period": total_us,
+        "parts_us_per_lane_period": parts,
+        "timers_us_per_lane_period": timers_us,
+        "parts_gap_frac": gap,
+        "adds_up": abs(gap) <= LEDGER_TOLERANCE,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 CONTROLLER_LANES = (1, 7, 14)
 
 
@@ -521,6 +711,22 @@ def main(argv=None):
                   f"{pt['step_us_per_lane_step']:.1f} us/lane-step, stacked "
                   f"{pt['stacked_us_per_lane_step']:.1f} us/lane-step -> "
                   f"{pt['speedup']:.2f}x")
+
+        print("== ledger: one banked period, layer by layer (28 lanes) ==")
+        results["ledger"] = bench_ledger(warm_ctx)
+        led = results["ledger"]
+        print(f"  total {led['total_us_per_lane_period']:.1f} us/lane-period"
+              f" over {led['lane_periods']} lane-periods; parts less "
+              f"{led['timers_us_per_lane_period']:.1f} us of timers "
+              f"{led['parts_gap_frac']:+.1%} off the total")
+        for part, us in sorted(led["parts_us_per_lane_period"].items(),
+                               key=lambda kv: -kv[1]):
+            print(f"    {part:<22} {us:7.1f} us")
+        if not led["adds_up"]:
+            # Recorded, not a failure: the ledger has no floor, and its
+            # timers' share grows as the period they time shrinks.
+            print(f"  WARNING: ledger parts off the total by more than "
+                  f"{LEDGER_TOLERANCE:.0%}")
 
         print(f"== matrix: serial cold scalar vs jobs={jobs} warm fast ==")
         results["matrix"] = bench_matrix(schemes, workloads, samples, seed,

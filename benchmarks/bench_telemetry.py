@@ -9,7 +9,7 @@ with telemetry disabled (the default fast path), one with a full
 :class:`~repro.telemetry.TelemetrySession` recording spans, metrics, and
 flight snapshots — must stay within 5 % of each other.
 
-Methodology (the runs are ~250 ms, so noise hygiene matters): GC is
+Methodology (the runs are ~25 ms, so noise hygiene matters): GC is
 disabled inside each timed region, disabled/enabled runs alternate so
 machine-load drift hits both modes, and each attempt scores
 ``min(enabled) / min(disabled)`` — the cleanest sample of each mode.

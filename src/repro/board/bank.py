@@ -145,6 +145,15 @@ def _term_rows(big, little):
             big.idle, little.idle, big.instructions, little.instructions)
 
 
+def _term_matrix(plans):
+    """The plans' terms (:func:`_term_rows`), one column per plan.
+
+    Row-major, so each term row the tick loop reads is contiguous.
+    """
+    return np.array(list(zip(*[_term_rows(plan.big, plan.little)
+                              for plan in plans])))
+
+
 _THREAD = 0
 _POOL = 1
 _DONE = 2
@@ -162,7 +171,8 @@ class _LaneCells:
     scratch (padding slots add 0.0 there); cell rows follow in first-use
     order.  Credit ``j`` subtracts ``done[j]`` from row ``vrow[j]`` and
     adds it to row ``drow[j]``; ``decs`` is each row's per-tick decrement.
-    Built once per plan (:attr:`WindowPlan.cells`).
+    Built once per plan (:attr:`WindowPlan.cells`); every pricing of one
+    layout (:meth:`priced`) shares its ``cells``, ``vrow`` and ``drow``.
     """
 
     __slots__ = ("cells", "vrow", "drow", "done", "decs")
@@ -214,8 +224,8 @@ class _LaneCells:
         return cells
 
     def read(self):
-        """The live cell values, scratch row first."""
-        return [0.0] + [
+        """The live cell values (without the scratch row)."""
+        return [
             obj.remaining if kind == _THREAD
             else obj.pool_remaining if kind == _POOL
             else obj.completed_instructions
@@ -234,6 +244,11 @@ class _LaneCells:
 
 
 _NO_CELLS = _LaneCells(())
+
+
+def _pad(values, n, fill):
+    """``values`` (a list) padded with ``fill`` to length ``n``."""
+    return values + [fill] * (n - len(values))
 
 
 def _placement_key(board):
@@ -377,34 +392,33 @@ class _CreditSchedule:
     and the ``1e-12`` phase-advance threshold, with orders of magnitude to
     spare over accumulated rounding).  At its horizon the caller releases
     the lane (:meth:`release`), which writes its cells back into the
-    Python objects and zeroes its weights; the lane then credits through
-    ordinary ``execute`` calls until a re-plan installs new cells
-    (:meth:`splice`).
+    Python objects; the lane then credits through ordinary ``execute``
+    calls until a re-plan installs new cells (:meth:`splice`).  A
+    released lane's row is a dead copy: the ticks may keep moving it, and
+    nothing reads it until :meth:`splice` or :meth:`reload` re-reads it.
+
+    The schedule outlives its window: :meth:`reload` starts the next
+    window over the same lane set, rewriting only the rows of lanes whose
+    cells changed.
     """
 
     __slots__ = ("lanes", "vector", "vals", "decs", "vrow", "drow", "w",
-                 "flat", "ids", "ws")
+                 "flat", "ids", "ws", "cell_ids")
 
     def __init__(self, lanes):
-        self.lanes = list(lanes)
-        self.vector = [True] * len(self.lanes)
-        rows = 1 + max(len(lane.cells) for lane in self.lanes)
-        width = max(len(lane.vrow) for lane in self.lanes)
-
-        def pad(values, n, fill):
-            return values + [fill] * (n - len(values))
-
-        self.vals = np.array([pad(lane.read(), rows, 0.0)
-                              for lane in self.lanes])
-        self.decs = np.array([pad(lane.decs, rows, 0.0)
-                              for lane in self.lanes])
-        self.vrow = np.array([pad(lane.vrow, width, 0)
-                              for lane in self.lanes], dtype=np.intp)
-        self.drow = np.array([pad(lane.drow, width, 0)
-                              for lane in self.lanes], dtype=np.intp)
-        self.w = np.array([pad(lane.done, width, 0.0)
-                           for lane in self.lanes])
+        # An empty schedule (every lane without cells), then the first
+        # window's lanes, all changed.
+        B = len(lanes)
+        self.lanes = [_NO_CELLS] * B
+        self.vector = [True] * B
+        self.vals = np.zeros((B, 1))
+        self.decs = np.zeros((B, 1))
+        self.vrow = np.zeros((B, 0), dtype=np.intp)
+        self.drow = np.zeros((B, 0), dtype=np.intp)
+        self.w = np.zeros((B, 0))
         self._derive()
+        self.cell_ids = None
+        self.reload(lanes)
 
     def _derive(self):
         """Flat credit indices and signed weights, one row per slot."""
@@ -415,6 +429,72 @@ class _CreditSchedule:
                                    (self.drow + base).T], axis=1)
         self.ws = np.concatenate([-w.T, w.T], axis=1)
         self.flat = self.vals.reshape(-1)
+
+    def _index_cells(self):
+        """``flat`` positions of every lane's cells, lane by lane."""
+        counts = np.array([len(lane.cells) for lane in self.lanes])
+        row = np.arange(self.vals.shape[1])
+        self.cell_ids = np.flatnonzero((row >= 1) & (row <= counts[:, None]))
+
+    def _grow(self, need_rows, need_width):
+        """Pad the rows or slots out to fit larger cells; ``True`` if
+        anything grew (the flat indices must then be re-derived)."""
+        rows = self.vals.shape[1]
+        width = self.w.shape[1]
+        if need_rows > rows:
+            extra = ((0, 0), (0, need_rows - rows))
+            self.vals = np.pad(self.vals, extra)
+            self.decs = np.pad(self.decs, extra)
+        if need_width > width:
+            extra = ((0, 0), (0, need_width - width))
+            self.vrow = np.pad(self.vrow, extra)
+            self.drow = np.pad(self.drow, extra)
+            self.w = np.pad(self.w, extra)
+        return need_rows > rows or need_width > width
+
+    def reload(self, lanes):
+        """Start a window over ``lanes``, one per column as before.
+
+        Columns whose cells changed get their rows rewritten (a new
+        layout's indices too; cells priced over the same layout share
+        them); every column re-reads its live values and credits
+        vectorized again.
+        """
+        old = self.lanes
+        changed = [col for col, lane in enumerate(lanes)
+                   if lane is not old[col]]
+        self.vector = [True] * len(lanes)
+        derive = False
+        if changed:
+            new = [lanes[col] for col in changed]
+            derive = self._grow(1 + max(len(lane.cells) for lane in new),
+                                max(len(lane.vrow) for lane in new))
+            rows = self.vals.shape[1]
+            width = self.w.shape[1]
+            self.w[changed] = [_pad(lane.done, width, 0.0) for lane in new]
+            self.decs[changed] = [_pad(lane.decs, rows, 0.0) for lane in new]
+            moved = [col for col in changed
+                     if lanes[col].vrow is not old[col].vrow]
+            if moved:
+                self.vrow[moved] = [_pad(lanes[col].vrow, width, 0)
+                                    for col in moved]
+                self.drow[moved] = [_pad(lanes[col].drow, width, 0)
+                                    for col in moved]
+                derive = True
+            if derive or any(len(lane.cells) != len(old[col].cells)
+                             for col, lane in zip(changed, new)):
+                self.cell_ids = None
+            self.lanes = list(lanes)
+        if derive:
+            self._derive()
+        else:
+            self.ws = np.concatenate([-self.w.T, self.w.T], axis=1)
+        if self.cell_ids is None:
+            self._index_cells()
+        values = []
+        for lane in lanes:
+            values += lane.read()
+        self.flat[self.cell_ids] = values
 
     def horizons(self):
         """Each lane's safe tick count from now (``None``: unbounded)."""
@@ -441,35 +521,20 @@ class _CreditSchedule:
         if self.vector[col]:
             self.lanes[col].write(self.vals[col].tolist())
             self.vector[col] = False
-            B = len(self.lanes)
-            self.ws[:, col] = 0.0
-            self.ws[:, B + col] = 0.0
 
     def splice(self, col, lane):
         """Install a released lane's new cells; returns its horizon.
 
         The lane credits vectorized again unless its horizon is 0.
         """
+        grow = self._grow(1 + len(lane.cells), len(lane.vrow))
+        self.cell_ids = None
         B, rows = self.vals.shape
-        width = self.w.shape[1]
         need_rows = 1 + len(lane.cells)
-        need_width = len(lane.vrow)
-        grow = need_rows > rows or need_width > width
-        if need_rows > rows:
-            extra = ((0, 0), (0, need_rows - rows))
-            self.vals = np.pad(self.vals, extra)
-            self.decs = np.pad(self.decs, extra)
-            rows = need_rows
-        if need_width > width:
-            extra = ((0, 0), (0, need_width - width))
-            self.vrow = np.pad(self.vrow, extra)
-            self.drow = np.pad(self.drow, extra)
-            self.w = np.pad(self.w, extra)
-            width = need_width
         self.lanes[col] = lane
         n = len(lane.vrow)
         self.vals[col] = 0.0
-        self.vals[col, :need_rows] = lane.read()
+        self.vals[col, 1:need_rows] = lane.read()
         self.decs[col] = 0.0
         self.decs[col, :need_rows] = lane.decs
         for target, values in ((self.vrow, lane.vrow),
@@ -492,6 +557,28 @@ class _CreditSchedule:
         return horizon
 
 
+class _Resident:
+    """One lane set's window inputs, kept from one window to the next.
+
+    ``plans`` are the plans the lanes ended the last window on, ``P``
+    their terms (:func:`_term_rows`, one column per lane) and
+    ``schedule`` the credit schedule over their cells.
+    """
+
+    __slots__ = ("key", "plans", "P", "schedule")
+
+    def __init__(self, key, plans, cells):
+        self.key = key
+        self.plans = plans
+        self.P = _term_matrix(plans)
+        self.schedule = _CreditSchedule(cells)
+
+
+# The constants a no-trip bound reads (see BoardBank._no_trip_bound).
+_BOUND_SLICES = ("ambient", "resistance", "lweight", "temp_trip", "thresh",
+                 "limit")
+
+
 class BoardBank:
     """Advance ``B`` independent boards in vectorized lockstep.
 
@@ -509,9 +596,6 @@ class BoardBank:
     vectorized and the scalar-fallback paths.  A board with
     ``enable_fast_path = False`` always takes the scalar path.
     """
-
-    # Entries the lane-term cache holds before it is dropped and rebuilt.
-    lane_cache_limit = 256
 
     def __init__(self, boards, telemetry=None, track_violations=False):
         if telemetry is None:
@@ -535,17 +619,13 @@ class BoardBank:
         self._tick_hooks = {}
         self._plan_memo = {}
         # Plan reuse state (see _plan_for): _replan_cache holds each
-        # board's _Lane entry for its current membership generation;
-        # _plan_gen ticks when the memo is cleared (invalidates every
-        # id()-keyed derived cache at once).
+        # board's _Lane entry for its current membership generation.
         self._replan_cache = {}
         self._sigs = {}  # phase signatures shared by layouts (_shared)
-        self._plan_gen = 0
-        self._lane_cache = {}
         self._slice_cache = {}
-        # Proven no-trip temperature bounds keyed by lane set and lane
-        # terms (see _no_trip_bound).
-        self._ub_cache = {}
+        # The last window's lane set and inputs, kept for the next window
+        # over the same lanes (see _window_inputs).
+        self._resident = None
         self._build_constants()
         # Introspection counters (mirrored into telemetry when enabled).
         self.vector_ticks = 0  # board-ticks executed by the vector kernel
@@ -701,10 +781,8 @@ class BoardBank:
         memo = self._plan_memo
         if len(memo) > 4096:  # runaway-key backstop; plans re-memoize
             memo.clear()
-            self._plan_gen += 1
             self._replan_cache.clear()
             self._sigs.clear()
-            self._lane_cache.clear()
         if self.telemetry is None:
             pending, plans, scalar = self._plan_pass(selected)
         else:
@@ -1025,31 +1103,29 @@ class BoardBank:
         self._slice_cache[key_boards] = S
         return S
 
-    def _lane_terms(self, key_boards, plans):
-        """Per-lane step-invariant plan terms, clusters stacked on axis 0.
+    def _window_inputs(self, key_boards, plans):
+        """Each lane's terms and credit schedule for one window.
 
-        ``plans`` holds one plan per lane of ``key_boards``, in order.
-        Cached against the identity of the (memo-owned) cluster plans;
-        the cache entry holds references to those plans, so an id() match
-        on live objects can only mean the very same plans.  A stall plan's
-        cluster plans are built fresh for one tick and no later window
-        can match them, so terms over one are never cached.
+        A window over the lane set of the one before re-derives only what
+        changed: the term columns of lanes whose plan changed and the
+        schedule rows of lanes whose cells changed
+        (:meth:`_CreditSchedule.reload`); a lane that kept its plan costs
+        a re-read of its cell values.  Returns the inputs, whose ``plans``
+        the window then updates in place: the plans its lanes end on.
         """
-        pb = [plan.big for plan in plans]
-        pl = [plan.little for plan in plans]
-        lane_key = (key_boards, self._plan_gen,
-                    tuple(map(id, pb)), tuple(map(id, pl)))
-        lanes = self._lane_cache.get(lane_key)
-        if lanes is None:
-            M = np.array(list(zip(*map(_term_rows, pb, pl))))  # (10, B)
-            lanes = (pb, pl, M[0:2], M[2:4], M[4:6], M[6:8], M[8:10],
-                     bool((M[2:4] >= 0.0).all()))
-            if any(plan.stall_tick for plan in plans):
-                return lanes
-            if len(self._lane_cache) > self.lane_cache_limit:
-                self._lane_cache.clear()
-            self._lane_cache[lane_key] = lanes
-        return lanes
+        cells = [self._cells(plan) for plan in plans]
+        res = self._resident
+        self._resident = None  # until the window completes
+        if res is None or res.key != key_boards:
+            return _Resident(key_boards, plans, cells)
+        changed = [col for col, (plan, old) in enumerate(zip(plans,
+                                                               res.plans))
+                   if plan is not old]
+        if changed:
+            res.P[:, changed] = _term_matrix([plans[col] for col in changed])
+        res.plans = plans
+        res.schedule.reload(cells)
+        return res
 
     @staticmethod
     def _cells(plan):
@@ -1062,37 +1138,54 @@ class BoardBank:
             return _NO_CELLS if plan.then is None else plan.then.cells
         return plan.cells
 
-    def _no_trip_bound(self, key_boards, S, terms, T, cache=True):
+    def _quiet(self, S, P, plans, T, cols):
+        """Whether no lane of ``cols`` can trip under its plan's terms.
+
+        A plan keeps the ceiling proven for its terms on its lane
+        (``WindowPlan.bound``; a one-tick stall plan is never asked
+        again, so it keeps none), valid for any later start at or below
+        it.  Unless every lane of ``cols`` starts at or below its own,
+        they are all proven anew in one :meth:`_no_trip_bound` pass.
+        """
+        temps = T.tolist()
+        if all(plans[col].bound is not None
+               and temps[col] <= plans[col].bound for col in cols):
+            return True
+        cols = list(cols)
+        if len(cols) < len(temps):
+            S = {name: S[name][..., cols] for name in _BOUND_SLICES}
+            P = P[:, cols]
+            T = T[cols]
+        X = self._no_trip_bound(S, P, T)
+        if X is None:
+            return False
+        for col, x in zip(cols, X.tolist()):
+            if not plans[col].stall_tick:
+                plans[col].bound = x
+        return True
+
+    def _no_trip_bound(self, S, P, T):
         """A temperature ceiling proving no lane can trip, or ``None``.
 
-        ``terms`` are the lanes' plan terms (:meth:`_lane_terms`).  Power
-        is monotone nondecreasing in temperature (spec constants and
-        leakage terms checked), so iterating ``X <- max(X, target(X))``
-        over the lanes' RC targets yields an ``X`` with
-        ``target(X) <= X``, which by induction bounds each lane's
-        temperature trajectory under these terms from any start at or
-        below it.  If ``X`` and the power at ``X`` clear the trip
-        thresholds (with an absolute margin crushing per-tick rounding),
-        the emergency firmware provably stays inert.
-
-        A proven bound is cached per lane set and lane terms: it stays a
-        valid ceiling for any later start at or below it, which skips the
-        iteration entirely.  The key uses id() of the lane terms, so the
-        cache entry keeps the terms alive — once the lane cache drops
-        them, their ids cannot be recycled into a key that finds this
-        (then stale) bound.  ``cache=False`` (terms over a stall plan,
-        which nothing can hit again) neither reads nor stores the cache.
+        ``P`` holds the lanes' plan terms (:func:`_term_rows`, one column
+        per lane), ``S`` their constants (:meth:`_slices`) and ``T``
+        their temperatures.  Power is monotone nondecreasing in
+        temperature (spec constants and leakage terms checked), so
+        iterating ``X <- max(X, target(X))`` over the lanes' RC targets
+        yields an ``X`` with ``target(X) <= X``, which by induction
+        bounds each lane's temperature trajectory under these terms from
+        any start at or below it.  If ``X`` and the power at ``X`` clear
+        the trip thresholds (with an absolute margin crushing per-tick
+        rounding), the emergency firmware provably stays inert.  Every
+        check is lane by lane, so each lane's entry of ``X`` is a ceiling
+        for that lane alone.
         """
-        if not self._const["monotone"] or not terms[7]:
+        dyn_m, leak_m, ltc_m, idle_m = P[0:2], P[2:4], P[4:6], P[6:8]
+        if not self._const["monotone"] or not bool((leak_m >= 0.0).all()):
             return None
-        key = (key_boards, self._plan_gen, id(terms))
-        cached = self._ub_cache.get(key) if cache else None
-        if cached is not None and bool((T <= cached[0]).all()):
-            return cached[0]
         ambient = S["ambient"]
         resistance = S["resistance"]
         lweight = S["lweight"]
-        _, _, dyn_m, leak_m, ltc_m, idle_m, _, _ = terms
 
         def power(X):
             factor = 1.0 + ltc_m * (X - _REFERENCE_TEMP)
@@ -1130,15 +1223,53 @@ class BoardBank:
             and (p_m < S["limit"] - 1e-9).all()
         ):
             return None
-        if cache:
-            if len(self._ub_cache) > 256:
-                self._ub_cache.clear()
-            self._ub_cache[key] = (X, terms)
         return X
 
     # ------------------------------------------------------------------
     # The lane×tick kernel
     # ------------------------------------------------------------------
+    @staticmethod
+    def _gather(boards, S):
+        """The lanes' mutable board state: floats, emergency flags, trips.
+
+        One array build for all the float lanes, updated in place for
+        the whole window.  Rows 6..12 (retired instructions,
+        sensor-elapsed, time, under-limit clocks) advance by a constant
+        each tick, laid out contiguously so the tick loop bumps them
+        with a single fused in-place add.
+        """
+        sens_b = S["sens_b"]
+        sens_l = S["sens_l"]
+        em = S["em"]
+        g = np.array([
+            [t.temperature for t in S["thermals"]],
+            [b.energy for b in boards],
+            [s._accumulated for s in sens_b],
+            [s._accumulated for s in sens_l],
+            [s._latched for s in sens_b],
+            [s._latched for s in sens_l],
+            [c.total_giga for c in S["pc_b"]],
+            [c.total_giga for c in S["pc_l"]],
+            [s._elapsed for s in sens_b],
+            [s._elapsed for s in sens_l],
+            [b.time for b in boards],
+            [e._under_power_time[BIG] for e in em],
+            [e._under_power_time[LITTLE] for e in em],
+            [e._over_power_time[BIG] for e in em],
+            [e._over_power_time[LITTLE] for e in em],
+            [e._hold_time[BIG] for e in em],
+            [e._hold_time[LITTLE] for e in em],
+            [e.state.throttle_time for e in em],
+        ])
+        flags = np.array([
+            [e.state.thermal_throttled for e in em],
+            [e.state.power_throttled[BIG] for e in em],
+            [e.state.power_throttled[LITTLE] for e in em],
+        ], dtype=bool)
+        trip_count = np.array([e.state.trip_count for e in em],
+                              dtype=np.int64)
+        return g, flags, trip_count
+
     def _run_vector_window(self, indices, plans, n_steps):
         """Advance every lane up to ``n_steps`` ticks in vectorized lockstep.
 
@@ -1187,35 +1318,8 @@ class BoardBank:
         min_hold = S["min_hold"]
 
         # --- mutable board state, copied into lanes ---------------------
-        # One array build for all the float lanes, updated in place for
-        # the whole window.  Rows 6..12 (retired instructions,
-        # sensor-elapsed, time, under-limit clocks) advance by a constant
-        # each tick, laid out contiguously so the tick loop bumps them
-        # with a single fused in-place add.
-        sens_b = S["sens_b"]
-        sens_l = S["sens_l"]
-        thermals = S["thermals"]
         em = S["em"]
-        g = np.array([
-            [t.temperature for t in thermals],
-            [b.energy for b in boards],
-            [s._accumulated for s in sens_b],
-            [s._accumulated for s in sens_l],
-            [s._latched for s in sens_b],
-            [s._latched for s in sens_l],
-            [c.total_giga for c in S["pc_b"]],
-            [c.total_giga for c in S["pc_l"]],
-            [s._elapsed for s in sens_b],
-            [s._elapsed for s in sens_l],
-            [b.time for b in boards],
-            [e._under_power_time[BIG] for e in em],
-            [e._under_power_time[LITTLE] for e in em],
-            [e._over_power_time[BIG] for e in em],
-            [e._over_power_time[LITTLE] for e in em],
-            [e._hold_time[BIG] for e in em],
-            [e._hold_time[LITTLE] for e in em],
-            [e.state.throttle_time for e in em],
-        ])
+        g, flags, trip_count = self._gather(boards, S)
         T = g[0]
         energy = g[1]
         acc_m = g[2:4]
@@ -1226,37 +1330,28 @@ class BoardBank:
         over_m = g[13:15]
         hold_m = g[15:17]
         throttle_time = g[17]
-        flags = np.array([
-            [e.state.thermal_throttled for e in em],
-            [e.state.power_throttled[BIG] for e in em],
-            [e.state.power_throttled[LITTLE] for e in em],
-        ], dtype=bool)
         th = flags[0]
         pth_m = flags[1:3]
         trip = np.empty_like(flags)
         clear = np.empty_like(flags)
-        trip_count = np.array([e.state.trip_count for e in em],
-                              dtype=np.int64)
         has_trip_cb = any(e.on_trip is not None for e in em)
         inc = np.empty((7, B))
         inc[2:4] = sdt_m
         inc[4:7] = dt
 
         # --- per-lane plans: terms, credit cells, crediting mode --------
-        plans = list(plans)
-        terms = self._lane_terms(key_boards, plans)
-        # A proven no-trip bound collapses the per-tick firmware machine
-        # to the under-limit clocks (already rows of ``g``).
-        quiet = not flags.any() and self._no_trip_bound(
-            key_boards, S, terms, T.copy(),
-            cache=not any(plan.stall_tick for plan in plans),
-        ) is not None
         # dyn, leak, leak temp coefficient, idle and instructions, two
-        # rows each: this window's own copy, so re-plans can splice.
-        P = np.concatenate(terms[2:7])
+        # rows each, and the credit schedule: kept from the last window
+        # over these lanes, and re-planned lanes splice into them.
+        res = self._window_inputs(key_boards, list(plans))
+        plans = res.plans
+        P = res.P
+        schedule = res.schedule
         dyn_m, leak_m, ltc_m, idle_m = P[0:2], P[2:4], P[4:6], P[6:8]
         inc[0:2] = P[8:10]
-        schedule = _CreditSchedule([self._cells(plan) for plan in plans])
+        # A proven no-trip bound collapses the per-tick firmware machine
+        # to the under-limit clocks (already rows of ``g``).
+        quiet = not flags.any() and self._quiet(S, P, plans, T, range(B))
         ran = [0] * B
         live = list(range(B))
         alive = np.ones(B, dtype=bool)  # left lanes keep computing, masked
@@ -1304,12 +1399,7 @@ class BoardBank:
                 bips_runs[col].append((len(hist["time"]), plan.bips))
             P[:, col] = _term_rows(plan.big, plan.little)
             inc[0:2, col] = P[8:10, col]
-            i = indices[col]
-            if quiet and self._no_trip_bound(
-                (i,), self._slices((i,), [boards[col]]),
-                self._lane_terms((i,), [plan]), T[col:col + 1].copy(),
-                cache=not plan.stall_tick,
-            ) is None:
+            if quiet and not self._quiet(S, P, plans, T, (col,)):
                 # The new terms may trip: run the firmware machine for
                 # everyone from here (every quiet tick so far zeroed the
                 # over-threshold timers).
@@ -1318,65 +1408,15 @@ class BoardBank:
 
         def leave(cols):
             """Write lanes back into their boards; they leave the window."""
-            G = g[:, cols].T.tolist()
-            F = flags[:, cols].T.tolist()
-            trips = trip_count[cols].tolist()
-            powers = p_m[:, cols].T.tolist()
-            noise_rms = S["noise_rms"][cols].tolist()
-            for j, col in enumerate(cols):
-                schedule.release(col)
-                board = boards[col]
-                if any_record and board.trace is not None:
-                    self._extend_trace(board, col, hist, bips_runs[col])
-                (temp, energy_k, acc_b, acc_l, latch_b, latch_l, instr_b,
-                 instr_l, elap_b, elap_l, time_k, under_b, under_l,
-                 over_b, over_l, hold_b, hold_l, throttled_s) = G[j]
-                thermals[col].temperature = temp
-                board.energy = energy_k
-                board.time = time_k
-                sensor = sens_b[col]
-                sensor._accumulated = acc_b
-                sensor._elapsed = elap_b
-                sensor._latched = latch_b
-                sensor = sens_l[col]
-                sensor._accumulated = acc_l
-                sensor._elapsed = elap_l
-                sensor._latched = latch_l
-                S["pc_b"][col].total_giga = instr_b
-                S["pc_l"][col].total_giga = instr_l
-                # The last sensed temperature: the final true temperature
-                # plus the last of this lane's noise draws, drawn here in
-                # one batch (batched == sequential draws, so the RNG
-                # stream matches scalar stepping).
-                noise = 0.0
-                if noise_rms[j] > 0:
-                    noise = float(board.temp_sensor._rng.normal(
-                        scale=noise_rms[j], size=t)[-1])
-                board.temp_sensor._last = temp + noise
-                e = em[col]
-                e._under_power_time[BIG] = under_b
-                e._under_power_time[LITTLE] = under_l
-                if quiet:
-                    # Scalar stepping zeroes the over-threshold timers on
-                    # every under-threshold tick, and every quiet tick is
-                    # under threshold; throttle flags, trip counts, and
-                    # hold clocks provably did not move.
-                    e._over_power_time[BIG] = 0.0
-                    e._over_power_time[LITTLE] = 0.0
-                else:
-                    state = e.state
-                    state.thermal_throttled = F[j][0]
-                    state.power_throttled[BIG] = F[j][1]
-                    state.power_throttled[LITTLE] = F[j][2]
-                    state.trip_count = trips[j]
-                    state.throttle_time = throttled_s
-                    e._over_power_time[BIG] = over_b
-                    e._over_power_time[LITTLE] = over_l
-                    e._hold_time[BIG] = hold_b
-                    e._hold_time[LITTLE] = hold_l
-                board._instant_power = {BIG: powers[j][0],
-                                        LITTLE: powers[j][1]}
-                board._instant_bips = plans[col].bips
+            if any_record:
+                for col in cols:
+                    if boards[col].trace is not None:
+                        self._extend_trace(boards[col], col, hist,
+                                           bips_runs[col])
+            self._write_back(schedule, [boards[col] for col in cols], S,
+                             cols, (g, flags, trip_count, p_m), quiet, t,
+                             [plans[col].bips for col in cols])
+            for col in cols:
                 ran[col] = t
                 alive[col] = False
                 live.remove(col)
@@ -1575,6 +1615,7 @@ class BoardBank:
                         python.remove(col)
                 leave(leaving)
 
+        self._resident = res
         self.windows += 1
         board_ticks = sum(ran)
         self.vector_ticks += board_ticks
@@ -1582,6 +1623,70 @@ class BoardBank:
             self.telemetry.bank_windows.inc()
             self.telemetry.bank_board_ticks.inc(board_ticks)
         return ran
+
+    @staticmethod
+    def _write_back(schedule, boards, S, cols, state, quiet, ticks, bips):
+        """Store the columns ``cols`` of a window's lane state (``g``,
+        ``flags``, ``trip_count`` and the last tick's powers ``p_m``) and
+        their credit cells (``schedule``) into ``boards``, after ``ticks``
+        ticks; ``bips`` is each one's rate."""
+        for col in cols:
+            schedule.release(col)
+        g, flags, trip_count, p_m = state
+        G = g[:, cols].T.tolist()
+        F = flags[:, cols].T.tolist()
+        trips = trip_count[cols].tolist()
+        powers = p_m[:, cols].T.tolist()
+        noise_rms = S["noise_rms"][cols].tolist()
+        for j, (col, board) in enumerate(zip(cols, boards)):
+            (temp, energy_k, acc_b, acc_l, latch_b, latch_l, instr_b,
+             instr_l, elap_b, elap_l, time_k, under_b, under_l,
+             over_b, over_l, hold_b, hold_l, throttled_s) = G[j]
+            S["thermals"][col].temperature = temp
+            board.energy = energy_k
+            board.time = time_k
+            sensor = S["sens_b"][col]
+            sensor._accumulated = acc_b
+            sensor._elapsed = elap_b
+            sensor._latched = latch_b
+            sensor = S["sens_l"][col]
+            sensor._accumulated = acc_l
+            sensor._elapsed = elap_l
+            sensor._latched = latch_l
+            S["pc_b"][col].total_giga = instr_b
+            S["pc_l"][col].total_giga = instr_l
+            # The last sensed temperature: the final true temperature plus
+            # the last of this lane's noise draws, drawn here in one batch
+            # (batched == sequential draws, so the RNG stream matches
+            # scalar stepping).
+            noise = 0.0
+            if noise_rms[j] > 0:
+                noise = float(board.temp_sensor._rng.normal(
+                    scale=noise_rms[j], size=ticks)[-1])
+            board.temp_sensor._last = temp + noise
+            e = S["em"][col]
+            e._under_power_time[BIG] = under_b
+            e._under_power_time[LITTLE] = under_l
+            if quiet:
+                # Scalar stepping zeroes the over-threshold timers on every
+                # under-threshold tick, and every quiet tick is under
+                # threshold; throttle flags, trip counts, and hold clocks
+                # provably did not move.
+                e._over_power_time[BIG] = 0.0
+                e._over_power_time[LITTLE] = 0.0
+            else:
+                flag = e.state
+                flag.thermal_throttled = F[j][0]
+                flag.power_throttled[BIG] = F[j][1]
+                flag.power_throttled[LITTLE] = F[j][2]
+                flag.trip_count = trips[j]
+                flag.throttle_time = throttled_s
+                e._over_power_time[BIG] = over_b
+                e._over_power_time[LITTLE] = over_l
+                e._hold_time[BIG] = hold_b
+                e._hold_time[LITTLE] = hold_l
+            board._instant_power = {BIG: powers[j][0], LITTLE: powers[j][1]}
+            board._instant_bips = bips[j]
 
     @staticmethod
     def _extend_trace(board, lane, hist, bips_runs):

@@ -63,6 +63,13 @@ class BoardTrace:
         return {name: np.asarray(values) for name, values in vars(self).items()}
 
 
+def _same_objects(a, b):
+    """Whether two value-equal assignments hold the very same threads."""
+    return all(x is y for name in (BIG, LITTLE)
+               for core_a, core_b in zip(a[name], b[name])
+               for x, y in zip(core_a, core_b))
+
+
 class Board:
     """Discrete-time simulator of the 8-core big.LITTLE board.
 
@@ -151,6 +158,13 @@ class Board:
         # redundant stall scans.
         self._actuation_epoch = 0
         self._placement_epoch = 0
+        # Derivations that repeat unchanged between placement moves, keyed
+        # on the placement epoch and powered-core counts (see
+        # observe_placement and set_placement_knobs); _knob_threads keeps
+        # the threads whose id()s _knob_key holds alive.
+        self._observed = (None, None)
+        self._knob_key = None
+        self._knob_threads = None
         self._default_placement()
 
     # ------------------------------------------------------------------
@@ -239,19 +253,35 @@ class Board:
         if self.fault_hooks is not None and self.fault_hooks.blocks_placement():
             return  # placement knobs stuck (injected fault)
         threads = self._gather_runnable_threads()
+        cores_big = self.clusters[BIG].cores_on
+        cores_little = self.clusters[LITTLE].cores_on
+        # The deal is a function of these; the placement holds the very
+        # objects the recorded key's deal placed until the epoch moves.
+        key = (self._placement_epoch, cores_big, cores_little, n_threads_big,
+               tpc_big, tpc_little, tuple(map(id, threads)))
+        if key == self._knob_key:
+            return  # the same deal of the same objects: a no-op
         new_assignment = plan_placement(
             threads,
             n_threads_big,
             tpc_big,
             tpc_little,
-            self.clusters[BIG].cores_on,
-            self.clusters[LITTLE].cores_on,
+            cores_big,
+            cores_little,
         )
         if new_assignment == self.placement.assignment:
-            return  # identical deal: no migrations, keep cached plans valid
+            # Identical deal: no migrations, keep cached plans valid.
+            # Equal by value need not mean the same objects (threads
+            # re-created on a phase entry), so only those repeat.
+            if _same_objects(new_assignment, self.placement.assignment):
+                self._knob_key = key
+                self._knob_threads = threads
+            return
         self._actuation_epoch += 1
         self._placement_epoch += 1
         self.placement.apply(new_assignment, self.spec.migration_cost_s)
+        self._knob_key = (self._placement_epoch,) + key[1:]
+        self._knob_threads = threads
 
     def set_raw_placement(self, assignment):
         """Direct per-core assignment (used by heuristic OS controllers)."""
@@ -275,7 +305,16 @@ class Board:
         return self.perf_counters[cluster_name].read_delta()
 
     def observe_placement(self):
-        """What the layers can see of the current placement (Eq. 2 inputs)."""
+        """What the layers can see of the current placement (Eq. 2 inputs).
+
+        The result is shared until the placement epoch or a powered-core
+        count moves (every placement change ticks the epoch); callers
+        must not mutate it.
+        """
+        key = (self._placement_epoch, self.clusters[BIG].cores_on,
+               self.clusters[LITTLE].cores_on)
+        if key == self._observed[0]:
+            return self._observed[1]
         result = {}
         for name in (BIG, LITTLE):
             threads = self.placement.threads_on(name)
@@ -288,6 +327,7 @@ class Board:
                 "threads_per_busy_core": len(threads) / busy if busy else 0.0,
                 "spare_capacity": spare_capacity(len(threads), busy, cores_on),
             }
+        self._observed = (key, result)
         return result
 
     def runnable_thread_count(self):
@@ -316,7 +356,10 @@ class Board:
 
     @property
     def done(self):
-        return all(app.done for app in self.applications)
+        for app in self.applications:
+            if not app.done:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Simulation

@@ -86,10 +86,12 @@ class WindowPlan:
     # Bank metadata: parts is each cluster's memoized (plan, per-thread
     # credit amounts, bips) (see _arithmetic), bw_scale the DRAM
     # contention factor they were computed under, cells the credit-cell
-    # layout of ``credits``.
+    # layout of ``credits``, bound the no-trip temperature ceiling proven
+    # for these terms on the plan's lane (see BoardBank._quiet).
     parts: tuple = None
     bw_scale: float = None
     cells: object = None
+    bound: float = None
 
 
 def _emergency_snapshot(board):

@@ -16,6 +16,7 @@ external signals (O + E entries) and ``u`` is the new input vector.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,16 @@ __all__ = [
 # outweighs the per-lane Python it saves (docs/PERFORMANCE.md,
 # "Controller bank").
 STACK_MIN_LANES = 3
+
+
+def _norm(x):
+    """``np.linalg.norm(x)`` of a real float vector, without its dispatch.
+
+    The same operations: ``sqrt`` of ``x.dot(x)`` over the ``ravel('K')``
+    copy (a view for a contiguous ``x``), so the same float.
+    """
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _discrete_lag(pole_hz, dt, channels):
@@ -221,7 +232,7 @@ class RuntimeController:
         self.state, u_norm = self.state_machine.step(self.state, dy)
         # Mild state-norm clamp: keeps the (validated-stable) state machine
         # from winding up when actuators sit saturated for long stretches.
-        norm = np.linalg.norm(self.state)
+        norm = _norm(self.state)
         if norm > self._state_norm_cap:
             self.state *= self._state_norm_cap / norm
         u_phys = self.input_offsets + self.input_scales * u_norm
@@ -290,12 +301,12 @@ class RuntimeController:
         if self.model_gain is None or prev_u is None:
             return
         du = self._prev_u_norm - prev_u
-        if np.linalg.norm(du) < self._INNOVATION_MIN_MOVE:
+        if _norm(du) < self._INNOVATION_MIN_MOVE:
             return
         predicted = self.model_gain @ du
         actual = self._prev_y_norm - prev_y
-        scale = max(np.linalg.norm(predicted), 0.05)
-        ratio = float(np.linalg.norm(actual - predicted) / scale)
+        scale = max(_norm(predicted), 0.05)
+        ratio = float(_norm(actual - predicted) / scale)
         alpha = self._INNOVATION_EMA_ALPHA
         self._innovation_ema = (1 - alpha) * self._innovation_ema + alpha * ratio
         if self._innovation_ema > self.constants.innovation_threshold:
@@ -351,7 +362,7 @@ def step_stacked(controllers, outputs, externals):
     u_applied = (snapped - lead.input_offsets) / lead.input_scales
     for k, ctrl in enumerate(controllers):
         state = states[k]
-        norm = np.linalg.norm(state)
+        norm = _norm(state)
         if norm > ctrl._state_norm_cap:
             state *= ctrl._state_norm_cap / norm
         ctrl.state = state

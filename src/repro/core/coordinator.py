@@ -25,6 +25,15 @@ from .optimizer import ExDOptimizer, exd_metric
 def _null_span(*args, **kwargs):
     return NULL_SPAN
 
+
+def _actuate_hw(board, hw_u):
+    n_big, n_little, f_big, f_little = hw_u
+    board.set_active_cores(BIG, n_big)
+    board.set_active_cores(LITTLE, n_little)
+    board.set_cluster_frequency(BIG, f_big)
+    board.set_cluster_frequency(LITTLE, f_little)
+
+
 __all__ = ["MultilayerCoordinator", "ControlStepRecord", "SensedPeriod"]
 
 
@@ -136,7 +145,6 @@ class MultilayerCoordinator:
     def sense(self, board: Board, period_steps, signals=None):
         """Phase 1: sense, optimize targets, wire the external signals."""
         tel = self.telemetry
-        span = tel.span if tel is not None else _null_span
         t_start = time.perf_counter() if tel is not None else 0.0
         # Firmware-override detection: the emergency TMU intervening under
         # the controller is visible to the OS (throttle status in sysfs on
@@ -153,8 +161,11 @@ class MultilayerCoordinator:
         ):
             self.hw_controller.guardband_exhausted = True
         if signals is None:
-            with span("sample", board_time=board.time):
+            if tel is None:
                 signals = sample_signals(board, period_steps)
+            else:
+                with tel.span("sample", board_time=board.time):
+                    signals = sample_signals(board, period_steps)
         outputs_hw = np.array([signals[name] for name in HW_OUTPUTS])
         outputs_sw = np.array([signals[name] for name in SW_OUTPUTS])
         # The optimizer's ExD proxy must price the whole platform: leaving
@@ -167,15 +178,11 @@ class MultilayerCoordinator:
         exd = exd_metric(total_power, signals["bips_total"])
 
         # --- target optimization (Fig. 5) -----------------------------
-        with span("optimize"):
-            if self.hw_optimizer is not None:
-                self.hw_controller.set_targets(
-                    self.hw_optimizer.update(exd, outputs_hw)
-                )
-            if self.sw_optimizer is not None and self.sw_controller is not None:
-                self.sw_controller.set_targets(
-                    self.sw_optimizer.update(exd, outputs_sw)
-                )
+        if tel is None:
+            self._optimize(exd, outputs_hw, outputs_sw)
+        else:
+            with tel.span("optimize"):
+                self._optimize(exd, outputs_hw, outputs_sw)
 
         # --- external signal wiring ------------------------------------
         # Each layer reads the other layer's most recent actuation; before
@@ -198,6 +205,16 @@ class MultilayerCoordinator:
         return SensedPeriod(signals, outputs_hw, outputs_sw, ext_for_hw,
                             ext_for_sw, exd, override_active, t_start)
 
+    def _optimize(self, exd, outputs_hw, outputs_sw):
+        if self.hw_optimizer is not None:
+            self.hw_controller.set_targets(
+                self.hw_optimizer.update(exd, outputs_hw)
+            )
+        if self.sw_optimizer is not None and self.sw_controller is not None:
+            self.sw_controller.set_targets(
+                self.sw_optimizer.update(exd, outputs_sw)
+            )
+
     def step_layers(self, board: Board, period: SensedPeriod):
         """Phase 2: step the hw layer, actuate it, then step the sw layer."""
         tel = self.telemetry
@@ -216,12 +233,11 @@ class MultilayerCoordinator:
     def actuate_hw(self, board: Board, hw_u):
         """Apply the hw layer's knobs (before the sw layer steps)."""
         tel = self.telemetry
-        n_big, n_little, f_big, f_little = hw_u
-        with (tel.span if tel is not None else _null_span)("actuate.hw"):
-            board.set_active_cores(BIG, n_big)
-            board.set_active_cores(LITTLE, n_little)
-            board.set_cluster_frequency(BIG, f_big)
-            board.set_cluster_frequency(LITTLE, f_little)
+        if tel is None:
+            _actuate_hw(board, hw_u)
+        else:
+            with tel.span("actuate.hw"):
+                _actuate_hw(board, hw_u)
         self._last_hw_actuation = hw_u
 
     def observe_threads(self, board: Board):
@@ -234,8 +250,12 @@ class MultilayerCoordinator:
         tel = self.telemetry
         if sw_u is not None:
             n_threads_big, tpc_big, tpc_little = sw_u
-            with (tel.span if tel is not None else _null_span)("actuate.sw"):
+            if tel is None:
                 board.set_placement_knobs(n_threads_big, tpc_big, tpc_little)
+            else:
+                with tel.span("actuate.sw"):
+                    board.set_placement_knobs(n_threads_big, tpc_big,
+                                              tpc_little)
             self._last_sw_actuation = sw_u
 
         signals, exd = period.signals, period.exd

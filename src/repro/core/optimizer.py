@@ -169,7 +169,7 @@ class ExDOptimizer:
             else:
                 step = -channel.backward_step * span * growth
             lead_cap = channel.max_lead * span
-            step = float(np.clip(step, -lead_cap, lead_cap))
+            step = min(max(step, -lead_cap), lead_cap)
             if channel.role == "balance":
                 # Balance channels walk their own target (no natural anchor
                 # in the outputs would preserve exploration).

@@ -121,24 +121,32 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
             return None
 
     def ok(lanes):
-        return [i for i in lanes if i not in failed]
+        return [i for i in lanes if i not in failed] if failed else lanes
+
+    last_groups = {}  # layer -> (lane set, its design groups)
 
     def step_layer(layer, lanes, periods):
         """Step one layer of every lane, same-design SSV lanes stacked."""
+        key = tuple(lanes)
+        found = last_groups.get(layer)
+        if found is None or found[0] != key:
+            ctrls = [getattr(coordinators[i], f"{layer}_controller")
+                     for i in lanes]
+            found = last_groups[layer] = (key, [
+                ([i for i, _ctrl in group], [ctrl for _i, ctrl in group])
+                for group in _design_groups(lanes, ctrls)])
+        outputs = f"outputs_{layer}"
+        externals = f"ext_for_{layer}"
         out = {}
-        ctrls = [getattr(coordinators[i], f"{layer}_controller")
-                 for i in lanes]
-        for group in _design_groups(lanes, ctrls):
-            idx = [i for i, _ctrl in group]
-            args = [(ctrl, getattr(periods[i], f"outputs_{layer}"),
-                     getattr(periods[i], f"ext_for_{layer}"))
-                    for i, ctrl in group]
+        for idx, ctrls in found[1]:
+            ys = [getattr(periods[i], outputs) for i in idx]
+            es = [getattr(periods[i], externals) for i in idx]
             results = None
-            with (tel.span(f"{layer}.step", lanes=len(group))
+            with (tel.span(f"{layer}.step", lanes=len(idx))
                   if tel is not None else NULL_SPAN):
-                if len(group) >= STACK_MIN_LANES:
+                if len(idx) >= STACK_MIN_LANES:
                     try:
-                        results = step_stacked(*zip(*args))
+                        results = step_stacked(ctrls, ys, es)
                     except Exception:
                         # No lane was written: step them one by one so
                         # that only the bad lane fails.
@@ -146,7 +154,7 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
                             raise
                 if results is None:
                     results = [attempt(i, ctrl.step, y, e)
-                               for i, (ctrl, y, e) in zip(idx, args)]
+                               for i, ctrl, y, e in zip(idx, ctrls, ys, es)]
             out.update(zip(idx, results))
         return out
 
@@ -155,35 +163,40 @@ def run_cells_banked(cells, context, max_time=600.0, record=False,
     # a monolithic lane's ``control``, or control_step's three phases.
     # The bank advances every live board's period at once, and each layer
     # steps once per design group instead of once per lane; every lane
-    # still sees its own phases in control_step's order.
+    # still sees its own phases in control_step's order.  The lane lists
+    # below change only when a board finishes or a lane fails.
     active = [i for i, b in enumerate(boards)
               if not b.done and b.time < max_time]
+    live = monolithic = layered = with_sw = None
     while active:
         if tel is not None:
             tel.begin_period(boards[active[0]].time)
         bank.run_period_bank(period_steps, only=active)
-        live = [i for i in active if not boards[i].done]
-        layered = []
-        for i in live:
-            if controls[i] is None:
-                layered.append(i)
-            else:
-                attempt(i, controls[i], boards[i], period_steps)
-        periods = {i: attempt(i, coordinators[i].sense, boards[i],
-                              period_steps) for i in layered}
+        lanes = [i for i in active if not boards[i].done]
+        if lanes != live:
+            live = lanes
+            monolithic = [i for i in live if controls[i] is not None]
+            layered = [i for i in live if controls[i] is None]
+            with_sw = [i for i in layered
+                       if coordinators[i].sw_controller is not None]
+        for i in monolithic:
+            attempt(i, controls[i], boards[i], period_steps)
+        periods = {}
+        for i in layered:
+            periods[i] = attempt(i, coordinators[i].sense, boards[i],
+                                 period_steps)
         hw_u = step_layer("hw", ok(layered), periods)
         for i in ok(layered):
             attempt(i, coordinators[i].actuate_hw, boards[i], hw_u[i])
         for i in ok(layered):
             attempt(i, coordinators[i].observe_threads, boards[i])
-        sw_u = step_layer("sw", [i for i in ok(layered) if
-                                 coordinators[i].sw_controller is not None],
-                          periods)
+        sw_u = step_layer("sw", ok(with_sw), periods)
         for i in ok(layered):
             attempt(i, coordinators[i].finish, boards[i], periods[i],
                     hw_u[i], sw_u.get(i))
-        active = [i for i in ok(live)
-                  if not boards[i].done and boards[i].time < max_time]
+        # No control phase finishes a program, so ``live`` is still
+        # exactly the unfinished lanes.
+        active = [i for i in ok(live) if boards[i].time < max_time]
     return [failed[i] if i in failed else
             cell_metrics(scheme, workload, boards[i], coordinators[i], record,
                          bank=bank.counters())

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .flight import FlightRecorder
 from .registry import MetricsRegistry
-from .tracing import NULL_SPAN, Tracer
+from .tracing import NULL_SPAN, Tracer, _Span
 
 __all__ = [
     "TelemetrySession",
@@ -181,7 +181,8 @@ class TelemetrySession:
     def span(self, name, cat="control", **attrs):
         if self.closed:
             return NULL_SPAN
-        return self.tracer.span(name, cat=cat, **attrs)
+        tracer = self.tracer
+        return _Span(tracer, name, cat, tracer.trace_id, attrs)
 
     def instant(self, name, cat="event", **attrs):
         if not self.closed:

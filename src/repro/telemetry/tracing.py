@@ -13,8 +13,9 @@ Output sinks:
   machine-readable schema (see docs/OBSERVABILITY.md).  Records are
   buffered in memory and serialized in batches (every
   ``flush_every`` records, on :meth:`flush`, and on :meth:`close`), so
-  the recording hot path only builds a dict and appends it — JSON
-  encoding and file I/O stay off the control loop.  Call
+  the recording hot path only appends a tuple of what it measured —
+  building the record dict, rounding, JSON encoding and file I/O all
+  wait until records are read or flushed.  Call
   :meth:`flush` at interesting moments (the flight recorder does) to
   bound data loss from a crash.
 * ``trace.json`` — Chrome ``trace_event`` JSON array, loadable directly
@@ -30,8 +31,8 @@ records — what the tests consume.
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
+from time import perf_counter
 
 __all__ = ["Tracer", "NULL_SPAN", "chrome_event"]
 
@@ -71,12 +72,36 @@ class _Span:
         self.attrs.update(attrs)
 
     def __enter__(self):
-        self._t0 = time.perf_counter()
+        self._t0 = perf_counter()
         return self
 
-    def __exit__(self, *exc):
-        self._tracer._finish(self, time.perf_counter())
+    def __exit__(self, exc_type, exc, tb):
+        t1 = perf_counter()
+        tracer = self._tracer
+        tracer._emit((self.name, self.cat, self.trace_id, self._t0, t1,
+                      "span", self.attrs))
+        if tracer.profiler is not None:
+            tracer.profiler.observe(self.name,
+                                    round((t1 - self._t0) * 1e6, 1),
+                                    self.trace_id)
         return False
+
+
+def _record(raw, origin):
+    """The record dict of one raw ``(name, cat, trace_id, t0, t1, phase,
+    attrs)`` tuple (``perf_counter`` times; ``origin`` is the tracer's)."""
+    name, cat, trace_id, t0, t1, phase, attrs = raw
+    record = {
+        "name": name,
+        "cat": cat,
+        "trace_id": trace_id,
+        "ts_us": round((t0 - origin) * 1e6, 1),
+        "dur_us": round((t1 - t0) * 1e6, 1) if phase == "span" else 0.0,
+        "phase": phase,
+    }
+    if attrs:
+        record.update(attrs)
+    return record
 
 
 def chrome_event(record):
@@ -109,11 +134,11 @@ class Tracer:
         self._jsonl_path = jsonl_path
         self._chrome_path = chrome_path
         self._jsonl = None
-        self._pending = []  # records not yet serialized to disk
+        self._pending = []  # raw records not yet serialized to disk
         self._flush_every = flush_every
-        self._origin = time.perf_counter()
+        self._origin = perf_counter()
         self.trace_id = 0
-        self.spans = deque(maxlen=keep)  # recent records, in-memory
+        self._recent = deque(maxlen=keep)  # recent raw records (spans)
         self.span_count = 0
         self.closed = False
         # Optional per-phase profiler (repro.obs.profiler.PhaseProfiler);
@@ -128,6 +153,11 @@ class Tracer:
             self.instant("period.begin", cat="period", board_time=board_time)
         return self.trace_id
 
+    @property
+    def spans(self):
+        """The recent records (at most ``keep``), oldest first."""
+        return [_record(raw, self._origin) for raw in self._recent]
+
     def span(self, name, cat="control", trace_id=None, **attrs):
         """A context manager timing one phase of the loop."""
         return _Span(
@@ -137,40 +167,17 @@ class Tracer:
 
     def instant(self, name, cat="event", trace_id=None, **attrs):
         """A zero-duration marker event."""
-        now = time.perf_counter()
-        record = {
-            "name": name,
-            "cat": cat,
-            "trace_id": self.trace_id if trace_id is None else trace_id,
-            "ts_us": round((now - self._origin) * 1e6, 1),
-            "dur_us": 0.0,
-            "phase": "instant",
-        }
-        if attrs:
-            record.update(attrs)
-        self._emit(record)
+        t = perf_counter()
+        self._emit((name, cat,
+                    self.trace_id if trace_id is None else trace_id,
+                    t, t, "instant", attrs))
 
     # ------------------------------------------------------------------
-    def _finish(self, span, t1):
-        record = {
-            "name": span.name,
-            "cat": span.cat,
-            "trace_id": span.trace_id,
-            "ts_us": round((span._t0 - self._origin) * 1e6, 1),
-            "dur_us": round((t1 - span._t0) * 1e6, 1),
-            "phase": "span",
-        }
-        if span.attrs:
-            record.update(span.attrs)
-        self._emit(record)
-        if self.profiler is not None:
-            self.profiler.observe(span.name, record["dur_us"], span.trace_id)
-
-    def _emit(self, record):
-        self.spans.append(record)
+    def _emit(self, raw):
+        self._recent.append(raw)
         self.span_count += 1
         if self._jsonl_path is not None and not self.closed:
-            self._pending.append(record)
+            self._pending.append(raw)
             if len(self._pending) >= self._flush_every:
                 self._write_pending()
 
@@ -181,7 +188,8 @@ class Tracer:
         if self._jsonl is None:
             self._jsonl = open(self._jsonl_path, "w")
         self._jsonl.write(
-            "".join(json.dumps(record) + "\n" for record in self._pending)
+            "".join(json.dumps(_record(raw, self._origin)) + "\n"
+                    for raw in self._pending)
         )
         self._pending.clear()
 
@@ -202,7 +210,8 @@ class Tracer:
                     if line:
                         yield json.loads(line)
         else:
-            yield from self.spans
+            for raw in self._recent:
+                yield _record(raw, self._origin)
 
     def close(self):
         """Finalize sinks: writes ``trace.json`` and closes the stream."""

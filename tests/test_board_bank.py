@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.board import BIG, LITTLE, Board, BoardBank
+from repro.board.bank import _term_matrix
 from repro.board.cores import _sum_small
 from repro.board.specs import default_xu3_spec
 from repro.rack.rack import instantiate_job_workload
@@ -748,14 +749,14 @@ class TestNoTripBound:
                                                                   rl.high)))
             plan = bank._plan_for(0)
             assert plan is not None
-            terms = bank._lane_terms(key, [plan])
+            P = _term_matrix([plan])
             T0 = thermal.temperature
-            ub = bank._no_trip_bound(key, S, terms, np.array([T0]))
+            ub = bank._no_trip_bound(S, P, np.array([T0]))
             if ub is None:
                 return
             X = float(ub[0])
             assert X >= T0
-            _, _, dyn, leak, ltc, idle, _, _ = terms
+            dyn, leak, ltc, idle = P[0:2], P[2:4], P[4:6], P[6:8]
             factor = np.maximum(1.0 + ltc[:, 0] * (X - _REFERENCE_TEMP), 0.2)
             p = dyn[:, 0] + leak[:, 0] * factor + idle[:, 0]
             target = thermal.ambient + thermal.resistance * (
@@ -804,6 +805,58 @@ class TestBankProperties:
         entered = sum(app.phase_index + app.done
                       for board in banked for app in board.applications)
         assert entered > 0, "no lane entered a new phase"
+
+    @given(spec=board_specs(), seed=st.integers(min_value=0, max_value=9999),
+           data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_resident_windows_match_scalar_across_calls(self, spec, seed,
+                                                        data):
+        """Consecutive bank calls keep each lane set's window inputs and
+        re-derive only what changed.  Between calls a lane may be
+        actuated or left alone (its plan is then reused unchanged), sit a
+        call out (the lane set changes), or have its caches invalidated;
+        calls run one tick or a whole period.  Every lane stays
+        bit-identical to ``Board.step``."""
+        workloads = ["x264@0.02", "bodytrack@0.02", "mcf"]
+        lanes = range(len(workloads))
+        periods = 12
+        steps = spec.period_steps()
+        schedules = [_actuation_schedule(spec, periods, seed + 17 * k)
+                     for k in lanes]
+
+        def make(k):
+            return Board(instantiate_job_workload(workloads[k]), spec=spec,
+                         seed=seed + k, record=True, telemetry=None)
+
+        banked = [make(k) for k in lanes]
+        reference = [make(k) for k in lanes]
+        bank = BoardBank(banked, telemetry=None)
+        for p in range(periods):
+            actuated = data.draw(st.lists(st.booleans(), min_size=3,
+                                          max_size=3), label="actuated")
+            # Mostly the same lane set, so most windows find the last
+            # one's inputs.
+            sitting = data.draw(st.sampled_from([None, None, None, 0, 1, 2]),
+                                label="sits out")
+            invalidated = data.draw(st.sampled_from([None, 0, 1, 2]),
+                                    label="invalidated")
+            n = data.draw(st.sampled_from([1, steps]), label="ticks")
+            for k in lanes:
+                if actuated[k]:
+                    _actuate(banked[k], schedules[k][p])
+                    _actuate(reference[k], schedules[k][p])
+            if invalidated is not None:
+                bank.invalidate_board(invalidated)
+            live = [k for k in lanes if k != sitting and not banked[k].done]
+            bank.run_period_bank(n, only=live)
+            for k in live:
+                for _ in range(n):
+                    if reference[k].done:
+                        break
+                    reference[k].step()
+            for k in lanes:
+                _assert_boards_identical(banked[k], reference[k],
+                                         label=f"period {p} board {k}")
 
 
 # ---------------------------------------------------------------------------

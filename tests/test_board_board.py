@@ -235,3 +235,122 @@ class TestActuationValidation:
         assert board.rejected_actuations == {
             "frequency": 0, "cores": 0, "placement": 0,
         }
+
+
+class TestPlacementEpochCaches:
+    """``observe_placement`` and ``set_placement_knobs`` skip derivations
+    that repeat unchanged, keyed on the placement epoch, the powered-core
+    counts and (for the knobs) the very runnable threads; every move of
+    the placement must miss both."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """A board on a pool phase, then a value-equal twin phase, with
+        counters on the placement deal and the observation's arithmetic."""
+        import repro.board.board as board_module
+
+        calls = {"deal": 0, "observe": 0}
+        deal, capacity = board_module.plan_placement, board_module.spare_capacity
+
+        def counted_deal(*args, **kwargs):
+            calls["deal"] += 1
+            return deal(*args, **kwargs)
+
+        def counted_capacity(*args):
+            calls["observe"] += 1
+            return capacity(*args)
+
+        monkeypatch.setattr(board_module, "plan_placement", counted_deal)
+        monkeypatch.setattr(board_module, "spare_capacity", counted_capacity)
+        first = Phase("a", n_threads=4, instructions=12.0, cpi_scale=1.1,
+                      mpki=2.0, activity=0.8)
+        second = Phase("b", n_threads=4, instructions=12.0, cpi_scale=0.6,
+                       mpki=9.0, activity=1.0)
+        board = Board([Application("twin", [first, second])], seed=2)
+        return board, calls
+
+    @staticmethod
+    def _fresh_observation(board):
+        cached = board._observed
+        board._observed = (None, None)
+        try:
+            return board.observe_placement()
+        finally:
+            board._observed = cached
+
+    def test_repeat_knobs_and_observation_hit(self, spied):
+        board, calls = spied
+        deals = calls["deal"]
+        board.set_placement_knobs(4, 1.0, 1.0)
+        assert calls["deal"] == deals + 1
+        epoch = board._placement_epoch
+        board.set_placement_knobs(4, 1.0, 1.0)
+        assert calls["deal"] == deals + 1
+        assert board._placement_epoch == epoch
+        seen = board.observe_placement()
+        observed = calls["observe"]
+        assert board.observe_placement() is seen
+        assert calls["observe"] == observed
+
+    def test_value_equal_threads_still_reach_the_value_comparison(
+            self, spied):
+        board, calls = spied
+        board.set_placement_knobs(2, 1.0, 1.0)
+        app = board.applications[0]
+        old = list(app.threads)
+        while app.phase_index == 0:
+            board.step()
+        # The pool phase's threads were re-created equal by value; the
+        # membership refresh kept the placed (old) objects.
+        assert app.threads == old
+        assert not any(a is b for a, b in zip(app.threads, old))
+        placed = board.placement.all_threads()
+        assert all(any(t is o for o in old) for t in placed)
+        epoch, deals = board._placement_epoch, calls["deal"]
+        for repeat in range(1, 3):
+            board.set_placement_knobs(2, 1.0, 1.0)
+            # Other objects: no identity hit, so the deal is made and
+            # compared by value, which finds it equal -- a no-op that
+            # keeps the old objects placed.
+            assert calls["deal"] == deals + repeat
+            assert board._placement_epoch == epoch
+            assert all(a is b for a, b in zip(board.placement.all_threads(),
+                                              placed))
+
+    @pytest.mark.parametrize("move", ["hotplug", "membership", "raw",
+                                      "fault"])
+    def test_every_placement_move_misses_both(self, spied, move):
+        board, calls = spied
+        board.set_placement_knobs(4, 1.0, 1.0)
+        board.set_placement_knobs(4, 1.0, 1.0)
+        seen = board.observe_placement()
+        knobs = (4, 1.0, 1.0)
+        if move == "hotplug":
+            board.set_active_cores(BIG, 1)  # repacks four threads onto one
+        elif move == "membership":
+            board.applications.append(make_application("mcf"))
+            board._refresh_placement_membership()
+        elif move == "raw":
+            threads = board.placement.all_threads()
+            board.set_raw_placement({BIG: [threads, [], [], []],
+                                     LITTLE: [[], [], [], []]})
+        else:
+            from repro.faults import FaultEvent, FaultInjector
+
+            injector = FaultInjector(
+                board, FaultEvent("placement-stuck", start=0.0)).advance()
+            before = repr(board.placement.assignment)
+            knobs = (1, 1.0, 1.0)
+            board.set_placement_knobs(*knobs)  # blocked: nothing moves
+            assert repr(board.placement.assignment) == before
+            assert board.observe_placement() == self._fresh_observation(board)
+            injector.detach()
+        deals, epoch = calls["deal"], board._placement_epoch
+        board.set_placement_knobs(*knobs)
+        assert calls["deal"] == deals + 1
+        observed = calls["observe"]
+        now = board.observe_placement()
+        assert calls["observe"] > observed and now is not seen
+        assert now == self._fresh_observation(board)
+        if move == "fault":
+            assert board._placement_epoch > epoch  # the unblocked deal moved

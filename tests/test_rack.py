@@ -217,18 +217,15 @@ class TestRackRuntime:
         assert rb.trace.budget_total == rs.trace.budget_total
         assert rb.bank_counters and not rs.bank_counters
 
-    def test_bank_matches_scalar_across_lane_cache_turnover(self,
-                                                            monkeypatch):
-        # A tiny lane-cache limit drops the cached lane terms every few
-        # periods, so fresh terms can land on recycled ids; the vector
-        # window's no-trip bounds keyed on those ids must not go stale.
-        # The two-board rack on a 1 s period reuses one lane set with a
-        # new operating point nearly every window, which is where a stale
-        # bound would let a trip go unseen.
-        from repro.board.bank import BoardBank
+    def test_bank_matches_scalar_across_resident_windows(self):
+        # A window over the lane set of the one before keeps its inputs
+        # and splices re-planned lanes in; each plan keeps the no-trip
+        # bound proven for it.  The two-board rack on a 1 s period reuses
+        # one lane set with a new operating point nearly every window,
+        # which is where a stale term column or bound would let a trip go
+        # unseen.
         from repro.workloads.library import program_names
 
-        monkeypatch.setattr(BoardBank, "lane_cache_limit", 2)
         jobs = tuple(
             JobSpec(name=f"j{i}", workload=f"{name}@0.06",
                     arrival=0.0 if i < 7 else 2.0 * i, sla=20.0)
