@@ -87,6 +87,17 @@ def _stepping_run(fast, sim_time=MAX_SIM_TIME):
     return steps, elapsed, board
 
 
+STEPPING_FLOOR = 2.0  # run_period vs scalar Board.step
+
+
+def _assert_same_progress(a, b, what):
+    """Every application's progress and phase agree between two boards."""
+    progress = [(app.completed_instructions, app.phase_index)
+                for app in a.applications]
+    assert progress == [(app.completed_instructions, app.phase_index)
+                        for app in b.applications], f"{what} diverged"
+
+
 def bench_stepping(reps=3):
     """Scalar vs fast-path steps/sec, with a bit-identity check.
 
@@ -107,15 +118,18 @@ def bench_stepping(reps=3):
     assert (
         scalar_board.thermal.temperature == fast_board.thermal.temperature
     ), "temperature diverged"
+    _assert_same_progress(scalar_board, fast_board, "application progress")
     return {
         "steps": scalar_steps,
         "scalar_steps_per_sec": scalar_steps / scalar_s,
         "fast_steps_per_sec": fast_steps / fast_s,
         "speedup": scalar_s / fast_s,
+        "floor": STEPPING_FLOOR,
     }
 
 
-BANK_BOARDS = 16  # the ISSUE-pinned bank width for the speedup floor
+BANK_BOARDS = 16  # the bank width the speedup floor is pinned at
+BANK_FLOOR = 4.0  # bank aggregate vs one single-board fast path
 
 
 def _bank_actuate(board, p):
@@ -202,12 +216,14 @@ def bench_bank(reps=3, periods=300):
     assert (
         lane0.thermal.temperature == single_board.thermal.temperature
     ), "bank lane 0 temperature diverged"
+    _assert_same_progress(lane0, single_board, "bank lane 0 progress")
     return {
         "boards": BANK_BOARDS,
         "periods": periods,
         "single_steps_per_sec": single_rate,
         "bank_steps_per_sec": bank_rate,
         "speedup": bank_rate / single_rate,
+        "floor": BANK_FLOOR,
     }
 
 
@@ -747,14 +763,15 @@ def main(argv=None):
     print(f"wrote {out}")
 
     failures = []
-    if results["stepping"]["speedup"] < 2.0:
+    if results["stepping"]["speedup"] < STEPPING_FLOOR:
         failures.append(
-            f"run_period speedup {results['stepping']['speedup']:.2f}x < 2x"
+            f"run_period speedup {results['stepping']['speedup']:.2f}x < "
+            f"{STEPPING_FLOOR}x"
         )
-    if results["bank"]["speedup"] < 4.0:
+    if results["bank"]["speedup"] < BANK_FLOOR:
         failures.append(
-            f"bank speedup {results['bank']['speedup']:.2f}x < 4x at "
-            f"B={results['bank']['boards']}"
+            f"bank speedup {results['bank']['speedup']:.2f}x < {BANK_FLOOR}x"
+            f" at B={results['bank']['boards']}"
         )
     if not results["characterize"]["bit_identical"]:
         failures.append("banked characterization diverged from scalar")

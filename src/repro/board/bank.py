@@ -30,7 +30,8 @@ instead of ``B`` Python interpreter passes:
   completed instructions) for as long as a conservatively computed per-lane
   horizon guarantees no budget can clamp or run dry — the exact
   floating-point subtraction sequence scalar ``Application.execute``
-  performs.
+  performs (the cell layout and the horizon rule are
+  :mod:`repro.board.credit`'s, shared with the single-board fast path).
 
 Planning is also amortized (:meth:`BoardBank._plan_for`).  A lane keeps
 its plans for a whole membership generation, found by placement
@@ -75,8 +76,11 @@ the ``B`` boards independently:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .credit import _NO_CELLS, _LaneCells
 from .fastpath import (
     WindowPlan,
     _arithmetic,
@@ -94,6 +98,11 @@ from .power import _REFERENCE_TEMP
 from .specs import BIG, LITTLE
 
 __all__ = ["BoardBank"]
+
+
+# The emergency snapshot (fastpath._emergency_snapshot) of a board whose
+# firmware caps neither frequency nor cores.
+_UNTHROTTLED = (False, False, False)
 
 
 def _power_emergency_cap(spec, name):
@@ -154,98 +163,6 @@ def _term_matrix(plans):
                               for plan in plans])))
 
 
-_THREAD = 0
-_POOL = 1
-_DONE = 2
-
-
-class _LaneCells:
-    """One plan's credit list laid out as the cells of one bank lane.
-
-    Scalar stepping calls ``app.execute(thread, done, now)`` for every
-    planned credit, every tick — a min-clamp, one subtraction from the
-    thread's barrier budget or the app's shared pool, one addition to the
-    app's completed-instruction counter, and a phase-advance check.  Far
-    from exhaustion none of the clamps or advances can fire, so a tick
-    reduces to those subtractions/additions on the cells below.  Row 0 is
-    scratch (padding slots add 0.0 there); cell rows follow in first-use
-    order.  Credit ``j`` subtracts ``done[j]`` from row ``vrow[j]`` and
-    adds it to row ``drow[j]``; ``decs`` is each row's per-tick decrement.
-    Built once per plan (:attr:`WindowPlan.cells`); every pricing of one
-    layout (:meth:`priced`) shares its ``cells``, ``vrow`` and ``drow``.
-    """
-
-    __slots__ = ("cells", "vrow", "drow", "done", "decs")
-
-    def __init__(self, credits):
-        cells = []
-        index = {}
-        vrow = []
-        drow = []
-        dones = []
-        decs = [0.0]
-        for app, thread, done in credits:
-            if app.current_phase.barrier:
-                key, cell = id(thread), (_THREAD, thread)
-            else:
-                key, cell = -1 - id(app), (_POOL, app)  # disjoint from ids
-            v = index.get(key)
-            if v is None:
-                v = index[key] = len(decs)
-                cells.append(cell)
-                decs.append(0.0)
-            ckey = ("c", id(app))
-            c = index.get(ckey)
-            if c is None:
-                c = index[ckey] = len(decs)
-                cells.append((_DONE, app))
-                decs.append(0.0)
-            decs[v] += done
-            vrow.append(v)
-            drow.append(c)
-            dones.append(done)
-        self.cells = cells
-        self.vrow = vrow
-        self.drow = drow
-        self.done = dones
-        self.decs = decs
-
-    def priced(self, done):
-        """The same cells credited ``done`` (a list, one per credit)."""
-        cells = _LaneCells.__new__(_LaneCells)
-        cells.cells = self.cells
-        cells.vrow = self.vrow
-        cells.drow = self.drow
-        cells.done = done
-        decs = [0.0] * len(self.decs)
-        for v, d in zip(self.vrow, done):
-            decs[v] += d
-        cells.decs = decs
-        return cells
-
-    def read(self):
-        """The live cell values (without the scratch row)."""
-        return [
-            obj.remaining if kind == _THREAD
-            else obj.pool_remaining if kind == _POOL
-            else obj.completed_instructions
-            for kind, obj in self.cells
-        ]
-
-    def write(self, row):
-        """Store a lane's cell values back into the live objects."""
-        for value, (kind, obj) in zip(row[1:], self.cells):
-            if kind == _THREAD:
-                obj.remaining = value
-            elif kind == _POOL:
-                obj.pool_remaining = value
-            else:
-                obj.completed_instructions = value
-
-
-_NO_CELLS = _LaneCells(())
-
-
 def _pad(values, n, fill):
     """``values`` (a list) padded with ``fill`` to length ``n``."""
     return values + [fill] * (n - len(values))
@@ -299,10 +216,11 @@ class _PlanLayout:
     ``threads`` holds each cluster's computed threads in credit order
     (big, then little), ``flat`` all of them and ``apps`` their apps, and
     ``cells`` the credit cells every plan over this layout shares (only
-    the amounts differ: :meth:`_LaneCells.priced`).
+    the amounts differ: :meth:`_LaneCells.priced`).  ``clear`` is the
+    placement epoch at which the layout was last found stall-free.
     """
 
-    __slots__ = ("fast", "threads", "flat", "apps", "cells")
+    __slots__ = ("fast", "threads", "flat", "apps", "cells", "clear")
 
     def __init__(self, fast, phase_of, sigs):
         self.fast = {name: (cores, per_core, _shared(sigs, sig))
@@ -313,6 +231,7 @@ class _PlanLayout:
         self.flat = self.threads[0] + self.threads[1]
         self.apps = tuple(phase_of[t][0] for t in self.flat)
         self.cells = _LaneCells(self.credits([0.0] * len(self.flat)))
+        self.clear = None
 
     def credits(self, done):
         """The credit list for per-thread amounts ``done``."""
@@ -386,14 +305,12 @@ class _CreditSchedule:
     each cell sees exactly the sequence of additions scalar
     ``Application.execute`` performs.
 
-    Each lane has its own horizon: the number of ticks it is provably
-    safe for, keeping at least three full ticks of decrement in reserve in
-    every budget cell (crushing both the ``min(done, remaining)`` clamp
-    and the ``1e-12`` phase-advance threshold, with orders of magnitude to
-    spare over accumulated rounding).  At its horizon the caller releases
-    the lane (:meth:`release`), which writes its cells back into the
-    Python objects; the lane then credits through ordinary ``execute``
-    calls until a re-plan installs new cells (:meth:`splice`).  A
+    Each lane has its own horizon (:meth:`_LaneCells.horizon`): the
+    number of ticks its cells provably credit exactly.  At its horizon
+    the caller releases the lane (:meth:`release`), which writes its
+    cells back into the Python objects; the lane then credits through
+    ordinary ``execute`` calls until a re-plan installs new cells
+    (:meth:`splice`).  A
     released lane's row is a dead copy: the ticks may keep moving it, and
     nothing reads it until :meth:`splice` or :meth:`reload` re-reads it.
 
@@ -452,40 +369,52 @@ class _CreditSchedule:
             self.w = np.pad(self.w, extra)
         return need_rows > rows or need_width > width
 
+    def _index(self, col):
+        """Re-derive one lane's flat credit indices (no row grew)."""
+        B, rows = self.vals.shape
+        self.ids[:, col] = self.vrow[col] + col * rows
+        self.ids[:, B + col] = self.drow[col] + col * rows
+
     def reload(self, lanes):
         """Start a window over ``lanes``, one per column as before.
 
         Columns whose cells changed get their rows rewritten (a new
-        layout's indices too; cells priced over the same layout share
-        them); every column re-reads its live values and credits
-        vectorized again.
+        layout's indices too, column by column unless the rows grew;
+        cells priced over the same layout share them); every column
+        re-reads its live values and credits vectorized again.
         """
         old = self.lanes
         changed = [col for col, lane in enumerate(lanes)
                    if lane is not old[col]]
         self.vector = [True] * len(lanes)
-        derive = False
+        grew = False
         if changed:
-            new = [lanes[col] for col in changed]
-            derive = self._grow(1 + max(len(lane.cells) for lane in new),
-                                max(len(lane.vrow) for lane in new))
-            rows = self.vals.shape[1]
-            width = self.w.shape[1]
-            self.w[changed] = [_pad(lane.done, width, 0.0) for lane in new]
-            self.decs[changed] = [_pad(lane.decs, rows, 0.0) for lane in new]
+            # Cells priced over one layout share its vrow, so only a moved
+            # column can grow the rows or change its cell count.
             moved = [col for col in changed
                      if lanes[col].vrow is not old[col].vrow]
+            if moved:
+                grew = self._grow(
+                    1 + max(len(lanes[col].cells) for col in moved),
+                    max(len(lanes[col].vrow) for col in moved))
+            rows = self.vals.shape[1]
+            width = self.w.shape[1]
+            new = [lanes[col] for col in changed]
+            self.w[changed] = [_pad(lane.done, width, 0.0) for lane in new]
+            self.decs[changed] = [_pad(lane.decs, rows, 0.0) for lane in new]
             if moved:
                 self.vrow[moved] = [_pad(lanes[col].vrow, width, 0)
                                     for col in moved]
                 self.drow[moved] = [_pad(lanes[col].drow, width, 0)
                                     for col in moved]
-                derive = True
-            if derive or any(len(lane.cells) != len(old[col].cells)
-                             for col, lane in zip(changed, new)):
-                self.cell_ids = None
+                if not grew:
+                    for col in moved:
+                        self._index(col)
+                if grew or any(len(lanes[col].cells) != len(old[col].cells)
+                               for col in moved):
+                    self.cell_ids = None
             self.lanes = list(lanes)
-        if derive:
+        if grew:
             self._derive()
         else:
             self.ws = np.concatenate([-self.w.T, self.w.T], axis=1)
@@ -501,9 +430,8 @@ class _CreditSchedule:
         q = np.divide(self.vals, self.decs, out=np.full(self.vals.shape,
                                                          np.inf),
                       where=self.decs > 0.0)
-        # Truncation is monotone, so int(min(v/d)) == min(int(v/d)).
-        return [None if m == np.inf else max(int(m) - 3, 0)
-                for m in q.min(axis=1).tolist()]
+        return [lane.horizon(m)
+                for lane, m in zip(self.lanes, q.min(axis=1).tolist())]
 
     def tick(self):
         # ufunc.at applies its operands in index order, unbuffered.
@@ -529,7 +457,7 @@ class _CreditSchedule:
         """
         grow = self._grow(1 + len(lane.cells), len(lane.vrow))
         self.cell_ids = None
-        B, rows = self.vals.shape
+        B = self.vals.shape[0]
         need_rows = 1 + len(lane.cells)
         self.lanes[col] = lane
         n = len(lane.vrow)
@@ -543,14 +471,14 @@ class _CreditSchedule:
             target[col, :n] = values
         decs = self.decs[col]
         mask = decs > 0.0
-        horizon = (max(int((self.vals[col][mask] / decs[mask]).min()) - 3,
-                       0) if mask.any() else None)
+        ratio = (self.vals[col][mask] / decs[mask]).min() if mask.any() else (
+            math.inf)
+        horizon = lane.horizon(float(ratio))
         self.vector[col] = horizon != 0
         if grow:
             self._derive()
         else:
-            self.ids[:, col] = self.vrow[col] + col * rows
-            self.ids[:, B + col] = self.drow[col] + col * rows
+            self._index(col)
             w = self.w[col] if self.vector[col] else 0.0
             self.ws[:, col] = -w
             self.ws[:, B + col] = w
@@ -905,8 +833,10 @@ class BoardBank:
         same layout (:meth:`_stall_tick`; ``plans["stall"]`` counts those
         served within a generation) whose ``then`` is the steady plan.
         Every cached plan is stall-free arithmetic, and every lookup past
-        tier 1 checks for a stall; tier 1 needs no check, because only an
-        actuation charges a stall.
+        tier 1 checks for a stall, unless its layout was found stall-free
+        at the current placement epoch; tier 1 needs no check, because
+        only an actuation charges a stall, and every actuation that does
+        moves the placement epoch.
         """
         board = self.boards[index]
         if _refused(board):
@@ -932,9 +862,16 @@ class BoardBank:
         if board._placement_epoch != lane.pepoch:
             self._find_placement(board, lane, full)
         place = lane.place
-        fb = board._effective_frequency(BIG)
-        fl = board._effective_frequency(LITTLE)
-        cores = (board._effective_cores(BIG), board._effective_cores(LITTLE))
+        if ems == _UNTHROTTLED:  # no emergency cap applies
+            clusters = board.clusters
+            fb = clusters[BIG].frequency
+            fl = clusters[LITTLE].frequency
+            cores = (clusters[BIG].cores_on, clusters[LITTLE].cores_on)
+        else:
+            fb = board._effective_frequency(BIG)
+            fl = board._effective_frequency(LITTLE)
+            cores = (board._effective_cores(BIG),
+                     board._effective_cores(LITTLE))
         layout = place.layouts.get(cores)
         if layout is None:
             layout = place.layouts[cores] = _PlanLayout(
@@ -945,7 +882,11 @@ class BoardBank:
         self._planned("full" if full else "layout" if steady is None
                       else "tier2")
         lane.epoch = board._actuation_epoch
-        if not _stall_pending(board, layout.fast):
+        # Every site that charges a stall moves the placement epoch, so a
+        # layout found stall-free at this epoch still is.
+        epoch = board._placement_epoch
+        if layout.clear == epoch or not _stall_pending(board, layout.fast):
+            layout.clear = epoch
             if steady is None:
                 steady = self._steady(board, lane, place, layout, vkey)
             lane.plan = steady

@@ -38,6 +38,16 @@ progress — is bit-identical to scalar stepping.
   or the emergency firmware changes state, the window ends and the next
   tick is re-planned (the tick that *caused* the change is still exact:
   scalar stepping reads rates at the top of the tick too).
+* A steady plan's first ticks credit in bulk, through the credit cells of
+  :mod:`repro.board.credit`: for as many ticks as the cells' horizon
+  proves that no budget can clamp or fall to the phase-advance threshold,
+  a tick's crediting is the fixed sequence of subtractions and additions
+  ``Application.execute`` would make, replayed on a row of floats and
+  written back at the horizon, at an emergency break, or at the window's
+  end (nothing else in the tick reads application state).  Runnable-thread
+  sets only change when a budget runs out, so those ticks skip the
+  membership check too.  Ticks past the horizon, and stall ticks, credit
+  through ``execute`` and check membership after every tick.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .cores import (
     memory_traffic_gbs,
     thread_rate_gips,
 )
+from .credit import _LaneCells
 from .power import _REFERENCE_TEMP
 from .specs import BIG, LITTLE
 
@@ -380,13 +391,29 @@ def _membership_changed(apps):
     return False
 
 
+def _bulk(plan, start, max_steps):
+    """``(cells, row, end)``: ``plan``'s credit cells and a row of their
+    live values, credited in bulk from tick ``start`` to tick ``end``
+    (its horizon, capped at ``max_steps``; ``end == start`` for a stall
+    plan, which credits through ``execute``)."""
+    if plan.stall_tick:
+        return None, None, start
+    cells = _LaneCells(plan.credits)
+    row = cells.row()
+    horizon = cells.horizon(cells.ratio(row))
+    if horizon is None:
+        return cells, row, max_steps
+    return cells, row, min(start + horizon, max_steps)
+
+
 def run_window(board, plan, max_steps):
     """Advance up to ``max_steps`` ticks under ``plan``; returns ticks run.
 
     Stops early (after completing the offending tick, exactly like scalar
     stepping would) when an application event or an emergency-firmware
     state change invalidates the plan.  A stall plan runs one tick, then
-    its ``then`` plan (or stops, if it has none).
+    its ``then`` plan (or stops, if it has none).  Inside a plan's credit
+    horizon the ticks credit in bulk (see the module docstring).
     """
     spec = board.spec
     dt = spec.sim_dt
@@ -406,6 +433,9 @@ def run_window(board, plan, max_steps):
     # window instead of one per tick.
     record = board.trace is not None
     steps = 0
+    # Ticks start..end-1 credit in bulk, written back once they are done.
+    start = 0
+    cells, row, end = _bulk(plan, start, max_steps)
     while steps < max_steps:
         temperature = thermal.temperature
         # Exact replay of cluster_power().total for each cluster: dynamic
@@ -420,11 +450,13 @@ def run_window(board, plan, max_steps):
             power_little = pl.dyn + pl.leak_base * max(factor, 0.2) + pl.idle
         else:
             power_little = 0.0
-        # Application crediting (scalar stepping credits with the tick-start
-        # time plus dt; clamping and phase advancement live in execute()).
-        now = board.time + dt
-        for app, thread, done in credits:
-            app.execute(thread, done, now)
+        # Application crediting past the horizon (scalar stepping credits
+        # with the tick-start time plus dt; clamping and phase advancement
+        # live in execute()).
+        if steps >= end:
+            now = board.time + dt
+            for app, thread, done in credits:
+                app.execute(thread, done, now)
         power = {BIG: power_big, LITTLE: power_little}
         thermal.step(power_big, power_little, dt)
         total_power = power_big + power_little + static_power
@@ -441,9 +473,11 @@ def run_window(board, plan, max_steps):
         if record:
             board._record(power)
         steps += 1
+        if steps == end:
+            cells.replay(row, end - start)
         if _emergency_snapshot(board) != snapshot:
             break
-        if _membership_changed(plan.apps):
+        if steps > end and _membership_changed(plan.apps):
             break
         if plan.stall_tick:
             plan = plan.then
@@ -451,4 +485,8 @@ def run_window(board, plan, max_steps):
                 break
             pb, pl = plan.big, plan.little
             credits = plan.credits
+            start = steps
+            cells, row, end = _bulk(plan, start, max_steps)
+    if steps < end:  # an emergency inside the horizon
+        cells.replay(row, steps - start)
     return steps

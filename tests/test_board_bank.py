@@ -212,6 +212,31 @@ class TestBankBitIdentity:
         # over consecutive ticks.
         assert counters["events"]["stall_tick"] > 12 * len(workloads)
 
+    def test_overridden_execute_credits_through_execute(self):
+        """A QoS app's ``execute`` also counts completed items, which the
+        credit cells do not replay: its lane credits through ``execute``
+        on every tick and stays bit-identical, items included."""
+        from repro.extensions import QosApplication
+
+        spec = default_xu3_spec()
+
+        def make():
+            apps = [QosApplication("qos", total_items=20000,
+                                   base_giga_per_item=0.02, max_threads=3),
+                    make_application("mcf")]
+            return Board(apps, spec=spec, seed=4, record=True, telemetry=None)
+
+        banked, reference = make(), make()
+        reference.enable_fast_path = False
+        bank = BoardBank([banked], telemetry=None)
+        for _ in range(40):
+            bank.run_period_bank(spec.period_steps())
+            reference.run_period(spec.period_steps())
+        _assert_boards_identical(banked, reference)
+        qos, ref = banked.applications[0], reference.applications[0]
+        assert not qos.done
+        assert qos.items_completed == ref.items_completed > 0
+
     def test_saturated_bandwidth_at_different_frequencies(self):
         """Two lanes with the same placed phases at different frequencies
         under a saturated DRAM bandwidth: their contention factors differ,
@@ -639,6 +664,88 @@ class TestPlanReuse:
         _assert_boards_identical(banked, reference)
         plans = bank.counters()["plans"]
         assert plans["stall"] > 12 and plans["full"] < plans["stall"]
+
+    @staticmethod
+    def _logged_pair(spec, monkeypatch):
+        """A one-lane bank, its board, a scalar reference board, and a log
+        of every stall check the bank makes: ``(placement epoch, big cores
+        computed, stall found)``."""
+        import repro.board.bank as bank_module
+
+        def make():
+            return Board(make_mix("blmc"), spec=spec, seed=5, record=True,
+                         telemetry=None)
+
+        banked, reference = make(), make()
+        reference.enable_fast_path = False
+        log = []
+        check = bank_module._stall_pending
+
+        def logged(board, layout):
+            found = check(board, layout)
+            log.append((board._placement_epoch, layout[BIG][0], found))
+            return found
+
+        monkeypatch.setattr(bank_module, "_stall_pending", logged)
+        return BoardBank([banked], telemetry=None), banked, reference, log
+
+    @staticmethod
+    def _step_pair(bank, banked, reference, n_steps):
+        bank.run_period_bank(n_steps)
+        for _ in range(n_steps):
+            reference.step()
+        for app, ref_app in zip(banked.applications, reference.applications):
+            assert ([t.migration_stall for t in app.threads]
+                    == [t.migration_stall for t in ref_app.threads])
+
+    def test_cap_lift_exposes_a_leftover_migration_stall(self, monkeypatch):
+        """The thermal emergency parks big cores 2-3 while placement deals
+        charge migration stalls to the threads on them, so the capped
+        layout drains stall-free while those stalls stay put.  When the
+        cap lifts at the same placement epoch, the full layout must still
+        find them: a layout found stall-free says nothing about another
+        layout of the same placement."""
+        spec = dataclasses.replace(default_xu3_spec(), migration_cost_s=0.3,
+                                   emergency_temp_trip=60.0,
+                                   emergency_temp_clear=59.8)
+        bank, banked, reference, log = self._logged_pair(spec, monkeypatch)
+        deals = [(4.0, 1.0, 2.0), (4.0, 2.0, 1.0)]
+        for p in range(30):
+            for board in (banked, reference):
+                board.set_cluster_frequency(BIG, (2.0, 1.2)[p % 2])
+                if p % 3 == 0:
+                    board.set_placement_knobs(*deals[(p // 3) % 2])
+            self._step_pair(bank, banked, reference, spec.period_steps())
+        _assert_boards_identical(banked, reference)
+        # A capped layout was found stall-free, and later at the same
+        # epoch the full layout found a stall.
+        assert any(
+            epoch == later[0] and cores < later[1] and not found and later[2]
+            for i, (epoch, cores, found) in enumerate(log)
+            for later in log[i + 1:]
+        )
+
+    def test_multi_period_migration_stall_on_one_layout(self, monkeypatch):
+        """A migration stall several periods long drains on one layout
+        while DVFS moves every period: each period re-checks the layout,
+        which stays stalled until the last stall tick, and the lane stays
+        bit-identical to scalar stepping throughout."""
+        spec = dataclasses.replace(default_xu3_spec(), migration_cost_s=0.8)
+        bank, banked, reference, log = self._logged_pair(spec, monkeypatch)
+        stalled = []
+        for p in range(8):
+            for board in (banked, reference):
+                board.set_cluster_frequency(BIG, (1.6, 1.2)[p % 2])
+                if p == 0:
+                    board.set_placement_knobs(4.0, 2.0, 1.0)
+            self._step_pair(bank, banked, reference, spec.period_steps())
+            stalled.append(any(t.migration_stall > 0
+                               for app in banked.applications
+                               for t in app.threads))
+        _assert_boards_identical(banked, reference)
+        assert stalled[:2] == [True, True] and not stalled[-1]
+        assert len({epoch for epoch, _, _ in log}) == 1  # one placement
+        assert bank.counters()["events"]["stall_tick"] > spec.period_steps()
 
     def test_hotplug_draining_a_whole_tick(self):
         """With ``sim_dt`` equal to the hotplug cost, a hotplug drains the

@@ -10,10 +10,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.board import BIG, LITTLE, Board, default_xu3_spec
+from repro.board.credit import _POOL, _THREAD, RESERVE, _LaneCells
 from repro.board.fastpath import plan_window
 from repro.workloads import make_application, make_mix
+from repro.workloads.app import Application, Phase
 
 
 def _drive(board, use_period, sim_time, actuate=None):
@@ -49,6 +52,17 @@ def _assert_identical(a, b):
             assert np.array_equal(np.asarray(ta[key]), np.asarray(tb[key])), (
                 f"trace {key} diverged"
             )
+
+
+def _assert_progress(a, b):
+    """Every application's progress, phase and budgets are bit-identical."""
+    for app_a, app_b in zip(a.applications, b.applications):
+        assert app_a.phase_index == app_b.phase_index
+        assert app_a.completed_instructions == app_b.completed_instructions
+        assert app_a.pool_remaining == app_b.pool_remaining
+        assert app_a.finish_time == app_b.finish_time
+        assert [(t.remaining, t.migration_stall) for t in app_a.threads] == [
+            (t.remaining, t.migration_stall) for t in app_b.threads]
 
 
 def _pair(workload="blmc", spec=None, seed=13, record=True):
@@ -186,12 +200,131 @@ class TestRunPeriodEquivalence:
         fast = faulted(True)
         _assert_identical(scalar, fast)
 
+    def test_overridden_execute_credits_through_execute(self):
+        """An app whose ``execute`` does more than the credit cells replay
+        (a QoS app counts the items it completes) credits through its own
+        ``execute`` on every tick."""
+        from repro.extensions import QosApplication
+
+        def make():
+            apps = [QosApplication("qos", total_items=20000,
+                                   base_giga_per_item=0.02, max_threads=3),
+                    make_application("mcf")]
+            return Board(apps, default_xu3_spec(), seed=4, record=True)
+
+        scalar, fast = make(), make()
+        scalar.enable_fast_path = False
+        _drive(scalar, False, 30.0)
+        _drive(fast, True, 30.0)
+        _assert_identical(scalar, fast)
+        _assert_progress(scalar, fast)
+        qos, ref = fast.applications[0], scalar.applications[0]
+        assert not qos.done
+        assert qos.items_completed == ref.items_completed > 0
+
     def test_disable_flag_stays_scalar(self):
         board = Board(make_mix("blmc"), default_xu3_spec(), seed=1,
                       record=False)
         board.enable_fast_path = False
         period_steps = board.spec.period_steps()
         assert board.run_period(period_steps) == period_steps
+
+
+EDGE_PERIOD = 10  # ticks per control period of the default spec
+
+
+def _edge_apps(barrier, n_threads):
+    """An app whose first phase the test brings to the edge of its credit
+    horizon, followed by short phases of the other kind, beside a steady
+    background program."""
+    return [
+        Application("edge", [
+            Phase("a", n_threads, 40.0, cpi_scale=1.1, mpki=2.0,
+                  activity=0.9, barrier=barrier),
+            Phase("b", 2, 0.6, mpki=6.0, barrier=not barrier),
+            Phase("c", 3, 20.0, activity=0.7),
+        ]),
+        make_application("mcf"),
+    ]
+
+
+def _edge_boards(barrier, n_threads, slack, frac, trip_at, stall, record):
+    """A scalar and a fast board whose first window's credit horizon ends
+    ``slack`` ticks after the window's last tick (the edge app's budget
+    cells then run out ``RESERVE`` ticks later), optionally starting on a
+    stall tick and tripping the thermal emergency at tick ``trip_at``."""
+    spec = default_xu3_spec()
+
+    def make(spec):
+        board = Board(_edge_apps(barrier, n_threads), spec, seed=3,
+                      record=record)
+        board.set_cluster_frequency(BIG, 1.6)  # below the power trip
+        board.set_cluster_frequency(LITTLE, 1.4)
+        if stall:
+            board.set_active_cores(BIG, 3)  # hotplug and migration stalls
+        return board
+
+    if trip_at is not None:
+        probe = make(spec)
+        temps = [probe.thermal.temperature]
+        for _ in range(trip_at):
+            probe.step()
+            temps.append(probe.thermal.temperature)
+        assume(temps[-1] > temps[-2])
+        trip = 0.5 * (temps[-2] + temps[-1])
+        spec = dataclasses.replace(spec, emergency_temp_trip=trip,
+                                   emergency_temp_clear=trip - 0.5)
+    scalar, fast, probe = (make(spec) for _ in range(3))
+    scalar.enable_fast_path = False
+    plan = plan_window(probe)  # planning's side effects stay on the probe
+    if plan.stall_tick:
+        plan = plan.then
+    cells = _LaneCells(plan.credits)
+    ratio = EDGE_PERIOD - stall + RESERVE + slack + frac
+    for (kind, obj), dec in zip(cells.cells, cells.decs[1:]):
+        if dec <= 0.0:
+            continue
+        if kind == _POOL and obj.name == "edge":
+            for board in (scalar, fast):
+                board.applications[0].pool_remaining = dec * ratio
+        elif kind == _THREAD and obj.app_name == "edge":
+            for board in (scalar, fast):
+                board.applications[0].threads[obj.thread_id].remaining = (
+                    dec * ratio)
+    return scalar, fast
+
+
+class TestHorizonEdges:
+    """``run_period`` credits the ticks inside a plan's credit horizon in
+    bulk; at the horizon's edges it must stay bit-identical to
+    ``Board.step``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(barrier=st.booleans(), n_threads=st.integers(1, 4),
+           slack=st.integers(-5, 5), frac=st.floats(0.05, 0.95),
+           trip_at=st.none() | st.integers(1, EDGE_PERIOD - 1),
+           stall=st.booleans(), record=st.booleans())
+    @example(barrier=False, n_threads=2, slack=0, frac=0.5, trip_at=None,
+             stall=False, record=True)  # the horizon ends at max_steps
+    @example(barrier=True, n_threads=3, slack=2, frac=0.5, trip_at=4,
+             stall=False, record=True)  # an emergency inside the horizon
+    @example(barrier=False, n_threads=4, slack=-5, frac=0.9, trip_at=None,
+             stall=True, record=False)  # stall tick, then exhaustion
+    def test_run_period_matches_step(self, barrier, n_threads, slack, frac,
+                                     trip_at, stall, record):
+        scalar, fast = _edge_boards(barrier, n_threads, slack, frac, trip_at,
+                                    stall, record)
+        for _ in range(6):
+            for _ in range(EDGE_PERIOD):
+                scalar.step()
+            assert fast.run_period(EDGE_PERIOD) == EDGE_PERIOD
+            _assert_identical(scalar, fast)
+            _assert_progress(scalar, fast)
+            assert scalar.temp_sensor._last == fast.temp_sensor._last
+        if trip_at is not None:
+            assert scalar.emergency.state.trip_count > 0
+        else:  # the edge was crossed (a cap may park its threads instead)
+            assert scalar.applications[0].phase_index > 0
 
 
 class TestPeriodStepsValidation:
