@@ -456,7 +456,8 @@ def _ledger_timers(ledger):
         (B, "_slices", "window_setup"),
         (B, "_gather", "window_setup"),
         (B, "_window_inputs", "window_setup"),
-        (B, "_quiet", "window_setup"),
+        (B, "_latch_schedule", "window_setup"),
+        (bank, "_firmware_horizon", "window_setup"),
         (C, "horizons", "window_setup"),
         (C, "splice", "window_setup"),
         (B, "_run_vector_window", "tick_loop"),

@@ -19,6 +19,12 @@ Two gates on the third layer:
   its wall clock into ``step_wall`` (inside the bank / scalar stepping)
   and ``loop_wall`` (the whole period loop); the gate holds their ratio.
 
+It also records, with no floor, the end-to-end benchmark's ``rack``
+shape -- 8 heterogeneous boards serving a seeded job stream at 90 % load
+(``benchmarks/e2e/workloads.py``) -- banked: its steps/s and how many of
+the bank's window ticks ran inside a proven firmware horizon
+(``firmware.proven``) or on the masked firmware machine (``stepped``).
+
 Methodology matches the other benches: a warm-up run swallows import and
 plan-cache cold costs, GC is disabled inside timed regions, each gate
 takes the best of several attempts (noise only inflates a sample), and
@@ -148,6 +154,54 @@ def measure_control_overhead(attempts=ATTEMPTS, max_time=MAX_SIM_TIME,
     return best
 
 
+def measure_loaded_rack(streams=2, verbose=True):
+    """The e2e ``rack`` shape, banked: steps/s and firmware ticks.
+
+    Stream seeds follow ``benchmarks/e2e/workloads.py`` (seed 1); each
+    stream runs once after a warm-up stream.  Reported only.
+    """
+    import random
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+    import workloads
+    from repro.rack import Rack, heterogeneous_rack_spec
+
+    rng = random.Random("rack:1")
+    seeds = [rng.randrange(1, 2**31) for _ in range(workloads.RACK_STREAMS)]
+    horizon = workloads.RACK_HORIZON_S
+
+    def campaign(seed):
+        spec = heterogeneous_rack_spec(
+            n_boards=workloads.RACK_BOARDS,
+            jobs=workloads.job_stream(seed, horizon))
+        rack = Rack(spec, seed=seed)
+        gc.collect()
+        gc.disable()
+        try:
+            result = rack.run(max_time=horizon)
+        finally:
+            gc.enable()
+        return result, sum(result.board_time) / spec.boards[0].sim_dt
+
+    campaign(rng.randrange(1, 2**31))  # warm-up
+    steps = wall = 0.0
+    firmware = {}
+    for seed in seeds[:streams]:
+        result, board_steps = campaign(seed)
+        steps += board_steps
+        wall += result.loop_wall
+        for mode, n in result.bank_counters["firmware"].items():
+            firmware[mode] = firmware.get(mode, 0) + n
+    cell = {"n_boards": workloads.RACK_BOARDS, "load": workloads.RACK_LOAD,
+            "streams": streams, "steps_per_sec": steps / wall,
+            "firmware": firmware}
+    if verbose:
+        print(f"e2e rack shape ({streams} streams): {cell['steps_per_sec']:,.0f}"
+              f" steps/s, firmware ticks proven {firmware['proven']}, "
+              f"stepped {firmware['stepped']}")
+    return cell
+
+
 def run_benchmarks(quick=False, verbose=True):
     attempts = 2 if quick else ATTEMPTS
     max_time = 12.0 if quick else MAX_SIM_TIME
@@ -156,6 +210,7 @@ def run_benchmarks(quick=False, verbose=True):
                                verbose=verbose)
     overhead = measure_control_overhead(attempts=attempts,
                                         max_time=max_time, verbose=verbose)
+    loaded = measure_loaded_rack(streams=2 if quick else 8, verbose=verbose)
     return {
         "bench": "rack",
         "quick": bool(quick),
@@ -168,6 +223,7 @@ def run_benchmarks(quick=False, verbose=True):
             "bit_identical": all(c["bit_identical"] for c in cells),
         },
         "overhead": overhead,
+        "loaded_rack": loaded,
     }
 
 

@@ -22,9 +22,11 @@ instead of ``B`` Python interpreter passes:
   sequential — asserted by the test suite), so RNG streams match scalar
   stepping;
 * the emergency-firmware threshold state machine runs as masked array
-  updates — with a fixed-point temperature bound that proves, up front,
-  that no lane can trip, collapsing the machine to one vector op per
-  tick in the common case;
+  updates only past each window's smallest per-lane firmware horizon —
+  ticks on which exact timer replays and a temperature envelope prove
+  that no lane's flags or masks can change, so its clocks ride one fused
+  add — and the power sensors latch only on the ticks an exact replay of
+  their windows names;
 * application crediting runs as one unbuffered add-at per tick over a
   flat cell array (threads' barrier budgets, apps' shared pools,
   completed instructions) for as long as a conservatively computed per-lane
@@ -502,9 +504,186 @@ class _Resident:
         self.schedule = _CreditSchedule(cells)
 
 
-# The constants a no-trip bound reads (see BoardBank._no_trip_bound).
-_BOUND_SLICES = ("ambient", "resistance", "lweight", "temp_trip", "thresh",
-                 "limit")
+# Absolute margin (degC and W) every firmware proof keeps from a threshold,
+# crushing per-tick rounding by orders of magnitude.
+_MARGIN = 1e-9
+
+
+def _powers(terms, x):
+    """One lane's cluster powers at temperature ``x`` under plan terms
+    ``terms`` (:func:`_term_rows`): the kernel's expression (see
+    :meth:`BoardBank._run_vector_window`), operation by operation."""
+    dyn_b, dyn_l, leak_b, leak_l, ltc_b, ltc_l, idle_b, idle_l = terms[:8]
+    return (dyn_b + leak_b * max(1.0 + ltc_b * (x - _REFERENCE_TEMP), 0.2)
+            + idle_b,
+            dyn_l + leak_l * max(1.0 + ltc_l * (x - _REFERENCE_TEMP), 0.2)
+            + idle_l)
+
+
+def _envelope(terms, k):
+    """The temperature envelope of one lane's plan terms, or ``()``.
+
+    ``terms`` are the plan's :func:`_term_rows`, ``k`` the lane's firmware
+    constants (:meth:`BoardBank._slices` ``"fw"``).  Power is monotone
+    nondecreasing in temperature (nonnegative resistance, little weight,
+    leakage and temperature coefficients; float rounding is monotone
+    too), with slope at most ``L = leak * ltc`` per cluster, so the RC
+    target is too, with slope at most ``resistance * (L_big + lweight *
+    L_little)``, which must stay below 1/2 (else ``()``).  The target's
+    fixed point, solved on its linear piece, is padded to a ceiling ``X``
+    with ``target(X) <= X`` and a floor ``Y`` with ``target(Y) >= Y``
+    (both checked; ``()`` if either fails): by induction a trajectory
+    under these terms from any start ``T0`` stays inside ``[min(T0, Y),
+    max(T0, X)]``, and since ``target(T) - T`` falls with ``T``, it moves
+    at most ``alpha * max(target(lo) - lo, hi - target(hi))`` per tick
+    there.
+
+    Returns ``(quiet, X, Y, p_big(X), p_little(X), p_big(Y),
+    p_little(Y), X - target(X), target(Y) - Y, L_big, L_little)``;
+    ``quiet`` is a no-trip ceiling: the highest start (at least ``X``,
+    else ``None``) from which no firmware rule can fire, temperature
+    staying under the trip and power under threshold and limit.
+    """
+    _, _, leak_b, leak_l, ltc_b, ltc_l = terms[:6]
+    (_, ambient, resistance, lweight, trip, _, thresh_b, thresh_l, limit_b,
+     limit_l) = k[:10]
+    if min(resistance, lweight, leak_b, leak_l, ltc_b, ltc_l) < 0.0:
+        return ()
+    slope_b = leak_b * ltc_b
+    slope_l = leak_l * ltc_l
+    slope = resistance * (slope_b + lweight * slope_l)
+    if not slope < 0.5:
+        return ()
+
+    def target(p):
+        return ambient + resistance * (p[0] + lweight * p[1])
+
+    x = ambient + (target(_powers(terms, ambient)) - ambient) / (1.0 - slope)
+    X = x + 1e-6
+    Y = x - 1e-6
+    pX = _powers(terms, X)
+    pY = _powers(terms, Y)
+    gX = X - target(pX)
+    gY = target(pY) - Y
+    env = (X, Y, *pX, *pY, gX, gY, slope_b, slope_l)
+    if not (gX >= 0.0 and gY >= 0.0 and all(map(math.isfinite, env))):
+        return ()
+    # Above X power rises at most slope_c per degree: the highest start
+    # from which no rule can fire.
+    quiet = trip - _MARGIN
+    for p, cap, slope_c in ((pX[0], min(thresh_b, limit_b), slope_b),
+                            (pX[1], min(thresh_l, limit_l), slope_l)):
+        if slope_c > 0.0:
+            quiet = min(quiet, X + (cap - _MARGIN - p) / slope_c)
+        elif not p < cap - _MARGIN:
+            quiet = -math.inf
+    return (quiet if quiet >= X else None, *env)
+
+
+def _clock_ticks(x, bound, dt, cap):
+    """Ticks until a firmware clock at ``x`` reaches ``bound``.
+
+    Replays ``x += dt`` exactly as :meth:`EmergencyManager.update`
+    advances its timers; returns the first ``j >= 1`` with the clock at
+    or past ``bound`` after ``j`` ticks, or ``cap + 1`` if that is more
+    than ``cap``.
+    """
+    x += dt
+    j = 1
+    while x < bound and j <= cap:
+        x += dt
+        j += 1
+    return j
+
+
+def _reach(dist, rate, cap):
+    """Ticks ``j <= cap`` that keep ``j * rate`` under a gap ``dist``."""
+    if not dist > 0.0:
+        return 0
+    if not rate * (cap + 1) >= dist:
+        return cap
+    return max(int(dist / rate) - 1, 0)
+
+
+def _firmware_horizon(plan, k, x, dt, room):
+    """Ticks from now on which one lane's firmware provably stays put.
+
+    Over that many ticks (at most ``room``) none of the lane's three
+    emergency flags flips and its over-threshold and under-limit masks
+    keep the values they take on the next tick.  ``plan`` is the lane's
+    plan, ``k`` its firmware constants (:meth:`BoardBank._slices`
+    ``"fw"``) and ``x`` its state now: temperature, the next tick's
+    exact temperature and RC target, the next tick's powers, the three
+    flags and the under, over and hold clocks (big, little each).
+
+    The next tick is known exactly.  Past it the timers are replayed
+    exactly (:func:`_clock_ticks`) against the trip delay, and the hold
+    time and clear delay, and temperature and the masks are bounded by
+    the plan's envelope (:func:`_envelope`, already on the plan): proven
+    for good inside it, else for as many ticks as the largest per-tick
+    move keeps clear of the threshold.
+    """
+    (T0, T1, target0, p0_b, p0_l, th, pth_b, pth_l, under_b, under_l,
+     over_b, over_l, hold_b, hold_l) = x
+    (alpha, _, _, _, trip, clear, thresh_b, thresh_l, limit_b, limit_l,
+     trip_delay, clear_delay, min_hold) = k
+    if (T1 <= clear) if th else (T1 >= trip):
+        return 0
+    h = room
+    for p0, thresh, limit, throttled, under, over, hold in (
+            (p0_b, thresh_b, limit_b, pth_b, under_b, over_b, hold_b),
+            (p0_l, thresh_l, limit_l, pth_l, under_l, over_l, hold_l)):
+        if throttled:
+            # Clears once held MIN_HOLD and under the limit CLEAR_DELAY.
+            if p0 > thresh:
+                ready = 1 if 0.0 >= clear_delay else None
+            elif p0 <= limit:
+                ready = _clock_ticks(under, clear_delay, dt, h)
+            else:
+                ready = 1 if under >= clear_delay else None
+            if ready is not None:
+                held = _clock_ticks(hold, min_hold, dt, h)
+                h = min(h, max(held, ready) - 1)
+        elif p0 > thresh:
+            h = min(h, _clock_ticks(over, trip_delay, dt, h) - 1)
+        elif 0.0 >= trip_delay:
+            return 0
+    env = plan.envelope
+    if h <= 1 or not env:
+        return min(h, 1)
+    _, X, Y, pX_b, pX_l, pY_b, pY_l, gX, gY, slope_b, slope_l = env
+    if T0 <= X:
+        hi, phi_b, phi_l, rise = X, pX_b, pX_l, gX
+    else:
+        hi, phi_b, phi_l, rise = T0, p0_b, p0_l, max(T0 - target0, 0.0)
+    if T0 >= Y:
+        lo, plo_b, plo_l, fall = Y, pY_b, pY_l, gY
+    else:
+        lo, plo_b, plo_l, fall = T0, p0_b, p0_l, max(target0 - T0, 0.0)
+    # The largest per-tick temperature move, padded past rounding.
+    step = alpha * max(rise, fall) * (1.0 + 1e-6) + 1e-12
+    m = _MARGIN
+    n = h
+    if th:
+        if not lo > clear + m:
+            n = min(n, _reach(T0 - clear - m, step, n))
+    elif not hi < trip - m:
+        n = min(n, _reach(trip - m - T0, step, n))
+    for p0, phi, plo, thresh, limit, slope in (
+            (p0_b, phi_b, plo_b, thresh_b, limit_b, slope_b),
+            (p0_l, phi_l, plo_l, thresh_l, limit_l, slope_l)):
+        rate = slope * step
+        if p0 > thresh:
+            if not plo > thresh + m:
+                n = min(n, _reach(p0 - thresh - m, rate, n))
+        elif not phi < thresh - m:
+            n = min(n, _reach(thresh - m - p0, rate, n))
+        if p0 <= limit:
+            if not phi < limit - m:
+                n = min(n, _reach(limit - m - p0, rate, n))
+        elif not plo > limit + m:
+            n = min(n, _reach(p0 - limit - m, rate, n))
+    return max(n, 1)
 
 
 class BoardBank:
@@ -512,10 +691,11 @@ class BoardBank:
 
     Every vectorized tick runs in one lane×tick kernel
     (:meth:`_run_vector_window`) that advances a lane set under one plan
-    per lane, each lane with its own tick budget.  The emergency state
-    machine, Python crediting past each lane's credit horizon, membership
-    guards and in-window re-plans run inside it, unless a fixed-point
-    no-trip bound (:meth:`_no_trip_bound`) proves the firmware inert.
+    per lane, each lane with its own tick budget.  Python crediting past
+    each lane's credit horizon, membership guards and in-window re-plans
+    run inside it; the emergency state machine runs only past the
+    window's smallest firmware horizon (:func:`_firmware_horizon`), and
+    the power-sensor latch only on the ticks a sensor latches.
 
     ``track_violations`` additionally accumulates per-board seconds with
     the *true* die temperature above ``spec.temp_limit`` and big-cluster
@@ -561,6 +741,11 @@ class BoardBank:
         self.windows = 0  # vectorized windows executed (kernel calls)
         self.events = {"emergency": 0, "membership": 0, "plan_refused": 0,
                        "stall_tick": 0, "lane_exit": 0}
+        # Window ticks inside every lane's firmware horizon ("proven"; with
+        # a throttled lane: "proven_throttled", counted in "proven" too)
+        # and on the masked firmware machine ("stepped").
+        self.firmware = {"proven": 0, "stepped": 0, "proven_throttled": 0}
+        self._latch_memo = {}  # (elapsed, dt, period) -> ticks to a latch
         # How each _plan_for call got its plan (see _plan_for).
         self.plans = {"tier1": 0, "tier2": 0, "layout": 0, "full": 0,
                       "revisit": 0, "stall": 0}
@@ -612,16 +797,6 @@ class BoardBank:
         c["noise_rms"] = np.array(
             [b.temp_sensor.noise_rms for b in boards]
         )
-        # _no_trip_bound relies on the thermal/power fixed point being
-        # monotone in temperature.
-        c["monotone"] = bool(
-            (c["resistance"] >= 0).all()
-            and (c["lweight"] >= 0).all()
-            and all(
-                s.big.leak_temp_coeff >= 0 and s.little.leak_temp_coeff >= 0
-                for s in specs
-            )
-        )
         self._const = c
 
     # ------------------------------------------------------------------
@@ -672,6 +847,7 @@ class BoardBank:
             "fused_ticks": 0,
             "events": dict(self.events),
             "plans": dict(self.plans),
+            "firmware": dict(self.firmware),
         }
 
     def _event(self, reason, n=1):
@@ -679,6 +855,12 @@ class BoardBank:
         self.events[reason] += n
         if self.telemetry is not None:
             self.telemetry.bank_events.labels(reason=reason).inc(n)
+
+    def _firmware_ticks(self, mode, n):
+        """Count ``n`` window ticks of one firmware mode (and mirror it)."""
+        self.firmware[mode] += n
+        if self.telemetry is not None:
+            self.telemetry.bank_firmware_ticks.labels(mode=mode).inc(n)
 
     def _planned(self, tier):
         """Count one plan obtained through ``tier`` (and mirror it)."""
@@ -1012,7 +1194,7 @@ class BoardBank:
         return ran
 
     # ------------------------------------------------------------------
-    # Per-window inputs: constants, plan terms, credits, no-trip bound
+    # Per-window inputs: constants, plan terms, credits, latch schedules
     # ------------------------------------------------------------------
     def _slices(self, key_boards, boards):
         """Model constants and per-lane objects, sliced to one lane set."""
@@ -1039,6 +1221,15 @@ class BoardBank:
         S["pc_b"] = [b.perf_counters[BIG] for b in boards]
         S["pc_l"] = [b.perf_counters[LITTLE] for b in boards]
         S["em"] = [b.emergency for b in boards]
+        S["latches"] = {}  # latch schedules (see _latch_schedule)
+        # Each lane's firmware constants, as _firmware_horizon reads them.
+        S["fw"] = list(zip(*[
+            S[name].tolist() for name in (
+                "alpha", "ambient", "resistance", "lweight", "temp_trip",
+                "temp_clear")
+        ], *S["thresh"].tolist(), *S["limit"].tolist(),
+            S["trip_delay"][0].tolist(), S["clear_delay"][0].tolist(),
+            S["min_hold"][0].tolist()))
         if len(self._slice_cache) > 64:
             self._slice_cache.clear()
         self._slice_cache[key_boards] = S
@@ -1079,92 +1270,59 @@ class BoardBank:
             return _NO_CELLS if plan.then is None else plan.then.cells
         return plan.cells
 
-    def _quiet(self, S, P, plans, T, cols):
-        """Whether no lane of ``cols`` can trip under its plan's terms.
+    def _latch_schedule(self, S, elapsed, n_steps):
+        """The ticks of an ``n_steps`` window on which power sensors latch.
 
-        A plan keeps the ceiling proven for its terms on its lane
-        (``WindowPlan.bound``; a one-tick stall plan is never asked
-        again, so it keeps none), valid for any later start at or below
-        it.  Unless every lane of ``cols`` starts at or below its own,
-        they are all proven anew in one :meth:`_no_trip_bound` pass.
+        ``S`` are the lane set's slices (:meth:`_slices`) and
+        ``elapsed`` its sensors' ``(2, B)`` elapsed times.  Each
+        sensor's next latch is found by replaying ``_elapsed += dt``
+        exactly as :meth:`WindowedPowerSensor.update` does, from its
+        state and then from 0.0 for the cycle after each latch.  Returns
+        ``{t: mask}``: on tick ``t`` (counted from 0) the sensors of
+        ``mask`` latch, and no sensor latches on any tick not in it.
+        Schedules are kept per lane set, by start state.
         """
-        temps = T.tolist()
-        if all(plans[col].bound is not None
-               and temps[col] <= plans[col].bound for col in cols):
-            return True
-        cols = list(cols)
-        if len(cols) < len(temps):
-            S = {name: S[name][..., cols] for name in _BOUND_SLICES}
-            P = P[:, cols]
-            T = T[cols]
-        X = self._no_trip_bound(S, P, T)
-        if X is None:
-            return False
-        for col, x in zip(cols, X.tolist()):
-            if not plans[col].stall_tick:
-                plans[col].bound = x
-        return True
+        memo = S["latches"]
+        key = (elapsed.tobytes(), n_steps)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        sdt = S["sdt"]
+        period = S["speriod"]
+        shape = elapsed.shape
+        first = np.empty(shape, dtype=np.intp)
+        cycle = np.empty(shape, dtype=np.intp)
+        for f_row, c_row, e_row, d_row, p_row in zip(
+                first, cycle, elapsed.tolist(), sdt.tolist(),
+                period.tolist()):
+            for col, (e, d, p) in enumerate(zip(e_row, d_row, p_row)):
+                f_row[col] = self._latch_ticks(e, d, p, n_steps)
+                c_row[col] = self._latch_ticks(0.0, d, p, n_steps)
+        since = np.arange(n_steps)[:, None, None] - (first - 1)
+        hits = (since >= 0) & (since % cycle == 0)
+        if len(memo) > 64:
+            memo.clear()
+        found = memo[key] = {int(t): hits[t] for t in
+                             np.flatnonzero(hits.any(axis=(1, 2)))}
+        return found
 
-    def _no_trip_bound(self, S, P, T):
-        """A temperature ceiling proving no lane can trip, or ``None``.
-
-        ``P`` holds the lanes' plan terms (:func:`_term_rows`, one column
-        per lane), ``S`` their constants (:meth:`_slices`) and ``T``
-        their temperatures.  Power is monotone nondecreasing in
-        temperature (spec constants and leakage terms checked), so
-        iterating ``X <- max(X, target(X))`` over the lanes' RC targets
-        yields an ``X`` with ``target(X) <= X``, which by induction
-        bounds each lane's temperature trajectory under these terms from
-        any start at or below it.  If ``X`` and the power at ``X`` clear
-        the trip thresholds (with an absolute margin crushing per-tick
-        rounding), the emergency firmware provably stays inert.  Every
-        check is lane by lane, so each lane's entry of ``X`` is a ceiling
-        for that lane alone.
-        """
-        dyn_m, leak_m, ltc_m, idle_m = P[0:2], P[2:4], P[4:6], P[6:8]
-        if not self._const["monotone"] or not bool((leak_m >= 0.0).all()):
-            return None
-        ambient = S["ambient"]
-        resistance = S["resistance"]
-        lweight = S["lweight"]
-
-        def power(X):
-            factor = 1.0 + ltc_m * (X - _REFERENCE_TEMP)
-            return dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
-
-        def target(p_m):
-            return ambient + resistance * (p_m[0] + lweight * p_m[1])
-
-        X = T
-        for _ in range(6):
-            p_m = power(X)
-            t_e = target(p_m)
-            if (t_e <= X).all():
+    def _latch_ticks(self, elapsed, dt, period, cap):
+        """Ticks until a sensor at ``elapsed`` latches (``cap + 1``: not
+        within ``cap``), replaying :meth:`WindowedPowerSensor.update`."""
+        key = (elapsed, dt, period)
+        j = self._latch_memo.get(key)
+        if j is not None:
+            return j
+        j = 0
+        while j <= cap:
+            elapsed += dt
+            j += 1
+            if elapsed + 1e-12 >= period:
+                if len(self._latch_memo) > 4096:
+                    self._latch_memo.clear()
+                self._latch_memo[key] = j
                 break
-            X = np.maximum(X, t_e)
-        else:
-            # X was raised on the last pass, so re-verify there first.  If
-            # float arithmetic still hasn't closed (the gap contracts
-            # geometrically but float equality can take a dozen passes),
-            # any X with target(X) <= X bounds the trajectory by the same
-            # induction: pad past the fixed point and verify once.
-            p_m = power(X)
-            t_e = target(p_m)
-            if not (t_e <= X).all():
-                gap = float((t_e - X).max())
-                if not gap < 1e-3:
-                    return None  # no contraction
-                X = X + 2.0 * gap + 1e-9
-                p_m = power(X)
-                if not (target(p_m) <= X).all():
-                    return None
-        if not (
-            (X < S["temp_trip"] - 1e-9).all()
-            and (p_m < S["thresh"] - 1e-9).all()
-            and (p_m < S["limit"] - 1e-9).all()
-        ):
-            return None
-        return X
+        return j
 
     # ------------------------------------------------------------------
     # The lane×tick kernel
@@ -1174,10 +1332,12 @@ class BoardBank:
         """The lanes' mutable board state: floats, emergency flags, trips.
 
         One array build for all the float lanes, updated in place for
-        the whole window.  Rows 6..12 (retired instructions,
-        sensor-elapsed, time, under-limit clocks) advance by a constant
-        each tick, laid out contiguously so the tick loop bumps them
-        with a single fused in-place add.
+        the whole window.  Rows 6..17 are clocks (retired instructions,
+        sensor-elapsed, time, and the firmware's under-limit, over-
+        threshold, hold and throttle clocks), laid out contiguously: inside
+        a firmware horizon each advances by a per-lane constant (``dt`` or
+        0.0 for the firmware's), so the tick loop bumps them all with a
+        single fused in-place add.
         """
         sens_b = S["sens_b"]
         sens_l = S["sens_l"]
@@ -1217,8 +1377,15 @@ class BoardBank:
         ``plans`` holds each lane's plan, in ``indices`` order.  Board
         state is gathered into the lane matrix once, stepped tick by tick,
         and each lane's column is written back once, when the lane leaves
-        the window.  A proven no-trip bound (:meth:`_no_trip_bound`) runs
-        the window *quiet*, without the emergency state machine.
+        the window.
+
+        Each lane carries a firmware horizon (:func:`_firmware_horizon`),
+        proven at window start and again whenever the lane re-plans (with
+        every lane whose horizon has run out).  Inside the smallest one
+        the firmware clocks advance in the fused clock add and the
+        emergency state machine does not run; past it the masked machine
+        runs for every lane until the next proof.  The power sensors
+        latch on the ticks :meth:`_latch_schedule` finds.
 
         Events are lane-local.  When a lane's emergency firmware changes
         state or its membership guard fires, that lane alone re-plans
@@ -1253,10 +1420,10 @@ class BoardBank:
         limit_m = S["limit"]
         thresh_m = S["thresh"]
         sdt_m = S["sdt"]
-        speriod_m = S["speriod"]
         trip_delay = S["trip_delay"]
         clear_delay = S["clear_delay"]
         min_hold = S["min_hold"]
+        fw_consts = S["fw"]
 
         # --- mutable board state, copied into lanes ---------------------
         em = S["em"]
@@ -1271,14 +1438,19 @@ class BoardBank:
         over_m = g[13:15]
         hold_m = g[15:17]
         throttle_time = g[17]
+        clocks = g[6:18]
         th = flags[0]
         pth_m = flags[1:3]
         trip = np.empty_like(flags)
         clear = np.empty_like(flags)
         has_trip_cb = any(e.on_trip is not None for e in em)
-        inc = np.empty((7, B))
+        # Per-tick clock increments, in g's row order from row 6: retired
+        # instructions, sensor-elapsed, time, then the firmware clocks'
+        # (set by prove, valid inside each lane's horizon).
+        inc = np.empty((12, B))
         inc[2:4] = sdt_m
-        inc[4:7] = dt
+        inc[4] = dt
+        latches = self._latch_schedule(S, elap_m, n_steps)
 
         # --- per-lane plans: terms, credit cells, crediting mode --------
         # dyn, leak, leak temp coefficient, idle and instructions, two
@@ -1290,9 +1462,6 @@ class BoardBank:
         schedule = res.schedule
         dyn_m, leak_m, ltc_m, idle_m = P[0:2], P[2:4], P[4:6], P[6:8]
         inc[0:2] = P[8:10]
-        # A proven no-trip bound collapses the per-tick firmware machine
-        # to the under-limit clocks (already rows of ``g``).
-        quiet = not flags.any() and self._quiet(S, P, plans, T, range(B))
         ran = [0] * B
         live = list(range(B))
         alive = np.ones(B, dtype=bool)  # left lanes keep computing, masked
@@ -1332,20 +1501,65 @@ class BoardBank:
             freq_b = np.array([b.clusters[BIG].frequency for b in boards])
             freq_l = np.array([b.clusters[LITTLE].frequency for b in boards])
 
+        def prove(cols):
+            """Prove the firmware horizons of lanes ``cols`` from tick t.
+
+            A lane unthrottled at or below its plan's no-trip ceiling is
+            proven for good: its under clocks run and its other firmware
+            clocks hold.  For the rest, the next tick's powers follow
+            from the present temperature, so its over-threshold and
+            under-limit masks, and its temperature, are exact.  They set
+            every lane's firmware clock increments (a lane inside its
+            horizon keeps its masks, so its increments do not change),
+            and the over clock of a lane under threshold (the under clock
+            of one over it), which that tick zeroes, is zeroed now.
+            """
+            temps = T.tolist()
+            throttled = flags.any(axis=0).tolist()
+            calm = []
+            rest = []
+            for col in cols:
+                plan = plans[col]
+                env = plan.envelope
+                if env is None:
+                    env = plan.envelope = _envelope(
+                        _term_rows(plan.big, plan.little), fw_consts[col])
+                if (env and env[0] is not None and temps[col] <= env[0]
+                        and not throttled[col]):
+                    calm.append(col)
+                    proven[col] = n_steps
+                else:
+                    rest.append(col)
+            if calm:
+                inc[5:7, calm] = dt
+                inc[7:12, calm] = 0.0
+                over_m[:, calm] = 0.0
+            if not rest:
+                return
+            factor = 1.0 + ltc_m * (T - _REFERENCE_TEMP)
+            p0 = dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
+            target0 = ambient + resistance * (p0[0] + lweight * p0[1])
+            is_over = p0 > thresh_m
+            np.multiply((p0 <= limit_m) > is_over, dt, out=inc[5:7])
+            np.multiply(is_over, dt, out=inc[7:9])
+            np.multiply(pth_m, dt, out=inc[9:11])
+            np.multiply(flags.any(axis=0), dt, out=inc[11])
+            np.copyto(over_m, 0.0, where=~is_over)
+            np.copyto(under_m, 0.0, where=is_over)
+            rows = np.vstack((T, T + alpha * (target0 - T), target0, p0,
+                              flags, g[11:17]))
+            for col, x in zip(rest, rows.take(rest, axis=1).T.tolist()):
+                proven[col] = t + _firmware_horizon(
+                    plans[col], fw_consts[col], x, dt, n_steps - t)
+
         def install(col, plan):
             """Switch one lane to a new plan's terms from this tick on."""
-            nonlocal quiet
             plans[col] = plan
             if any_record:
                 bips_runs[col].append((len(hist["time"]), plan.bips))
             P[:, col] = _term_rows(plan.big, plan.little)
             inc[0:2, col] = P[8:10, col]
-            if quiet and not self._quiet(S, P, plans, T, (col,)):
-                # The new terms may trip: run the firmware machine for
-                # everyone from here (every quiet tick so far zeroed the
-                # over-threshold timers).
-                quiet = False
-                over_m[...] = 0.0
+            proven[col] = t  # re-proven under the new terms
 
         def leave(cols):
             """Write lanes back into their boards; they leave the window."""
@@ -1355,7 +1569,7 @@ class BoardBank:
                         self._extend_trace(boards[col], col, hist,
                                            bips_runs[col])
             self._write_back(schedule, [boards[col] for col in cols], S,
-                             cols, (g, flags, trip_count, p_m), quiet, t,
+                             cols, (g, flags, trip_count, p_m), t,
                              [plans[col].bips for col in cols])
             for col in cols:
                 ran[col] = t
@@ -1364,7 +1578,9 @@ class BoardBank:
 
         t = 0
         p_m = None
-        any_active = None  # None while no lane is throttled
+        any_active = flags.any(axis=0) if flags.any() else None
+        proven = [0] * B  # the tick through which each lane is proven
+        prove(live)
         while live:
             stop = n_steps
             vectorized = False
@@ -1375,6 +1591,17 @@ class BoardBank:
                     vectorized = True
                     if n_vec[col] < stop:
                         stop = n_vec[col]
+            # Inside every lane's firmware horizon the firmware clocks ride
+            # the fused clock add and its state machine is skipped.
+            fused = min([proven[col] for col in live])
+            if fused > t:
+                stop = min(stop, fused)
+                mode = "proven"
+                flagged = (flags.any(axis=0) & alive).any()
+            else:
+                fused = 0
+                mode = "stepped"
+            start = t
             replan = []
             while t < stop:
                 # Exact replay of cluster_power().total per lane: dynamic
@@ -1402,25 +1629,24 @@ class BoardBank:
                 T += alpha * (target - T)
                 energy += (p_b + p_l + static) * dt
                 acc_m += p_m * sdt_m
-                # Fused constant-rate clocks: retired instructions and
-                # sensor elapsed always; plus time and the under-limit
-                # clocks on the proven-quiet path (no trip callback can
-                # observe time mid-tick there, and power <= limit holds
-                # lane-wide).
-                if quiet:
-                    g[6:13] += inc
+                # Fused clocks: retired instructions and sensor elapsed
+                # always; inside the firmware horizon also time and the
+                # firmware clocks (no flag can flip, so no trip callback
+                # observes time mid-tick).
+                if fused:
+                    clocks += inc
                 else:
                     g[6:10] += inc[0:4]
-                latching = elap_m + 1e-12 >= speriod_m
-                if latching.any():
+                latching = latches.get(t)
+                if latching is not None:
                     np.copyto(latch_m, acc_m / elap_m, where=latching)
                     acc_m[latching] = 0.0
                     elap_m[latching] = 0.0
-                # Emergency firmware state machine (quiet: provably inert),
-                # the thermal flag and both power flags stacked in rows:
-                # a trip needs the flag clear and a clear needs it set,
-                # so a flag flips exactly where ``trip | clear``.
-                if not quiet:
+                # Emergency firmware state machine past the horizon, the
+                # thermal flag and both power flags stacked in rows: a
+                # trip needs the flag clear and a clear needs it set, so a
+                # flag flips exactly where ``trip | clear``.
+                if not fused:
                     is_over = p_m > thresh_m
                     # Exact: (over + dt) * 0.0 is +0.0, like the reset.
                     np.multiply(over_m + dt, is_over, out=over_m)
@@ -1506,6 +1732,9 @@ class BoardBank:
                             replan.append(col)
                 if replan:
                     break
+            self._firmware_ticks(mode, t - start)
+            if fused and flagged:
+                self._firmware_ticks("proven_throttled", t - start)
 
             # --- at tick t: departures, re-plans, horizons ---------------
             if t == n_steps:
@@ -1555,6 +1784,9 @@ class BoardBank:
                     if col in python:
                         python.remove(col)
                 leave(leaving)
+            stale = [col for col in live if proven[col] <= t]
+            if stale:
+                prove(stale)
 
         self._resident = res
         self.windows += 1
@@ -1566,7 +1798,7 @@ class BoardBank:
         return ran
 
     @staticmethod
-    def _write_back(schedule, boards, S, cols, state, quiet, ticks, bips):
+    def _write_back(schedule, boards, S, cols, state, ticks, bips):
         """Store the columns ``cols`` of a window's lane state (``g``,
         ``flags``, ``trip_count`` and the last tick's powers ``p_m``) and
         their credit cells (``schedule``) into ``boards``, after ``ticks``
@@ -1608,24 +1840,16 @@ class BoardBank:
             e = S["em"][col]
             e._under_power_time[BIG] = under_b
             e._under_power_time[LITTLE] = under_l
-            if quiet:
-                # Scalar stepping zeroes the over-threshold timers on every
-                # under-threshold tick, and every quiet tick is under
-                # threshold; throttle flags, trip counts, and hold clocks
-                # provably did not move.
-                e._over_power_time[BIG] = 0.0
-                e._over_power_time[LITTLE] = 0.0
-            else:
-                flag = e.state
-                flag.thermal_throttled = F[j][0]
-                flag.power_throttled[BIG] = F[j][1]
-                flag.power_throttled[LITTLE] = F[j][2]
-                flag.trip_count = trips[j]
-                flag.throttle_time = throttled_s
-                e._over_power_time[BIG] = over_b
-                e._over_power_time[LITTLE] = over_l
-                e._hold_time[BIG] = hold_b
-                e._hold_time[LITTLE] = hold_l
+            e._over_power_time[BIG] = over_b
+            e._over_power_time[LITTLE] = over_l
+            e._hold_time[BIG] = hold_b
+            e._hold_time[LITTLE] = hold_l
+            flag = e.state
+            flag.thermal_throttled = F[j][0]
+            flag.power_throttled[BIG] = F[j][1]
+            flag.power_throttled[LITTLE] = F[j][2]
+            flag.trip_count = trips[j]
+            flag.throttle_time = throttled_s
             board._instant_power = {BIG: powers[j][0], LITTLE: powers[j][1]}
             board._instant_bips = bips[j]
 

@@ -204,6 +204,16 @@ class Rack:
         self.bank = (BoardBank(self.boards, telemetry=telemetry)
                      if self.use_bank else None)
         self.governors = [BudgetGovernor(bs) for bs in spec.boards]
+        # What a rack period reads of each board, gathered once: its power
+        # sensors, static power, governor, and tick count per rack period.
+        self._lanes = tuple(
+            (board.power_sensors[BIG], board.power_sensors[LITTLE],
+             bs.board_static_power, governor,
+             spec.board_periods(i) * bs.period_steps())
+            for i, (board, bs, governor) in enumerate(
+                zip(self.boards, spec.boards, self.governors)))
+        self._min_cap = spec.min_cap()
+        self._cooling = spec.cooling
         self.jobs = [RackJob(spec=j) for j in sorted(
             spec.jobs, key=lambda j: (j.arrival, j.name)
         )]
@@ -321,30 +331,30 @@ class Rack:
         total = 0
         depth = len(self.queue)
         budgets = self.controller.budgets
-        for board, online, job, budget in zip(
-                self.boards, self._online, self._job_on_board, budgets):
+        isfinite = math.isfinite
+        reading = BoardReading._make
+        for (big, little, static, _, _), online, job, budget in zip(
+                self._lanes, self._online, self._job_on_board, budgets):
             if not online:
                 readings.append(BoardReading(0.0, 0.0, 0, False))
                 continue
-            sensors = board.power_sensors
-            power = (sensors[BIG].read() + sensors[LITTLE].read()
-                     + board.spec.board_static_power)
-            if math.isfinite(power):
+            power = big.read() + little.read() + static
+            if isfinite(power):
                 total += power
                 headroom = budget - power
             else:
                 headroom = math.nan
-            readings.append(BoardReading(power, headroom, depth, True,
-                                         job is not None))
+            readings.append(reading((power, headroom, depth, True,
+                                     job is not None)))
         return readings, total
 
     def _update_cooling(self, total):
-        target = self.spec.cooling.steady_inlet(total)
+        target = self._cooling.steady_inlet(total)
         self.inlet_temp += self._inlet_alpha * (target - self.inlet_temp)
 
     def _effective_cap(self, cap):
-        derated = cap * self.spec.cooling.derate_fraction(self.inlet_temp)
-        return max(derated, self.spec.min_cap())
+        derated = cap * self._cooling.derate_fraction(self.inlet_temp)
+        return max(derated, self._min_cap)
 
     # ------------------------------------------------------------------
     # Plant stepping
@@ -387,8 +397,7 @@ class Rack:
             fb, fl = commands[i]
             board.set_cluster_frequency(BIG, fb)
             board.set_cluster_frequency(LITTLE, fl)
-            ticks = self.spec.board_periods(i) * board.spec.period_steps()
-            groups.setdefault(ticks, []).append(i)
+            groups.setdefault(self._lanes[i][4], []).append(i)
         for ticks, members in groups.items():
             self.bank.run_period_bank(ticks, only=members)
 
@@ -443,9 +452,9 @@ class Rack:
             budgets = self.controller.step(readings, cap_eff)
             # Busy readings are exactly the online boards running a job.
             commands = {
-                i: governor.command(budgets[i], reading.power)
-                for i, (governor, reading) in enumerate(
-                    zip(self.governors, readings))
+                i: lane[3].command(budget, reading.power)
+                for i, (lane, budget, reading) in enumerate(
+                    zip(self._lanes, budgets, readings))
                 if reading.busy
             }
             if monitor is not None:

@@ -144,6 +144,12 @@ class TelemetrySession:
             "bank_plans_total",
             "BoardBank lane plans by how they were obtained",
             labels=("tier",))
+        self.bank_firmware_ticks = reg.counter(
+            "bank_firmware_ticks_total",
+            "BoardBank window ticks inside every lane's firmware horizon "
+            "(proven; proven_throttled also counts in proven) or on the "
+            "masked firmware machine (stepped)",
+            labels=("mode",))
         self.cell_retries = reg.counter(
             "cell_retries_total",
             "campaign cell attempts re-queued by the supervised executor",

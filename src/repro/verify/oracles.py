@@ -305,8 +305,9 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
     machine.  The oracle fails unless both kinds of in-window lane
     re-plan actually fired, unless a hotplug or migration stall tick ran
     in the vector window (the schedules re-actuate cores and placement
-    every period), and unless the planner both found a placement again
-    by identity and served a stall tick without a full re-plan.
+    every period), unless the planner both found a placement again by
+    identity and served a stall tick without a full re-plan, and unless
+    some ticks inside a proven firmware horizon carried a throttled lane.
     """
     from ..board import BIG, LITTLE, Board, BoardBank, default_xu3_spec
     from ..rack.rack import instantiate_job_workload
@@ -401,6 +402,10 @@ def oracle_bank(spec=None, workloads=("blackscholes", "mcf", "fluidanimate",
               float(plans["revisit"] > 0), 1.0)
     cmp.check("coverage", "stall_ticks_without_full_replan",
               float(plans["stall"] > 0), 1.0)
+    # Firmware horizons: throttled lanes rode proven ticks (the flag
+    # changes are the emergency re-plans checked above).
+    cmp.check("coverage", "proven_ticks_with_a_throttled_lane",
+              float(bank.firmware["proven_throttled"] > 0), 1.0)
     return cmp.result("bank-vs-scalar", details={
         "boards": n, "periods": periods,
         "counters": bank.counters(),
@@ -848,9 +853,11 @@ def oracle_rack(seed=3, max_time=120.0, n_boards=4):
     signal, every per-board budget row, and every board's physical end
     state must agree to the bit.  Non-vacuity: the banked run must have
     stepped through the bank's vector kernel (vector_ticks > 0) in at most
-    one bank call per rack period per tick group, the rack must actually
-    be heterogeneous (≥ 2 distinct specs), and both faults must have
-    fired.
+    one bank call per rack period per tick group, an emergency flag must
+    have tripped or cleared inside a vector window and some proven
+    firmware ticks must have carried a throttled lane, the rack must
+    actually be heterogeneous (≥ 2 distinct specs), and both faults must
+    have fired.
     """
     from ..board.specs import BIG, LITTLE
     from ..rack import (
@@ -932,6 +939,11 @@ def oracle_rack(seed=3, max_time=120.0, n_boards=4):
                        for i, b in enumerate(spec.boards)})
     cmp.check("coverage", "one_bank_call_per_tick_group",
               float(len(bank_calls) <= banked.periods * tick_groups), 1.0)
+    cmp.check("coverage", "emergency_flag_changed_in_window",
+              float(counters.get("events", {}).get("emergency", 0) > 0), 1.0)
+    cmp.check("coverage", "proven_ticks_with_a_throttled_lane",
+              float(counters.get("firmware", {}).get("proven_throttled", 0)
+                    > 0), 1.0)
     distinct_specs = len({id(b) for b in spec.boards})
     cmp.check("coverage", "heterogeneous_rack",
               float(distinct_specs >= 2), 1.0)

@@ -90,6 +90,9 @@ def _assert_boards_identical(a, b, label=""):
             a.emergency._over_power_time[name]
             == b.emergency._over_power_time[name]
         ), f"{label} {name} over clock"
+        assert (
+            a.emergency._hold_time[name] == b.emergency._hold_time[name]
+        ), f"{label} {name} hold clock"
     ea, eb = a.emergency.state, b.emergency.state
     assert ea.trip_count == eb.trip_count, f"{label} trips"
     assert ea.thermal_throttled == eb.thermal_throttled, f"{label} th"
@@ -599,6 +602,8 @@ class TestBankCounters:
                        "stall_tick": 45, "lane_exit": 1},
             "plans": {"tier1": 19, "tier2": 1, "layout": 42, "full": 5,
                       "revisit": 18, "stall": 41},
+            "firmware": {"proven": 198, "stepped": 2,
+                         "proven_throttled": 70},
         }
 
 
@@ -819,7 +824,7 @@ class TestPlanReuse:
 
 
 # ---------------------------------------------------------------------------
-# Property: the no-trip bound really bounds scalar stepping
+# Property: the temperature envelope really bounds scalar stepping
 # ---------------------------------------------------------------------------
 class TestNoTripBound:
     @given(spec=board_specs(), seed=st.integers(min_value=0, max_value=9999),
@@ -828,14 +833,16 @@ class TestNoTripBound:
     @settings(max_examples=25, deadline=None)
     def test_bound_holds_for_any_op_sequence(self, spec, seed, heat, start):
         """Scalar ``Board.step`` through a random sequence of operating
-        points, set through ``set_cluster_frequency``, with the bound
-        re-derived at each switch as the kernel does on a re-plan.
-        Whenever ``_no_trip_bound`` returns ``X`` for the current op:
-        the op's RC target at ``X`` is at most ``X``, and the period at
-        that op, starting at or below ``X`` (a cached bound may come from
-        a lower start), neither exceeds ``X`` nor changes emergency
-        state."""
-        from repro.board.power import _REFERENCE_TEMP
+        points, set through ``set_cluster_frequency``, with the envelope
+        (``_envelope``) derived for each op's plan as the kernel does on
+        a re-plan.  Whenever it returns ceiling ``X`` and floor ``Y``:
+        the op's RC target at ``X`` is at most ``X`` and at ``Y`` at
+        least ``Y``; the period at that op stays inside ``[min(T0, Y),
+        max(T0, X)]`` and moves no more per tick than the bound the
+        firmware horizon uses; and if ``X`` is a no-trip ceiling
+        (``quiet``) and the period starts at or below it unthrottled, no
+        emergency state changes."""
+        from repro.board.bank import _envelope, _powers
 
         rng = np.random.default_rng(seed)
         rb = spec.cluster(BIG).freq_range
@@ -845,9 +852,15 @@ class TestNoTripBound:
         board.thermal.temperature = spec.ambient_temp + heat
         board.enable_fast_path = False
         bank = BoardBank([board], telemetry=None)
-        key = (0,)
-        S = bank._slices(key, [board])
+        k = bank._slices((0,), [board])["fw"][0]
         thermal = board.thermal
+        alpha = k[0]
+
+        def target(x):
+            p_b, p_l = _powers(terms, x)
+            return thermal.ambient + thermal.resistance * (
+                p_b + thermal.little_weight * p_l)
+
         phases = [app.phase_index for app in board.applications]
         for period in range(4):
             board.set_cluster_frequency(BIG, float(rng.uniform(rb.low,
@@ -856,31 +869,248 @@ class TestNoTripBound:
                                                                   rl.high)))
             plan = bank._plan_for(0)
             assert plan is not None
-            P = _term_matrix([plan])
-            T0 = thermal.temperature
-            ub = bank._no_trip_bound(S, P, np.array([T0]))
-            if ub is None:
+            terms = _term_matrix([plan])[:, 0].tolist()
+            env = _envelope(terms, k)
+            if not env:
                 return
-            X = float(ub[0])
-            assert X >= T0
-            dyn, leak, ltc, idle = P[0:2], P[2:4], P[4:6], P[6:8]
-            factor = np.maximum(1.0 + ltc[:, 0] * (X - _REFERENCE_TEMP), 0.2)
-            p = dyn[:, 0] + leak[:, 0] * factor + idle[:, 0]
-            target = thermal.ambient + thermal.resistance * (
-                p[0] + thermal.little_weight * p[1]
-            )
-            assert target <= X
-            if period == 0:
-                thermal.temperature = T0 + start * (X - T0)
+            quiet, X, Y = env[:3]
+            assert Y < X
+            assert target(X) <= X
+            assert target(Y) >= Y
+            T0 = thermal.temperature
+            if period == 0 and quiet is not None and T0 < quiet:
+                thermal.temperature = T0 = T0 + start * (quiet - T0)
+            lo, hi = min(T0, Y), max(T0, X)
+            step = alpha * max(target(lo) - lo, hi - target(hi)) * (
+                1.0 + 1e-6) + 1e-12
+            state = board.emergency.state
+            calm = (quiet is not None and T0 <= quiet
+                    and not state.any_active)
+            trips = state.trip_count
             for _ in range(spec.period_steps()):
+                before = thermal.temperature
+                flags = (state.thermal_throttled, *state.power_throttled.values())
                 board.step()
                 if [app.phase_index for app in board.applications] != phases:
                     return  # new phase, new plans: the bound no longer applies
-                assert thermal.temperature <= X
-                state = board.emergency.state
-                assert state.trip_count == 0
-                assert not state.thermal_throttled
-                assert not any(state.power_throttled.values())
+                assert lo - 1e-9 <= thermal.temperature <= hi + 1e-9
+                assert abs(thermal.temperature - before) <= step
+                if calm:
+                    assert state.trip_count == trips
+                    assert not state.thermal_throttled
+                    assert not any(state.power_throttled.values())
+                if flags != (state.thermal_throttled,
+                             *state.power_throttled.values()):
+                    break  # emergency caps moved: the plan no longer applies
+
+
+# ---------------------------------------------------------------------------
+# Firmware and sensor-latch horizons
+# ---------------------------------------------------------------------------
+_EDGES = ("hot", "cooling", "over", "hold", "under", "throttled", "cool")
+
+
+def _clock(dt, n):
+    """A firmware clock after ``n`` ticks from 0.0 (the sum scalar
+    stepping forms)."""
+    x = 0.0
+    for _ in range(max(n, 0)):
+        x += dt
+    return x
+
+
+def _ticks_to(dt, delay):
+    """Ticks a firmware clock takes from 0.0 to reach ``delay``."""
+    n = 0
+    while _clock(dt, n) < delay:
+        n += 1
+    return n
+
+
+def _start_at_edge(board, edge, offset, eps):
+    """Put one board's firmware at an edge, ``offset`` ticks (or ``eps``
+    degrees) from where a flag flips."""
+    spec = board.spec
+    em = board.emergency
+    state = em.state
+    dt = spec.sim_dt
+    name = BIG if offset >= 0 else LITTLE
+    hold = _ticks_to(dt, em.MIN_HOLD)
+    under = _ticks_to(dt, em.POWER_CLEAR_DELAY)
+    if edge == "hot":
+        board.thermal.temperature = spec.emergency_temp_trip - eps
+    elif edge == "cooling":
+        state.thermal_throttled = True
+        board.thermal.temperature = spec.emergency_temp_clear + eps
+    elif edge == "over":
+        em._over_power_time[BIG] = _clock(
+            dt, _ticks_to(dt, em.POWER_TRIP_DELAY) - 1 + offset)
+        board.thermal.temperature = spec.emergency_temp_trip - 3.0
+    elif edge in ("hold", "under"):
+        state.power_throttled[name] = True
+        em._hold_time[name] = _clock(
+            dt, hold - 1 + offset if edge == "hold" else hold + 2)
+        em._under_power_time[name] = _clock(
+            dt, under - 1 + offset if edge == "under" else under + 2)
+    elif edge == "throttled":
+        state.thermal_throttled = True
+        state.power_throttled[BIG] = state.power_throttled[LITTLE] = True
+        em._hold_time[BIG] = _clock(dt, hold - 2)
+        board.thermal.temperature = spec.emergency_temp_clear + eps
+    if state.any_active:
+        state.trip_count = 1
+
+
+def _trip_log(board):
+    """Record ``(time, kind)`` of every trip edge ``on_trip`` reports."""
+    log = []
+    board.emergency.on_trip = lambda kind: log.append((board.time, kind))
+    return log
+
+
+class TestFirmwareHorizons:
+    @given(spec=board_specs(), seed=st.integers(min_value=0, max_value=9999),
+           edges=st.lists(st.sampled_from(_EDGES), min_size=2, max_size=4),
+           offset=st.integers(min_value=-1, max_value=1),
+           eps=st.sampled_from([1e-9, 1e-6, 1e-3, 0.05, 0.5]))
+    @settings(max_examples=15, deadline=None)
+    def test_lanes_at_firmware_edges_match_scalar(self, spec, seed, edges,
+                                                  offset, eps):
+        """Lanes that start at every firmware edge -- temperature just
+        under the trip or just over the clear, the over clock a tick
+        from the trip delay, hold and under clocks around MIN_HOLD and
+        the clear delay, every throttle set -- under a random DVFS
+        schedule, against pure scalar ``Board.step`` boards: emergency
+        state, every firmware clock, trip counts, throttle time, sensor
+        latches, traces and the order and time of every ``on_trip``
+        match at 0 ULP."""
+        workloads = ("blackscholes", "mcf", "x264", "bodytrack")
+        rng = np.random.default_rng(seed)
+        high = (spec.big.freq_range.high, spec.little.freq_range.high)
+        periods = 3
+        schedule = [[(high[0], high[1]) if rng.random() < 0.6 else
+                     (float(rng.uniform(0.2, high[0])),
+                      float(rng.uniform(0.2, high[1])))
+                     for _ in range(periods)] for _ in edges]
+
+        def make():
+            boards, logs = [], []
+            for k, edge in enumerate(edges):
+                board = Board(
+                    instantiate_job_workload(workloads[k % 4] + "@0.05"),
+                    spec=spec, seed=seed + k, record=True, telemetry=None)
+                _start_at_edge(board, edge, offset, eps)
+                boards.append(board)
+                logs.append(_trip_log(board))
+            return boards, logs
+
+        banked, banked_logs = make()
+        bank = BoardBank(banked, telemetry=None)
+        reference, reference_logs = make()
+        for p in range(periods):
+            for k, (a, b) in enumerate(zip(banked, reference)):
+                for board in (a, b):
+                    board.set_cluster_frequency(BIG, schedule[k][p][0])
+                    board.set_cluster_frequency(LITTLE, schedule[k][p][1])
+            live = [k for k, board in enumerate(banked) if not board.done]
+            bank.run_period_bank(spec.period_steps(), only=live)
+            for board in reference:
+                board.enable_fast_path = False
+                for _ in range(spec.period_steps()):
+                    if board.done:
+                        break
+                    board.step()
+        for k, (a, b) in enumerate(zip(banked, reference)):
+            _assert_boards_identical(a, b, label=f"{edges[k]} lane {k}")
+        assert banked_logs == reference_logs
+        firmware = bank.counters()["firmware"]
+        assert firmware["proven"] + firmware["stepped"] > 0
+
+    @staticmethod
+    def _clearing_pair(lag):
+        """Two power-throttled lanes, cool and slow, whose big-cluster
+        throttles clear on ticks 5 and ``5 + lag`` (hold clocks a few
+        ticks short of MIN_HOLD, under clocks past the clear delay)."""
+        spec = default_xu3_spec()
+        dt = spec.sim_dt
+        boards = []
+        for k, clears in enumerate((5, 5 + lag)):
+            board = Board(instantiate_job_workload("blackscholes"),
+                          spec=spec, seed=k, record=True, telemetry=None)
+            em = board.emergency
+            em.state.power_throttled[BIG] = True
+            em.state.trip_count = 1
+            em._hold_time[BIG] = _clock(
+                dt, _ticks_to(dt, em.MIN_HOLD) - clears)
+            em._under_power_time[BIG] = _clock(
+                dt, _ticks_to(dt, em.POWER_CLEAR_DELAY) + 4)
+            board.set_cluster_frequency(BIG, 0.6)
+            board.set_cluster_frequency(LITTLE, 0.6)
+            boards.append(board)
+        return spec, boards
+
+    @pytest.mark.parametrize("lag, stepped", [(-1, 2), (0, 1), (1, 2)])
+    def test_flag_change_at_and_around_the_horizon(self, lag, stepped):
+        """One lane's throttle clears on tick 5, so its horizon (and the
+        window's) ends after tick 4; the other lane's clears a tick
+        before, on, or a tick after that.  Each clear runs on the masked
+        machine on exactly its own tick, every other tick stays proven,
+        and both lanes match scalar stepping."""
+        spec, banked = self._clearing_pair(lag)
+        _, reference = self._clearing_pair(lag)
+        bank = BoardBank(banked, telemetry=None)
+        bank.run_period_bank(spec.period_steps())
+        for board in reference:
+            board.enable_fast_path = False
+            for _ in range(spec.period_steps()):
+                board.step()
+        for k, (a, b) in enumerate(zip(banked, reference)):
+            _assert_boards_identical(a, b, label=f"lane {k}")
+            # The trace records each tick's state after its update.
+            assert a.trace.emergency.index(False) == (4, 4 + lag)[k]
+        assert bank.counters()["firmware"] == {
+            "proven": spec.period_steps() - stepped, "stepped": stepped,
+            "proven_throttled": 4 + min(lag, 0)}
+
+    def test_latch_on_a_windows_first_and_last_tick(self):
+        """A sensor one tick short of its period latches on a window's
+        first tick, one fresh from a latch on its last (5-tick sensor
+        period, 10-tick window); the schedule holds exactly those ticks
+        and the lanes match scalar stepping."""
+        spec = default_xu3_spec()
+        dt = spec.sim_dt
+
+        def make():
+            boards = []
+            for k in range(2):
+                board = Board(instantiate_job_workload("mcf"), spec=spec,
+                              seed=k, record=True, telemetry=None)
+                if k == 0:
+                    for sensor in board.power_sensors.values():
+                        sensor._elapsed = _clock(dt, 4)
+                        sensor._accumulated = 1.25 * sensor._elapsed
+                boards.append(board)
+            return boards
+
+        banked = make()
+        bank = BoardBank(banked, telemetry=None)
+        S = bank._slices((0, 1), banked)
+        elapsed = np.array([[s._elapsed for s in S["sens_b"]],
+                            [s._elapsed for s in S["sens_l"]]])
+        latches = bank._latch_schedule(S, elapsed, spec.period_steps())
+        assert sorted(latches) == [0, 4, 5, 9]
+        assert [latches[t][:, 0].all() for t in (0, 5)] == [True, True]
+        assert [latches[t][:, 1].all() for t in (4, 9)] == [True, True]
+        assert not latches[0][:, 1].any() and not latches[9][:, 0].any()
+        bank.run_period_bank(spec.period_steps())
+        reference = make()
+        for board in reference:
+            board.enable_fast_path = False
+            for _ in range(spec.period_steps()):
+                board.step()
+        for k, (a, b) in enumerate(zip(banked, reference)):
+            _assert_boards_identical(a, b, label=f"lane {k}")
+        assert banked[1].power_sensors[BIG]._elapsed == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,8 @@ class TestInstrumentedRun:
 
     def test_bank_plans_mirror_to_metrics(self):
         """``BoardBank.counters()["plans"]`` mirrors to
-        ``bank_plans_total``, and each planning pass is one
+        ``bank_plans_total``, ``counters()["firmware"]`` to
+        ``bank_firmware_ticks_total``, and each planning pass is one
         ``board.plan`` span."""
         from repro.board import BoardBank
 
@@ -129,6 +130,11 @@ class TestInstrumentedRun:
         for tier, count in plans.items():
             assert session.registry.value("bank_plans_total",
                                           tier=tier) == count, tier
+        firmware = bank.counters()["firmware"]
+        assert firmware["proven"] + firmware["stepped"] == 60
+        for mode, count in firmware.items():
+            assert session.registry.value("bank_firmware_ticks_total",
+                                          mode=mode) == count, mode
         spans = [r for r in session.tracer.spans if r["name"] == "board.plan"]
         assert len(spans) == 6
         session.close()
