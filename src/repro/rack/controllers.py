@@ -107,15 +107,14 @@ class _RackControllerBase:
         """
         weights = []
         power_total = 0
-        isfinite = math.isfinite
-        for power, _, depth, online, busy in readings:
-            if not (online and isfinite(power)):  # untrusted
+        for r in readings:
+            if not r.trusted:
                 weights.append(0.0)
                 continue
-            power = 0.0 if 0.0 > power else power  # max(power, 0.0)
+            power = max(r.power, 0.0)
             power_total += power
-            w = power + 0.25 * depth
-            if busy:
+            w = power + 0.25 * r.queue_depth
+            if r.busy:
                 w += 0.25
             weights.append(w)
         total = sum(weights)
@@ -272,9 +271,6 @@ class SSVRackController(_RackControllerBase):
         error = cap_eff - total_power
         total_budget = sum(self.budgets)
         floor = self.rack.budget_floor
-        gain = self.gain
-        shape_rate = self.shape_rate
-        rejected = 0
         floors = []
         out = []
         for b, w, ceil, r in zip(self.budgets, weights, self.ceilings,
@@ -287,14 +283,12 @@ class SSVRackController(_RackControllerBase):
             if w == 0.0 and not r.trusted:  # untrusted weight is 0.0
                 out.append(floor)
                 continue
-            b = b + gain * w * error + shape_rate * (w * total_budget - b)
-            # min(max(b, floor), ceil), operand for operand.
-            clamped = floor if floor > b else b
-            clamped = ceil if ceil < clamped else clamped
+            b = b + self.gain * w * error + self.shape_rate * (
+                w * total_budget - b)
+            clamped = min(max(b, floor), ceil)
             if abs(clamped - b) > 1e-9:
-                rejected += 1
+                self.rejected_budgets += 1
             out.append(clamped)
-        self.rejected_budgets += rejected
         self.budgets = _project_to_cap(out, floors, cap_eff)
         return list(self.budgets)
 
@@ -320,27 +314,21 @@ class BudgetGovernor:
         # above it.  3% under keeps the steady state on the safe side.
         self.margin = float(margin)
         self.level = 1.0
-        # Each cluster's DVFS grid and span, looked up once.
-        self._grids = tuple((c.freq_range, c.freq_range.high - c.freq_range.low)
-                            for c in (spec.big, spec.little))
 
     def reset(self):
         self.level = 1.0
 
     def command(self, budget, power):
         """Next (freq_big, freq_little) command for one rack period."""
-        level = self.level
         if budget > 0 and math.isfinite(power) and power > 0:
             error = (self.margin * budget - power) / max(budget, 1e-9)
-            # min(max(error, -0.6), 0.6), operand for operand.
-            error = -0.6 if -0.6 > error else error
-            level += self.gain * (0.6 if 0.6 < error else error)
+            self.level += self.gain * min(max(error, -0.6), 0.6)
         elif budget > 0 and power == 0.0:
             # No measurement yet (sensors not latched): probe upward.
-            level += 0.25
-        # min(max(level, 0.0), 1.0), operand for operand.
-        level = 0.0 if 0.0 > level else level
-        level = self.level = 1.0 if 1.0 < level else level
-        (big, big_span), (little, little_span) = self._grids
-        return (big.snap(big.low + level * big_span),
-                little.snap(little.low + level * little_span))
+            self.level += 0.25
+        self.level = min(max(self.level, 0.0), 1.0)
+        big = self.spec.big.freq_range
+        little = self.spec.little.freq_range
+        fb = big.snap(big.low + self.level * (big.high - big.low))
+        fl = little.snap(little.low + self.level * (little.high - little.low))
+        return fb, fl

@@ -84,11 +84,7 @@ class QuantizedRange:
         the lower level, matching argmin's first-minimum rule) but via
         bisect on the sorted levels — this sits on every actuation path.
         """
-        low = self.low
-        high = self.high
-        # clamp(), inlined: min(max(value, low), high), operand for operand.
-        value = low if low > value else value
-        value = float(high if high < value else value)
+        value = float(min(max(value, self.low), self.high))  # clamp()
         levels = self._levels_list
         i = bisect_left(levels, value)
         if i == 0:

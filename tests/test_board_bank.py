@@ -824,7 +824,7 @@ class TestPlanReuse:
 
 
 # ---------------------------------------------------------------------------
-# Property: the temperature envelope really bounds scalar stepping
+# Property: the envelope and the firmware horizon bound scalar stepping
 # ---------------------------------------------------------------------------
 class TestNoTripBound:
     @given(spec=board_specs(), seed=st.integers(min_value=0, max_value=9999),
@@ -839,10 +839,12 @@ class TestNoTripBound:
         the op's RC target at ``X`` is at most ``X`` and at ``Y`` at
         least ``Y``; the period at that op stays inside ``[min(T0, Y),
         max(T0, X)]`` and moves no more per tick than the bound the
-        firmware horizon uses; and if ``X`` is a no-trip ceiling
-        (``quiet``) and the period starts at or below it unthrottled, no
-        emergency state changes."""
-        from repro.board.bank import _envelope, _powers
+        firmware horizon uses; and over the horizon
+        ``_firmware_horizon`` proves from the period's start (the first
+        period starting anywhere between the board's temperature and
+        ``X``), no emergency state and no over-threshold or under-limit
+        mask changes."""
+        from repro.board.bank import _envelope, _firmware_horizon, _powers
 
         rng = np.random.default_rng(seed)
         rb = spec.cluster(BIG).freq_range
@@ -854,12 +856,26 @@ class TestNoTripBound:
         bank = BoardBank([board], telemetry=None)
         k = bank._slices((0,), [board])["fw"][0]
         thermal = board.thermal
+        em = board.emergency
+        state = em.state
         alpha = k[0]
+        thresh = dict(zip((BIG, LITTLE), k[6:8]))
+        limit = dict(zip((BIG, LITTLE), k[8:10]))
+        dt = spec.sim_dt
+        n = spec.period_steps()
 
         def target(x):
             p_b, p_l = _powers(terms, x)
             return thermal.ambient + thermal.resistance * (
                 p_b + thermal.little_weight * p_l)
+
+        def firmware():
+            """Flags and masks at the present temperature."""
+            p = dict(zip((BIG, LITTLE), _powers(terms, thermal.temperature)))
+            return (state.thermal_throttled,
+                    *state.power_throttled.values(),
+                    *(p[c] > thresh[c] for c in (BIG, LITTLE)),
+                    *(p[c] <= limit[c] for c in (BIG, LITTLE)))
 
         phases = [app.phase_index for app in board.applications]
         for period in range(4):
@@ -870,37 +886,52 @@ class TestNoTripBound:
             plan = bank._plan_for(0)
             assert plan is not None
             terms = _term_matrix([plan])[:, 0].tolist()
-            env = _envelope(terms, k)
+            env = plan.envelope = _envelope(terms, k)
             if not env:
                 return
-            quiet, X, Y = env[:3]
+            X, Y = env[:2]
             assert Y < X
             assert target(X) <= X
             assert target(Y) >= Y
+            if period == 0:
+                T = thermal.temperature
+                thermal.temperature = T + start * (X - T)
             T0 = thermal.temperature
-            if period == 0 and quiet is not None and T0 < quiet:
-                thermal.temperature = T0 = T0 + start * (quiet - T0)
             lo, hi = min(T0, Y), max(T0, X)
             step = alpha * max(target(lo) - lo, hi - target(hi)) * (
                 1.0 + 1e-6) + 1e-12
-            state = board.emergency.state
-            calm = (quiet is not None and T0 <= quiet
-                    and not state.any_active)
+            # The lane state the kernel's proof reads (see prove in
+            # BoardBank._run_vector_window).
+            p0 = dict(zip((BIG, LITTLE), _powers(terms, T0)))
+            over = {c: p0[c] > thresh[c] for c in (BIG, LITTLE)}
+            target0 = target(T0)
+            x = (T0, T0 + alpha * (target0 - T0), target0, p0[BIG],
+                 p0[LITTLE], state.thermal_throttled,
+                 *state.power_throttled.values(),
+                 *(0.0 if over[c] else em._under_power_time[c]
+                   for c in (BIG, LITTLE)),
+                 *(em._over_power_time[c] if over[c] else 0.0
+                   for c in (BIG, LITTLE)),
+                 *(em._hold_time[c] for c in (BIG, LITTLE)))
+            horizon = _firmware_horizon(plan, k, x, dt, n)
             trips = state.trip_count
-            for _ in range(spec.period_steps()):
+            for tick in range(n):
                 before = thermal.temperature
-                flags = (state.thermal_throttled, *state.power_throttled.values())
+                fw = firmware()
                 board.step()
                 if [app.phase_index for app in board.applications] != phases:
                     return  # new phase, new plans: the bound no longer applies
                 assert lo - 1e-9 <= thermal.temperature <= hi + 1e-9
                 assert abs(thermal.temperature - before) <= step
-                if calm:
+                if tick < horizon:
                     assert state.trip_count == trips
-                    assert not state.thermal_throttled
-                    assert not any(state.power_throttled.values())
-                if flags != (state.thermal_throttled,
-                             *state.power_throttled.values()):
+                    assert (state.thermal_throttled,
+                            *state.power_throttled.values()) == fw[:3]
+                    if tick:
+                        assert fw[3:] == masks
+                    masks = fw[3:]
+                if fw[:3] != (state.thermal_throttled,
+                              *state.power_throttled.values()):
                     break  # emergency caps moved: the plan no longer applies
 
 
