@@ -314,6 +314,9 @@ class BudgetGovernor:
         # above it.  3% under keeps the steady state on the safe side.
         self.margin = float(margin)
         self.level = 1.0
+        # Each cluster's DVFS grid and span, looked up once.
+        self._grids = tuple((c.freq_range, c.freq_range.high - c.freq_range.low)
+                            for c in (spec.big, spec.little))
 
     def reset(self):
         self.level = 1.0
@@ -326,9 +329,7 @@ class BudgetGovernor:
         elif budget > 0 and power == 0.0:
             # No measurement yet (sensors not latched): probe upward.
             self.level += 0.25
-        self.level = min(max(self.level, 0.0), 1.0)
-        big = self.spec.big.freq_range
-        little = self.spec.little.freq_range
-        fb = big.snap(big.low + self.level * (big.high - big.low))
-        fl = little.snap(little.low + self.level * (little.high - little.low))
-        return fb, fl
+        level = self.level = min(max(self.level, 0.0), 1.0)
+        (big, big_span), (little, little_span) = self._grids
+        return (big.snap(big.low + level * big_span),
+                little.snap(little.low + level * little_span))

@@ -83,8 +83,11 @@ class QuantizedRange:
         Equivalent to ``levels[argmin(|levels - value|)]`` (ties resolve to
         the lower level, matching argmin's first-minimum rule) but via
         bisect on the sorted levels — this sits on every actuation path.
+        The levels lie inside ``[low, high]`` (up to a rounding slack far
+        below their spacing), so a value past either end lands on that
+        end's level with or without :meth:`clamp` first.
         """
-        value = float(min(max(value, self.low), self.high))  # clamp()
+        value = float(value)
         levels = self._levels_list
         i = bisect_left(levels, value)
         if i == 0:

@@ -114,6 +114,21 @@ class TestQuantizedRangeProperties:
         assert qr.clamp(qr.high + overshoot) == qr.high
         assert qr.clamp(qr.low - overshoot) == qr.low
 
+    @given(
+        levels=st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
+                        min_size=1, max_size=8, unique=True),
+        pad=st.tuples(st.floats(min_value=0.0, max_value=3.0),
+                      st.floats(min_value=0.0, max_value=3.0)),
+        value=st.floats(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_snap_needs_no_clamp(self, levels, pad, value):
+        """snap() skips clamp(): levels inside [low, high] make it a
+        no-op for snapping, infinities and NaN included."""
+        qr = QuantizedRange(min(levels) - pad[0], max(levels) + pad[1],
+                            levels=levels)
+        assert qr.snap(value) == qr.snap(qr.clamp(value))
+
 
 # ----------------------------------------------------------------------
 # Randomized board specs driven through the invariant monitor
