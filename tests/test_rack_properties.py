@@ -163,6 +163,31 @@ class TestGovernorProperties:
             assert spec.little.freq_range.contains(fl)
             assert 0.0 <= governor.level <= 1.0
 
+    @given(
+        budget=st.floats(), power=st.floats(),
+        level=st.floats(min_value=-0.5, max_value=1.5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_saturations_match_min_max(self, budget, power, level):
+        """command()'s comparison saturations are min(max(...)) bit for
+        bit, NaN, infinities and signed zeros included."""
+        spec = default_xu3_spec()
+        governor = BudgetGovernor(spec)
+        governor.level = level
+        fb, fl = governor.command(budget, power)
+        if budget > 0 and math.isfinite(power) and power > 0:
+            error = (governor.margin * budget - power) / max(budget, 1e-9)
+            level += governor.gain * min(max(error, -0.6), 0.6)
+        elif budget > 0 and power == 0.0:
+            level += 0.25
+        level = min(max(level, 0.0), 1.0)
+        assert math.copysign(1.0, governor.level) == math.copysign(1.0, level)
+        assert governor.level == level or (math.isnan(governor.level)
+                                           and math.isnan(level))
+        big, little = spec.big.freq_range, spec.little.freq_range
+        assert (fb, fl) == (big.snap(big.low + level * big.span),
+                            little.snap(little.low + level * little.span))
+
 
 class TestGainSelectionProperties:
     @given(n_boards=st.integers(min_value=1, max_value=8))
