@@ -539,18 +539,10 @@ def _envelope(terms, k):
     there.
 
     Returns ``(X, Y, p_big(X), p_little(X), p_big(Y), p_little(Y),
-    X - target(X), target(Y) - Y, L_big, L_little, quiet)``.  ``quiet``
-    is the plan's no-trip ceiling (the monotone no-trip argument, per
-    lane): the highest start, at least ``X`` (else ``None``), from which
-    no firmware rule can fire, temperature staying under the trip and
-    power under threshold and limit.  An unthrottled lane at or below it
-    is proven to the end of the window with one comparison
-    (:meth:`BoardBank._run_vector_window`'s ``prove``), the horizon
-    :func:`_firmware_horizon` would also find.
+    X - target(X), target(Y) - Y, L_big, L_little)``.
     """
     _, _, leak_b, leak_l, ltc_b, ltc_l = terms[:6]
-    (_, ambient, resistance, lweight, trip, _, thresh_b, thresh_l, limit_b,
-     limit_l, trip_delay) = k[:11]
+    _, ambient, resistance, lweight = k[:4]
     if min(resistance, lweight, leak_b, leak_l, ltc_b, ltc_l) < 0.0:
         return ()
     slope_b = leak_b * ltc_b
@@ -572,16 +564,7 @@ def _envelope(terms, k):
     env = (X, Y, *pX, *pY, gX, gY, slope_b, slope_l)
     if not (gX >= 0.0 and gY >= 0.0 and all(map(math.isfinite, env))):
         return ()
-    # Above X power rises at most slope_c per degree.  (A trip delay of 0
-    # trips an unthrottled lane on any tick.)
-    quiet = trip - _MARGIN if trip_delay > 0.0 else -math.inf
-    for p, cap, slope_c in ((pX[0], min(thresh_b, limit_b), slope_b),
-                            (pX[1], min(thresh_l, limit_l), slope_l)):
-        if slope_c > 0.0:
-            quiet = min(quiet, X + (cap - _MARGIN - p) / slope_c)
-        elif not p < cap - _MARGIN:
-            quiet = -math.inf
-    return (*env, quiet if quiet >= X else None)
+    return env
 
 
 def _clock_ticks(x, bound, dt, cap):
@@ -667,7 +650,7 @@ def _firmware_horizon(plan, k, x, dt, room):
     env = plan.envelope
     if h <= 1 or not env:
         return min(h, 1)
-    X, Y, pX_b, pX_l, pY_b, pY_l, gX, gY, slope_b, slope_l, _ = env
+    X, Y, pX_b, pX_l, pY_b, pY_l, gX, gY, slope_b, slope_l = env
     if T0 <= X:
         hi, phi_b, phi_l, rise = X, pX_b, pX_l, gX
     else:
@@ -1296,8 +1279,9 @@ class BoardBank:
         state and then from 0.0 for the cycle after each latch.  Returns
         ``{t: mask}``: on tick ``t`` (counted from 0) the sensors of
         ``mask`` latch, and no sensor latches on any tick not in it.
-        Schedules are kept per lane set, by start state: a 28-lane sweep
-        bank finds 96 % of them there, which saves 3-5 % of its wall.
+        Schedules are kept per lane set, by start state: a 28-lane
+        ``sweep`` bank finds 96 % of them there (computing each afresh
+        cost 3.5-5.5 % of its wall on a 2-core host, against 0.3 %).
         """
         memo = S["latches"]
         key = (elapsed.tobytes(), n_steps)
@@ -1501,39 +1485,19 @@ class BoardBank:
         def prove(cols):
             """Prove the firmware horizons of lanes ``cols`` from tick t.
 
-            A lane unthrottled at or below its plan's no-trip ceiling is
-            proven to the end of the window: its under clocks run and
-            its other firmware clocks hold.  For the rest the next
-            tick's powers follow from the present temperature, so every
-            lane's over-threshold and under-limit masks, and its
+            The next tick's powers follow from the present temperature,
+            so every lane's over-threshold and under-limit masks, and its
             temperature, are exact.  They set every lane's firmware clock
             increments (a lane inside its horizon keeps its masks, so its
             increments do not change), and the over clock of a lane under
             threshold (the under clock of one over it), which that tick
             zeroes, is zeroed now.
             """
-            temps = T.tolist()
-            throttled = flags.any(axis=0).tolist()
-            calm = []
-            rest = []
             for col in cols:
                 plan = plans[col]
-                env = plan.envelope
-                if env is None:
-                    env = plan.envelope = _envelope(
+                if plan.envelope is None:
+                    plan.envelope = _envelope(
                         _term_rows(plan.big, plan.little), fw_consts[col])
-                if (env and env[-1] is not None and temps[col] <= env[-1]
-                        and not throttled[col]):
-                    calm.append(col)
-                    proven[col] = n_steps
-                else:
-                    rest.append(col)
-            if calm:
-                inc[5:7, calm] = dt
-                inc[7:12, calm] = 0.0
-                over_m[:, calm] = 0.0
-            if not rest:
-                return
             factor = 1.0 + ltc_m * (T - _REFERENCE_TEMP)
             p0 = dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
             target0 = ambient + resistance * (p0[0] + lweight * p0[1])
@@ -1546,7 +1510,7 @@ class BoardBank:
             np.copyto(under_m, 0.0, where=is_over)
             rows = np.vstack((T, T + alpha * (target0 - T), target0, p0,
                               flags, g[11:17]))
-            for col, x in zip(rest, rows.take(rest, axis=1).T.tolist()):
+            for col, x in zip(cols, rows.take(cols, axis=1).T.tolist()):
                 proven[col] = t + _firmware_horizon(
                     plans[col], fw_consts[col], x, dt, n_steps - t)
 

@@ -839,13 +839,11 @@ class TestNoTripBound:
         the op's RC target at ``X`` is at most ``X`` and at ``Y`` at
         least ``Y``; the period at that op stays inside ``[min(T0, Y),
         max(T0, X)]`` and moves no more per tick than the bound the
-        firmware horizon uses; over the horizon ``_firmware_horizon``
-        proves from the period's start, no emergency state and no
-        over-threshold or under-limit mask changes; and a period that
-        starts unthrottled at or below the no-trip ceiling ``quiet``
-        changes no emergency state at all.  A first period that would
-        start below ``quiet`` (``X`` without one) starts anywhere between
-        the board's temperature and it."""
+        firmware horizon uses; and over the horizon
+        ``_firmware_horizon`` proves from the period's start (the first
+        period starting anywhere between the board's temperature and
+        ``X``), no emergency state and no over-threshold or under-limit
+        mask changes."""
         from repro.board.bank import _envelope, _firmware_horizon, _powers
 
         rng = np.random.default_rng(seed)
@@ -892,17 +890,13 @@ class TestNoTripBound:
             if not env:
                 return
             X, Y = env[:2]
-            quiet = env[-1]
             assert Y < X
             assert target(X) <= X
             assert target(Y) >= Y
-            top = X if quiet is None else quiet
-            if period == 0 and thermal.temperature < top:
+            if period == 0:
                 T = thermal.temperature
-                thermal.temperature = T + start * (top - T)
+                thermal.temperature = T + start * (X - T)
             T0 = thermal.temperature
-            calm = (quiet is not None and T0 <= quiet
-                    and not state.any_active)
             lo, hi = min(T0, Y), max(T0, X)
             step = alpha * max(target(lo) - lo, hi - target(hi)) * (
                 1.0 + 1e-6) + 1e-12
@@ -929,7 +923,7 @@ class TestNoTripBound:
                     return  # new phase, new plans: the bound no longer applies
                 assert lo - 1e-9 <= thermal.temperature <= hi + 1e-9
                 assert abs(thermal.temperature - before) <= step
-                if tick < horizon or calm:
+                if tick < horizon:
                     assert state.trip_count == trips
                     assert (state.thermal_throttled,
                             *state.power_throttled.values()) == fw[:3]
