@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cores import core_execution, memory_traffic_gbs, thread_rate_gips
-from .fastpath import plan_window, run_window
+from .fastpath import keep, plan_window, reuse, run_window
 from .placement import PlacementState, plan_placement, spare_capacity
 from .power import cluster_power_total
 from .sensors import PerformanceCounter, TemperatureSensor, WindowedPowerSensor
@@ -165,6 +165,11 @@ class Board:
         self._observed = (None, None)
         self._knob_key = None
         self._knob_threads = None
+        # The steady plan run_period's last window ran to the end, kept for
+        # the next period (fastpath.keep/reuse); plans counts run_period's
+        # plans by how they were obtained (see counters()).
+        self._kept = None
+        self._plans = {"reused": 0, "built": 0}
         self._default_placement()
 
     # ------------------------------------------------------------------
@@ -339,13 +344,16 @@ class Board:
         ``rejected`` counts every command the actuation API refused or
         clamped (the superset); ``nonfinite`` counts the dropped-outright
         NaN/inf subset.  ``tmu_trips`` / ``tmu_throttle_time`` expose the
-        emergency firmware's interventions.
+        emergency firmware's interventions.  ``plans`` counts the window
+        plans of :meth:`run_period`: ``reused`` from the period before,
+        ``built`` by ``fastpath.plan_window``.
         """
         return {
             "rejected": dict(self.rejected_actuations),
             "nonfinite": dict(self.nonfinite_commands),
             "tmu_trips": self.emergency.state.trip_count,
             "tmu_throttle_time": self.emergency.state.throttle_time,
+            "plans": dict(self._plans),
         }
 
     def reset_counters(self):
@@ -367,6 +375,7 @@ class Board:
     def step(self):
         """Advance the board by one simulator step."""
         dt = self.spec.sim_dt
+        self._kept = None
         self._refresh_placement_membership()
         phase_of = self._phase_of_buf
         phase_of.clear()
@@ -437,7 +446,9 @@ class Board:
         re-planning at emergency-firmware transitions and application
         phase changes and running a draining stall's tick on its own
         one-tick plan; only fault hooks (or nothing runnable) fall back to
-        scalar :meth:`step`.  The resulting board
+        scalar :meth:`step`.  A period whose plan inputs did not move
+        since the last window ran to its end reuses that window's plan
+        (``fastpath.reuse``).  The resulting board
         state is bit-identical to calling :meth:`step` ``n_steps`` times
         (stopping when all applications finish); returns the number of
         ticks actually executed.
@@ -445,12 +456,27 @@ class Board:
         executed = 0
         fast = self.enable_fast_path  # hoisted: one attribute read per call
         while executed < n_steps and not self.done:
-            plan = plan_window(self) if fast else None
+            plan = None
+            if fast:
+                kept = self._kept
+                if kept is not None:
+                    plan = reuse(self, kept)
+                if plan is not None:
+                    self._planned("reused")
+                else:
+                    plan = plan_window(self)
+                    if plan is not None:
+                        self._planned("built")
             if plan is None:
                 self.step()
                 executed += 1
-            else:
-                executed += run_window(self, plan, n_steps - executed)
+                continue
+            left = n_steps - executed
+            ran = run_window(self, plan, left)
+            executed += ran
+            steady = plan.then if plan.stall_tick else plan
+            self._kept = (keep(self, steady)
+                          if ran == left and steady is not None else None)
         return executed
 
     def run(self, duration=None, max_time=1e9, callback=None):
@@ -478,6 +504,12 @@ class Board:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _planned(self, kind):
+        """Count one run_period plan of ``kind`` (and mirror it)."""
+        self._plans[kind] += 1
+        if self.telemetry is not None:
+            self.telemetry.board_plans.labels(kind=kind).inc()
+
     def _tmu_trip(self, kind):
         """Emergency-firmware trip callback (installed when telemetry is on)."""
         tel = self.telemetry

@@ -48,6 +48,17 @@ progress — is bit-identical to scalar stepping.
   sets only change when a budget runs out, so those ticks skip the
   membership check too.  Ticks past the horizon, and stall ticks, credit
   through ``execute`` and check membership after every tick.
+* ``Board.run_period`` keeps the steady plan its last window ran to the
+  end (or the ``then`` of a stall plan that did), and the next period
+  runs it again instead of re-planning when :func:`reuse` finds that
+  nothing it was derived from has moved: the same spec object and fault
+  hooks, actuation and placement epochs, emergency throttles,
+  application objects, and each planned app's phase and runnable
+  threads (by identity).  Every site that charges a stall moves the
+  placement epoch, so no stall can be pending; with the same runnable
+  objects under the same placement, the membership refresh planning
+  performs is a no-op.  A window broken by an event keeps nothing, and
+  a scalar ``Board.step`` drops the kept plan.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ from .credit import _LaneCells
 from .power import _REFERENCE_TEMP
 from .specs import BIG, LITTLE
 
-__all__ = ["plan_window", "run_window", "WindowPlan"]
+__all__ = ["plan_window", "run_window", "WindowPlan", "keep", "reuse"]
 
 
 @dataclass(slots=True)
@@ -81,7 +92,14 @@ class _ClusterPlan:
 
 @dataclass(slots=True)
 class WindowPlan:
-    """Everything ``run_window`` needs to replay ticks without re-planning."""
+    """Everything ``run_window`` needs to replay ticks without re-planning.
+
+    ``cells`` is the credit-cell layout of ``credits``
+    (:class:`~repro.board.credit._LaneCells`), built once per plan by
+    whichever kernel runs it first: ``run_window`` for a plan of
+    :func:`plan_window` (so a plan ``Board.run_period`` reuses keeps
+    its cells), the bank for its own plans.
+    """
 
     big: _ClusterPlan
     little: _ClusterPlan
@@ -94,14 +112,14 @@ class WindowPlan:
     # stall remains after this tick).
     stall_tick: bool = False
     then: object = None
+    cells: object = None
     # Bank metadata: parts is each cluster's memoized (plan, per-thread
     # credit amounts, bips) (see _arithmetic), bw_scale the DRAM
-    # contention factor they were computed under, cells the credit-cell
-    # layout of ``credits``, envelope the temperature envelope of these
-    # terms on the plan's lane (see bank._envelope; () when unprovable).
+    # contention factor they were computed under, envelope the
+    # temperature envelope of these terms on the plan's lane (see
+    # bank._envelope; () when unprovable).
     parts: tuple = None
     bw_scale: float = None
-    cells: object = None
     envelope: tuple = None
 
 
@@ -199,6 +217,42 @@ def plan_window(board):
         # The stall tick changes nothing the ordinary plan reads, so the
         # plan for the ticks after it can be built now.
         plan.then = _build(board, layout, freqs, phase_of, apps)
+    return plan
+
+
+def keep(board, plan):
+    """What ``Board.run_period`` keeps after a window that ran all its
+    ticks on the steady ``plan``: the plan, and the inputs :func:`reuse`
+    checks it by."""
+    return (plan, board.spec, board._actuation_epoch, board._placement_epoch,
+            tuple(board.applications),
+            tuple([app.phase_index for app, _ in plan.apps]))
+
+
+def reuse(board, kept):
+    """The plan :func:`keep` kept, if nothing it was derived from has
+    moved since (else ``None``); see the exactness contract.
+
+    Identity throughout: the spec, the application objects in order, and
+    each planned app's runnable threads (``_membership_changed``, which
+    also catches a finished app), never ``Thread`` value equality.
+    """
+    plan, spec, epoch, pepoch, applications, phases = kept
+    if (board.spec is not spec or board._actuation_epoch != epoch
+            or board._placement_epoch != pepoch or _refused(board)
+            or _emergency_snapshot(board) != plan.emergency_snapshot):
+        return None
+    apps = board.applications
+    if len(apps) != len(applications):
+        return None
+    for now, then in zip(apps, applications):
+        if now is not then:
+            return None
+    for (app, _), phase in zip(plan.apps, phases):
+        if app.phase_index != phase:
+            return None
+    if _membership_changed(plan.apps):
+        return None
     return plan
 
 
@@ -395,10 +449,13 @@ def _bulk(plan, start, max_steps):
     """``(cells, row, end)``: ``plan``'s credit cells and a row of their
     live values, credited in bulk from tick ``start`` to tick ``end``
     (its horizon, capped at ``max_steps``; ``end == start`` for a stall
-    plan, which credits through ``execute``)."""
+    plan, which credits through ``execute``).  The cells are built on a
+    plan's first window and kept on it."""
     if plan.stall_tick:
         return None, None, start
-    cells = _LaneCells(plan.credits)
+    cells = plan.cells
+    if cells is None:
+        cells = plan.cells = _LaneCells(plan.credits)
     row = cells.row()
     horizon = cells.horizon(cells.ratio(row))
     if horizon is None:

@@ -144,6 +144,10 @@ class TelemetrySession:
             "bank_plans_total",
             "BoardBank lane plans by how they were obtained",
             labels=("tier",))
+        self.board_plans = reg.counter(
+            "board_plans_total",
+            "Board.run_period window plans: reused from the period before "
+            "or built", labels=("kind",))
         self.bank_firmware_ticks = reg.counter(
             "bank_firmware_ticks_total",
             "BoardBank window ticks inside every lane's firmware horizon "

@@ -6,7 +6,8 @@ name, both values, and the ULP distance between them:
 
 * :func:`oracle_fastpath` — vectorized window stepping
   (:mod:`repro.board.fastpath`) vs scalar :meth:`Board.step`, under a
-  randomized-but-legal actuation schedule.  Must be **bit-exact**.
+  randomized-but-legal actuation schedule whose commands hold for 1-4
+  periods (so periods reuse their plan).  Must be **bit-exact**.
 * :func:`oracle_parallel_matrix` — the process-pool experiment engine vs
   the serial matrix loop.  Must be **bit-exact**.
 * :func:`oracle_resume` — a matrix campaign interrupted mid-run (chaos
@@ -236,13 +237,21 @@ def _actuation_schedule(spec, periods, seed):
 
 def oracle_fastpath(spec=None, workload="blackscholes", seed=3, periods=40,
                     schedule_seed=11):
-    """Replay one run through fastpath and scalar stepping; must be 0 ULP."""
+    """Replay one run through fastpath and scalar stepping; must be 0 ULP.
+
+    Each command holds for a seeded 1-4 periods, so the fast board both
+    reuses a period's plan (``Board.counters()["plans"]``) and rebuilds
+    it after a command moves; the oracle fails unless it did both.
+    """
     from ..board import BIG, LITTLE, Board, default_xu3_spec
     from ..workloads import make_application
 
     spec = spec or default_xu3_spec()
     period_steps = spec.period_steps()
-    schedule = _actuation_schedule(spec, periods, schedule_seed)
+    holds = np.random.default_rng(schedule_seed).integers(1, 5, periods)
+    schedule = [command for command, hold in zip(
+        _actuation_schedule(spec, periods, schedule_seed), holds)
+        for _ in range(hold)][:periods]
 
     def _run(enable_fast_path):
         board = Board(make_application(workload), spec=spec, seed=seed,
@@ -279,9 +288,12 @@ def oracle_fastpath(spec=None, workload="blackscholes", seed=3, periods=40,
     scalar_trace = scalar.trace.as_arrays()
     for signal in sorted(fast_trace):
         cmp.check_array(signal, fast_trace[signal], scalar_trace[signal])
+    plans = fast.counters()["plans"]
+    cmp.check("coverage", "plans_reused", float(plans["reused"] > 0), 1.0)
+    cmp.check("coverage", "plans_rebuilt", float(plans["built"] > 1), 1.0)
     return cmp.result("fastpath-vs-scalar", details={
         "workload": workload, "periods": periods,
-        "steps": len(fast_trace["times"]),
+        "steps": len(fast_trace["times"]), "plans": plans,
     })
 
 
@@ -421,15 +433,26 @@ def oracle_bank_matrix(context, schemes=None, workloads=None, seed=7,
     more lanes share each SSV design and step as one stacked group
     (``core.controller.step_stacked``).  The oracle refuses to pass
     vacuously: it fails unless every banked cell carries the bank's
-    ``notes["bank"]``, i.e. rode a bank rather than a one-cell task.
+    ``notes["bank"]``, i.e. rode a bank rather than a one-cell task, and
+    unless the serial side reused some period's plan
+    (``board_plans_total``, counted on a telemetry session of its own).
     """
     from ..experiments.engine import run_scheme_matrix
     from ..experiments.schemes import SCHEMES
+    from ..telemetry import TelemetrySession, activate, active_session
 
     schemes = list(schemes or SCHEMES)
     workloads = list(workloads or ["blackscholes", "mcf", "gamess"])
-    serial = run_scheme_matrix(schemes, workloads, context, seed=seed,
-                               max_time=max_time, record=True, jobs=None)
+    previous = active_session()
+    session = activate(TelemetrySession())
+    try:
+        serial = run_scheme_matrix(schemes, workloads, context, seed=seed,
+                                   max_time=max_time, record=True, jobs=None)
+    finally:
+        session.close()
+        activate(previous)
+    plans = {kind: session.registry.value("board_plans_total", kind=kind)
+             for kind in ("reused", "built")}
     banked = run_scheme_matrix(schemes, workloads, context, seed=seed,
                                max_time=max_time, record=True, jobs=None,
                                batch=batch)
@@ -438,9 +461,11 @@ def oracle_bank_matrix(context, schemes=None, workloads=None, seed=7,
                    for per_scheme in banked.values()
                    for m in per_scheme.values())
     cmp.check("coverage", "cells_outside_a_bank", float(unbanked), 0.0)
+    cmp.check("coverage", "serial_plans_reused", float(plans["reused"] > 0),
+              1.0)
     return cmp.result("bank-matrix-vs-serial", details={
         "schemes": schemes, "workloads": workloads, "batch": batch,
-        "unbanked": unbanked,
+        "unbanked": unbanked, "serial_plans": plans,
         "incomplete": sum(not m.completed for per_scheme in serial.values()
                           for m in per_scheme.values()),
     })

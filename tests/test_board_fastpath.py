@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.board import BIG, LITTLE, Board, default_xu3_spec
 from repro.board.credit import _POOL, _THREAD, RESERVE, _LaneCells
-from repro.board.fastpath import plan_window
+from repro.board.fastpath import plan_window, reuse
 from repro.workloads import make_application, make_mix
 from repro.workloads.app import Application, Phase
 
@@ -41,7 +41,10 @@ def _assert_identical(a, b):
     assert a.time == b.time
     assert a.energy == b.energy
     assert a.thermal.temperature == b.thermal.temperature
-    assert a.counters() == b.counters()
+    # Plan counts are the fast path's own work; the rest is board state.
+    health_a, health_b = a.counters(), b.counters()
+    del health_a["plans"], health_b["plans"]
+    assert health_a == health_b
     assert [app.done for app in a.applications] == [
         app.done for app in b.applications
     ]
@@ -342,3 +345,250 @@ class TestPeriodStepsValidation:
     def test_replace_revalidates(self):
         with pytest.raises(ValueError, match="evenly divide"):
             dataclasses.replace(default_xu3_spec(), control_period=0.333)
+
+
+TRIP_SPEC = dict(emergency_temp_trip=70.0, emergency_temp_clear=64.0,
+                 emergency_power_factor=1.1)
+
+
+def _job(k):
+    """A short three-phase program: its phases change within seconds."""
+    barrier = bool(k % 2)
+    return Application(f"job{k}", [
+        Phase("a", 2 + k % 3, 1.5 + 0.5 * (k % 4), cpi_scale=1.1, mpki=3.0,
+              activity=0.8, barrier=barrier),
+        Phase("b", 3, 2.0, mpki=8.0, barrier=not barrier),
+        Phase("c", 1 + k % 4, 1.0, activity=0.6),
+    ])
+
+
+def _reuse_apps():
+    from repro.extensions import QosApplication
+
+    return [QosApplication("qos", total_items=4000, base_giga_per_item=0.02,
+                           max_threads=3), _job(0), *make_mix("blmc")]
+
+
+def _dvfs_dropped():
+    """An actuator-fault hook layer that drops DVFS writes."""
+    from repro.faults.hooks import ActuatorFaultState
+
+    hooks = ActuatorFaultState()
+    for name in (BIG, LITTLE):
+        hooks.set_dvfs_ignored(name, True)
+    return hooks
+
+
+def _board_state(board):
+    """Every piece of board state scalar stepping and the fast path write."""
+    sensors = [(s._accumulated, s._elapsed, s._latched)
+               for s in board.power_sensors.values()]
+    counters = [(c.total_giga, c._last_read)
+                for c in board.perf_counters.values()]
+    state = board.emergency.state
+    apps = [(app.name, app.phase_index, app.completed_instructions,
+             app.pool_remaining, app.finish_time,
+             [(t.remaining, t.migration_stall) for t in app.threads],
+             [t.thread_id for t in app.runnable_threads()])
+            for app in board.applications]
+    return (board.time, board.energy, board.thermal.temperature,
+            board.temp_sensor._last, sensors, counters,
+            board._rng.bit_generator.state,
+            (state.thermal_throttled, dict(state.power_throttled),
+             state.trip_count, state.throttle_time),
+            [(c.frequency, c.cores_on, c.pending_hotplug_stall)
+             for c in board.clusters.values()],
+            dict(board._instant_power), dict(board._instant_bips), apps)
+
+
+_OPS = ("hold", "hold", "repeat", "freq", "cores", "knobs", "qos", "append",
+        "remove", "hook", "step")
+
+
+def _apply(board, op, arg, knobs, jobs):
+    """One between-periods event, applied to either board the same way;
+    ``knobs`` are the last placement knobs commanded."""
+    period = board.spec.period_steps()
+    if op == "repeat":  # re-issue the current commands: all no-ops
+        for name in (BIG, LITTLE):
+            board.set_cluster_frequency(name, board.clusters[name].frequency)
+            board.set_active_cores(name, board.clusters[name].cores_on)
+        board.set_placement_knobs(*knobs)
+    elif op == "freq":
+        levels = board.spec.big.freq_range.levels
+        board.set_cluster_frequency(BIG, levels[arg % len(levels)])
+    elif op == "cores":
+        board.set_active_cores(BIG, 1 + arg % 4)
+    elif op == "knobs":
+        board.set_placement_knobs(*knobs)
+    elif op == "qos":
+        board.applications[0].set_max_threads(1 + arg % 3)
+    elif op == "append":
+        board.applications.append(_job(jobs))
+    elif op == "remove" and len(board.applications) > 2:
+        del board.applications[1 + arg % (len(board.applications) - 1)]
+    elif op == "hook":
+        board.fault_hooks = None if board.fault_hooks else _dvfs_dropped()
+    elif op == "step":
+        for _ in range(1 + arg % (period - 1)):
+            if not board.done:
+                board.step()
+
+
+class TestPlanReuse:
+    """``run_period`` reuses the last window's plan while nothing it was
+    derived from moved; it stays bit-identical to ``Board.step``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=st.lists(st.tuples(st.sampled_from(_OPS),
+                                  st.integers(0, 23)),
+                        min_size=4, max_size=30),
+           trips=st.booleans(), seed=st.integers(0, 50))
+    @example(ops=[("hold", 0)] * 6 + [("qos", 1), ("hold", 0),
+                                      ("repeat", 0), ("hold", 0)],
+             trips=False, seed=1)
+    def test_run_period_matches_step(self, ops, trips, seed):
+        spec = dataclasses.replace(default_xu3_spec(),
+                                   **(TRIP_SPEC if trips else {}))
+        boards = []
+        for fast_path in (False, True):
+            board = Board(_reuse_apps(), spec, seed=seed, record=True)
+            board.enable_fast_path = fast_path
+            boards.append(board)
+        scalar, fast = boards
+        period = spec.period_steps()
+        knobs = (4.0, 1.0, 2.0)
+        for jobs, (op, arg) in enumerate(ops, start=1):
+            if op == "knobs":
+                knobs = (float(2 + arg % 6), 1.0 + 0.5 * (arg % 3), 2.0)
+            for board in boards:
+                _apply(board, op, arg, knobs, jobs)
+            if fast.done:
+                break
+            for _ in range(period):
+                if not scalar.done:
+                    scalar.step()
+            fast.run_period(period)
+            assert _board_state(scalar) == _board_state(fast)
+        _assert_identical(scalar, fast)
+        _assert_progress(scalar, fast)
+
+    @staticmethod
+    def _kept_board(**spec_overrides):
+        """A board whose last period ran its window to the end, so its
+        next period would reuse that window's plan."""
+        spec = dataclasses.replace(default_xu3_spec(), **spec_overrides)
+        board = Board(_reuse_apps(), spec, seed=2, record=False)
+        board.set_cluster_frequency(BIG, 1.2)
+        for _ in range(3):
+            board.run_period(spec.period_steps())
+        assert board._kept is not None
+        plan = board._kept[0]
+        assert reuse(board, board._kept) is plan
+        return board, plan
+
+    def test_unchanged_inputs_reuse(self):
+        board, plan = self._kept_board()
+        before = board.counters()["plans"]
+        board.set_cluster_frequency(BIG, 1.2)  # no-op commands
+        board.set_active_cores(LITTLE, board.clusters[LITTLE].cores_on)
+        board.run_period(board.spec.period_steps())
+        plans = board.counters()["plans"]
+        assert plans["reused"] == before["reused"] + 1
+        assert plans["built"] == before["built"]
+        assert board._kept[0] is plan
+
+    def test_fast_path_off_drops_the_plan(self):
+        board, _ = self._kept_board()
+        board.enable_fast_path = False
+        board.run_period(board.spec.period_steps())
+        assert board._kept is None
+
+    def test_fault_hook_refuses(self):
+        board, _ = self._kept_board()
+        board.fault_hooks = _dvfs_dropped()
+        assert reuse(board, board._kept) is None
+
+    def test_new_spec_object(self):
+        board, _ = self._kept_board()
+        board.spec = dataclasses.replace(board.spec)  # equal, not the same
+        assert reuse(board, board._kept) is None
+
+    def test_actuation_epoch(self):
+        board, _ = self._kept_board()
+        board.set_cluster_frequency(LITTLE, 1.0)
+        assert reuse(board, board._kept) is None
+
+    def test_placement_epoch(self):
+        # What every placement move and stall charge does beside its
+        # own change.
+        board, _ = self._kept_board()
+        board._placement_epoch += 1
+        assert reuse(board, board._kept) is None
+
+    def test_emergency_snapshot(self):
+        board, _ = self._kept_board()
+        board.emergency.state.thermal_throttled = True
+        assert reuse(board, board._kept) is None
+
+    def test_application_list(self):
+        board, _ = self._kept_board()
+        board.applications.append(_job(5))
+        assert reuse(board, board._kept) is None
+        board.applications.pop()
+        assert reuse(board, board._kept) is not None
+        board.applications[1] = _job(0)  # the same value, another object
+        assert reuse(board, board._kept) is None
+
+    def test_phase_index(self):
+        board, plan = self._kept_board()
+        twin = Application("twin", [Phase("p", 2, 9.0),
+                                    Phase("q", 2, 9.0, mpki=9.0)])
+        board.applications.append(twin)
+        board.run_period(board.spec.period_steps())
+        assert board._kept[0].apps[-1][0] is twin
+        # Two shared-pool phases: the runnable threads stay the same
+        # objects, the phase characteristics do not.
+        twin.phase_index += 1
+        assert reuse(board, board._kept) is None
+
+    def test_finished_app(self):
+        board, plan = self._kept_board()
+        plan.apps[1][0].finish_time = board.time
+        assert reuse(board, board._kept) is None
+
+    def test_runnable_threads(self):
+        board, _ = self._kept_board()
+        board.applications[0].set_max_threads(1)  # the phase stays
+        assert reuse(board, board._kept) is None
+
+    def test_broken_window_keeps_nothing(self):
+        """A trip breaks the window; the plan kept after the period is the
+        re-plan under the new throttles, never the broken one."""
+        board = Board(_reuse_apps(), dataclasses.replace(
+            default_xu3_spec(), **TRIP_SPEC), seed=2, record=False)
+        period = board.spec.period_steps()
+        while board.emergency.state.trip_count == 0:
+            assert board.time < 60.0
+            kept = board._kept
+            built = board.counters()["plans"]["built"]
+            board.run_period(period)
+        assert board.counters()["plans"]["built"] >= built + 1
+        assert board._kept is None or (
+            board._kept[0] is not (kept and kept[0])
+            and reuse(board, board._kept) is board._kept[0])
+
+    def test_finishing_window_keeps_nothing(self):
+        """The window the last program finishes in breaks on membership
+        before the period's end, and keeps nothing."""
+        board = Board([Application("tiny", [Phase("p", 2, 1.3)])],
+                      default_xu3_spec(), seed=2, record=False)
+        period = board.spec.period_steps()
+        while board.run_period(period) == period:
+            assert board._kept is not None
+        assert board.done and board._kept is None
+
+    def test_scalar_step_drops_the_plan(self):
+        board, _ = self._kept_board()
+        board.step()
+        assert board._kept is None

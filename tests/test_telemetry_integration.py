@@ -139,6 +139,21 @@ class TestInstrumentedRun:
         assert len(spans) == 6
         session.close()
 
+    def test_board_plans_mirror_to_metrics(self):
+        """``Board.counters()["plans"]`` mirrors to ``board_plans_total``."""
+        session = TelemetrySession()
+        board = Board(make_application("gamess"), spec=default_xu3_spec(),
+                      seed=1, record=False, telemetry=session)
+        for p in range(6):
+            board.set_cluster_frequency(BIG, 1.0 + 0.1 * (p // 2))
+            board.run_period(10)
+        plans = board.counters()["plans"]
+        assert plans["reused"] > 0 and plans["built"] > 0
+        for kind, count in plans.items():
+            assert session.registry.value("board_plans_total",
+                                          kind=kind) == count, kind
+        session.close()
+
 
 # ----------------------------------------------------------------------
 # Board actuation-health counters (public accessor + metrics surface)
